@@ -42,6 +42,13 @@ class TPoly:
         self.coeffs = out
 
     @classmethod
+    def _exact(cls, coeffs):
+        """Adopt {degree: Fraction} as is: every value exact and nonzero."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def const(cls, c):
         return cls({0: Fraction(c)})
 
@@ -52,23 +59,32 @@ class TPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return TPoly(out)
+            s = out.get(d)
+            if s is None:
+                out[d] = c
+            else:
+                s += c
+                if s:
+                    out[d] = s
+                else:
+                    del out[d]
+        return TPoly._exact(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TPoly({d: -c for d, c in self.coeffs.items()})
+        return TPoly._exact({d: -c for d, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TPoly:
             return TPoly({d: c * other for d, c in self.coeffs.items()})
         out = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
-        return TPoly(out)
+                d, c = d1 + d2, c1 * c2
+                out[d] = out[d] + c if d in out else c
+        return TPoly._exact({d: c for d, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -188,6 +204,23 @@ def _mon_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def term_profile(p, vexp, coeff):
+    """(p-valuation, v1-exponent, v2-exponent) of a term; a symbolic
+    exponent reads as 0, so membership in an ideal claims nothing from it."""
+    (c1, m1), (c2, m2) = vexp[0], vexp[1]
+    return coeff.p_valuation(p), 0 if m1 else c1, 0 if m2 else c2
+
+
+def _drop_terms(p, terms, ctx):
+    """The nonzero terms of {(vexp, ...): TPoly} that lie outside ctx."""
+    if not ctx.gens:
+        return {k: c for k, c in terms.items() if c.coeffs}
+    return {
+        k: c for k, c in terms.items()
+        if c.coeffs and not ctx.contains_profile(*term_profile(p, k[0], c))
+    }
+
+
 MON_ONE = (0, 0, 0)
 
 
@@ -200,9 +233,9 @@ class BPElement:
         self.p = p
         out = {}
         for k, c in (terms or {}).items():
-            if isinstance(c, (int, Fraction)):
+            if type(c) is not TPoly:
                 c = TPoly.const(c)
-            if not c.is_zero():
+            if c.coeffs:
                 out[k] = c
         self.terms = out
 
@@ -234,7 +267,7 @@ class BPElement:
         return BPElement(self.p, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        if type(c) is not TPoly:
             c = TPoly.const(c)
         return BPElement(self.p, {k: v * c for k, v in self.terms.items()})
 
@@ -251,25 +284,11 @@ class BPElement:
 
     # -- reduction and audit -------------------------------------------------
 
-    def term_profile(self, key, coeff):
-        vexp, _ = key
-        pval = coeff.p_valuation(self.p)
-        try:
-            v1e = _vexp_concrete(vexp, 1)
-        except InsufficientPrecisionError:
-            v1e = 0  # symbolic exponent: claim nothing
-        try:
-            v2e = _vexp_concrete(vexp, 2)
-        except InsufficientPrecisionError:
-            v2e = 0
-        return pval, v1e, v2e
-
     def reduce_mod(self, ctx: Ideal, audit=None, reason=""):
         """Drop terms lying in ctx; optionally record them in the audit list."""
         out = {}
         for key, coeff in self.terms.items():
-            pval, v1e, v2e = self.term_profile(key, coeff)
-            if ctx.contains_profile(pval, v1e, v2e):
+            if ctx.contains_profile(*term_profile(self.p, key[0], coeff)):
                 if audit is not None:
                     audit.append(
                         {"dropped": _term_repr(key, coeff), "ideal": repr(ctx), "reason": reason}
@@ -429,19 +448,7 @@ class BPStructure:
             for (vb, mb), cb in B.items():
                 key = (_vexp_add(va, vb), _mon_mul(ma, mb))
                 out[key] = out.get(key, TPoly()) + ca * cb
-        return self._coef_drop(out, ctx)
-
-    def _coef_drop(self, A, ctx):
-        out = {}
-        for (vexp, mon), c in A.items():
-            if c.is_zero():
-                continue
-            pval = c.p_valuation(self.p)
-            v1e = vexp[0][0] if not vexp[0][1] else 0
-            v2e = vexp[1][0] if not vexp[1][1] else 0
-            if not ctx.contains_profile(pval, v1e, v2e):
-                out[(vexp, mon)] = c
-        return out
+        return _drop_terms(self.p, out, ctx)
 
     def eta_power(self, which: int, exp, ctx: Ideal):
         """eta_R(v_which)^(c+mt) as {(vexp, mon): TPoly} modulo ctx."""
@@ -456,7 +463,7 @@ class BPStructure:
         Dk = {(V_ZERO, MON_ONE): TPoly.const(1)}
         k = 0
         while True:
-            Dk = self._coef_drop(Dk, ctx)
+            Dk = _drop_terms(self.p, Dk, ctx)
             if k > 0 and not Dk:
                 break
             if m == 0 and k > max(c, 0):
@@ -474,7 +481,7 @@ class BPStructure:
                     f"eta_R(v{which})^exp expansion does not terminate in context {ctx}"
                 )
             Dk = self._coef_mul(Dk, D, ZERO_IDEAL)
-        return self._coef_drop(out, ctx)
+        return _drop_terms(self.p, out, ctx)
 
     def eta_v(self, vexp, ctx: Ideal):
         """eta_R applied to v1^e1 v2^e2 v3^e3, modulo ctx."""
@@ -486,25 +493,13 @@ class BPStructure:
 
     # -- coproducts ----------------------------------------------------------
 
-    def _tensor_drop(self, A, ctx):
-        out = {}
-        for (vexp, ml, mr), c in A.items():
-            if c.is_zero():
-                continue
-            pval = c.p_valuation(self.p)
-            v1e = vexp[0][0] if not vexp[0][1] else 0
-            v2e = vexp[1][0] if not vexp[1][1] else 0
-            if not ctx.contains_profile(pval, v1e, v2e):
-                out[(vexp, ml, mr)] = c
-        return out
-
     def _tensor_mul(self, A, B, ctx):
         out = {}
         for (va, la, ra), ca in A.items():
             for (vb, lb, rb), cb in B.items():
                 key = (_vexp_add(va, vb), _mon_mul(la, lb), _mon_mul(ra, rb))
                 out[key] = out.get(key, TPoly()) + ca * cb
-        return self._tensor_drop(out, ctx)
+        return _drop_terms(self.p, out, ctx)
 
     def delta_t1_power(self, a: int, ctx: Ideal):
         """Delta(t1)^a = sum C(a,i) t1^i (x) t1^(a-i); exact."""
@@ -514,7 +509,7 @@ class BPStructure:
             term = (V_ZERO, t1_mon(i), t1_mon(a - i))
             coeff = TPoly.const(c)
             out[term] = coeff
-        return self._tensor_drop(out, ctx)
+        return _drop_terms(self.p, out, ctx)
 
     def b10_tensor(self):
         """b_{1,0} as tensor terms: (1/p) sum C(p,i) t1^i (x) t1^(p-i)."""
@@ -575,7 +570,7 @@ class BPStructure:
         out = dict(self.delta_mon(mon, ctx))
         for key in ((V_ZERO, mon, MON_ONE), (V_ZERO, MON_ONE, mon)):
             out[key] = out.get(key, TPoly()) - TPoly.const(1)
-        return self._tensor_drop({k: v for k, v in out.items() if not v.is_zero()}, ctx)
+        return _drop_terms(self.p, out, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +630,14 @@ def b1k(p: int, k: int) -> BPElement:
     )
 
 
+def _corner_v1p_b11(p: int) -> BPElement:
+    """-t1^p (x) t1^(p^2) + v1^p b_{1,1}: the part of d(t2^p) besides -p b20."""
+    v1p = ((p, 0), (0, 0), (0, 0))
+    terms = {(V_ZERO, (t1_mon(p), t1_mon(p**2))): TPoly.const(-1)}
+    terms.update(((v1p, slots), c) for (_, slots), c in b1k(p, 1).terms.items())
+    return BPElement(p, terms)
+
+
 def b20(p: int, structure: BPStructure | None = None) -> BPElement:
     """b_{2,0} = (1/p)(Delta-bar(t2^p) - t1^p (x) t1^(p^2) + v1^p b_{1,1}).
 
@@ -642,14 +645,9 @@ def b20(p: int, structure: BPStructure | None = None) -> BPElement:
     every coefficient is asserted (this is the content of the construction).
     """
     st = structure if structure is not None else BPStructure(p)
-    x = BPElement(p)
-    for (vexp, ml, mr), c in st.delta_bar(t2_mon(p), ZERO_IDEAL).items():
-        x = x + BPElement(p, {(vexp, (ml, mr)): c})
-    x = x - BPElement(p, {(V_ZERO, (t1_mon(p), t1_mon(p**2))): 1})
-    v1p = ((p, 0), (0, 0), (0, 0))
-    for key, c in b1k(p, 1).terms.items():
-        x = x + BPElement(p, {(v1p, key[1]): c})
-    out = x.divide_p()
+    dbar = st.delta_bar(t2_mon(p), ZERO_IDEAL)
+    x = BPElement(p, {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()})
+    out = (x + _corner_v1p_b11(p)).divide_p()
     for key, c in out.terms.items():
         if c.p_valuation(p) < 0:
             raise InsufficientPrecisionError(
@@ -689,24 +687,23 @@ def verify_d_basics(p: int = 7):
 
     dv1 = d_cobar(BPElement.v_power(p, e1=1), ZERO_IDEAL, st)
     expected = BPElement(p, {(V_ZERO, (t1_mon(1),)): p})
-    assert (dv1 - expected).is_zero(), f"d(v1) = {dv1!r}"
+    if not (dv1 - expected).is_zero():
+        raise AssertionError(f"d(v1) = {dv1!r}")
     report.append({"name": "d(v1) = p[t1]", "status": "exact"})
 
     for k in (1, 2):
         x = BPElement(p, {(V_ZERO, (t1_mon(p**k),)): 1})
         dx = d_cobar(x, ZERO_IDEAL, st)
         expected = (-b1k(p, k - 1)).scale(p)
-        assert (dx - expected).is_zero(), f"d(t1^p^{k}) = {dx!r}"
+        if not (dx - expected).is_zero():
+            raise AssertionError(f"d(t1^p^{k}) = {dx!r}")
         report.append({"name": f"d(t1^(p^{k})) = -p*b_(1,{k-1})", "status": "exact"})
 
     x = BPElement(p, {(V_ZERO, (t2_mon(p),)): 1})
     dx = d_cobar(x, ZERO_IDEAL, st)
-    v1p = ((p, 0), (0, 0), (0, 0))
-    expected = BPElement(p, {(V_ZERO, (t1_mon(p), t1_mon(p**2))): -1})
-    for key, c in b1k(p, 1).terms.items():
-        expected = expected + BPElement(p, {(v1p, key[1]): c})
-    expected = expected - b20(p, st).scale(p)
-    assert (dx - expected).is_zero(), "d(t2^p) identity"
+    expected = _corner_v1p_b11(p) - b20(p, st).scale(p)
+    if not (dx - expected).is_zero():
+        raise AssertionError("d(t2^p) identity")
     report.append(
         {"name": "d(t2^p) = -t1^p(x)t1^(p^2) + v1^p*b11 - p*b20", "status": "exact"}
     )
@@ -715,7 +712,8 @@ def verify_d_basics(p: int = 7):
     bmod = b20(p, st).reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
     diff = bmod - b20_mod_p_v1(p)
     ok = all(not v for v in (c.mod_p(p) for c in diff.terms.values()))
-    assert ok, "b20 mod (p, v1) multinomial normal form"
+    if not ok:
+        raise AssertionError("b20 mod (p, v1) multinomial normal form")
     report.append({"name": "b20 mod (p,v1) multinomial form", "status": "exact"})
 
     contexts = {
@@ -729,7 +727,8 @@ def verify_d_basics(p: int = 7):
         dx = d_cobar(x, ctx, st)
         mon = (t1_mon(1), t2_mon(1), t3_mon(1))[k - 1]
         expected = BPElement(p, {(V_ZERO, (mon,)): p})
-        assert (dx - expected).reduce_mod(ctx).is_zero(), f"d(v{k}) mod I((2,1,1),{k})"
+        if not (dx - expected).reduce_mod(ctx).is_zero():
+            raise AssertionError(f"d(v{k}) mod I((2,1,1),{k})")
         report.append(
             {"name": f"d(v{k}) = p[t{k}] mod I((2,1,1),{k}) = {ctx}", "status": "pass"}
         )
@@ -759,7 +758,8 @@ def verify_dd(p: int = 7):
     report = []
     for name, x, ctx in cases:
         ddx = d_cobar(d_cobar(x, ctx, st), ctx, st).reduce_mod(ctx)
-        assert ddx.is_zero(), f"d^2({name}) = {ddx!r} mod {ctx}"
+        if not ddx.is_zero():
+            raise AssertionError(f"d^2({name}) = {ddx!r} mod {ctx}")
         report.append({"name": f"d^2({name}) = 0 mod {ctx}", "status": "pass"})
     return report
 
@@ -801,7 +801,8 @@ def _block_tables(p: int):
             if name == "b11"
             else ((1, p - 1, 0), t1_mon(p))
         )
-        assert anchors[name] in supp and supp[anchors[name]] % p
+        if not (anchors[name] in supp and supp[anchors[name]] % p):
+            raise AssertionError(f"{name} anchor {anchors[name]} has no unit coefficient")
     return tables, anchors
 
 
@@ -946,14 +947,16 @@ def delta_chain_displays(p: int = 7):
     steps = []
     x = BPElement.v_power(p, e1=1)
     dx = _step(steps, "d(v1), exact", d_cobar(x, ZERO_IDEAL, st))
-    assert dx == BPElement(p, {(V_ZERO, (t1_mon(1),)): p})
+    if dx != BPElement(p, {(V_ZERO, (t1_mon(1),)): p}):
+        raise AssertionError(f"d(v1) = {dx!r}")
     rep = _step(steps, "divide by p", dx.divide_p())
     img = project_to_exterior(rep, p)
     steps.append({"desc": "exterior image", "value": "h0"})
     from .exterior import ExteriorAlgebra
 
     alg = ExteriorAlgebra(p)
-    assert not masks_diff_mod_p(img, ext_masks_mod_p(alg.gen(1, 0)), p)
+    if masks_diff_mod_p(img, ext_masks_mod_p(alg.gen(1, 0)), p):
+        raise AssertionError("alpha_1 exterior image is not h0")
     chains.append({"name": "alpha_1", "steps": steps, "image": "h0"})
 
     # beta_1: v2 --d, mod p--> v1[t1^p] - v1^p[t1] --/v1--> rep --d, /p--> -b10 ~ -b0
@@ -965,19 +968,22 @@ def delta_chain_displays(p: int = 7):
     audit = []
     ctx = ideal((2, 0, 0), (1, 1, 0))
     X = _step(steps, "d(rep) mod (p^2, p*v1)", d_cobar(rep, ctx, st, audit), audit)
-    assert X.reduce_mod(ideal((1, 0, 0))).is_zero()
+    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("valuation-zero part must cancel")
     R = _step(steps, "divide by p", X.p_part())
-    assert (R + b1k(p, 0)).reduce_mod(ideal((1, 0, 0))).is_zero()
+    if not (R + b1k(p, 0)).reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("beta_1: p-part is not -b10 mod p")
     b0_ext = (
         alg.from_gen_names("h1", "h32")
         + alg.from_gen_names("h21", "h20")
         + alg.from_gen_names("h31", "h1")
     )
-    assert not masks_diff_mod_p(
+    if masks_diff_mod_p(
         project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
         ext_masks_mod_p(-b0_ext),
         p,
-    )
+    ):
+        raise AssertionError("beta_1 exterior image is not -b0")
     steps.append({"desc": "exterior image", "value": "-b0"})
     chains.append({"name": "beta_1", "steps": steps, "image": "-b0"})
 
@@ -992,7 +998,8 @@ def delta_chain_displays(p: int = 7):
     audit = []
     ctx = ideal((2, 0, 0), (1, 1, 0), (0, 2, 0))
     X = _step(steps, "d(rep) mod (p^2, p*v1, v1^2)", d_cobar(rep, ctx, st, audit), audit)
-    assert X.reduce_mod(ideal((1, 0, 0))).is_zero()
+    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("valuation-zero part must cancel")
     audit = []
     R = _step(
         steps,
@@ -1006,7 +1013,8 @@ def delta_chain_displays(p: int = 7):
     expected = ext_masks_mod_p(2 * k0_ext)
     for key, v in ext_masks_mod_p(alg.v2(1) * b0_ext, _tp({0: -2})).items():
         expected[key] = expected.get(key, TPoly()) + v
-    assert not masks_diff_mod_p(img, expected, p)
+    if masks_diff_mod_p(img, expected, p):
+        raise AssertionError("beta_2 exterior image is not 2*k0 - 2*v2*b0")
     steps.append({"desc": "exterior image", "value": "2*k0 - 2*v2*b0", "audit": paudit})
     chains.append({"name": "beta_2", "steps": steps, "image": "2*k0 - 2*v2*b0"})
 
@@ -1016,27 +1024,31 @@ def delta_chain_displays(p: int = 7):
     audit = []
     x = BPElement.v_power(p, e2=p)
     dx = _step(steps, "d(v2^p) mod (p)", d_cobar(x, ideal((1, 0, 0)), st, audit), audit)
-    assert dx == BPElement(p, {
+    if dx != BPElement(p, {
         (((p, 0), (0, 0), (0, 0)), (t1_mon(p**2),)): 1,
         (((p * p, 0), (0, 0), (0, 0)), (t1_mon(p),)): -1,
-    })
+    }):
+        raise AssertionError(f"d(v2^p) mod (p) = {dx!r}")
     rep = _step(steps, f"divide by v1^{p}", dx.divide_v(1, p))
     audit = []
     ctx = ideal((2, 0, 0), (1, 1, 0))
     X = _step(steps, "d(rep) mod (p^2, p*v1)", d_cobar(rep, ctx, st, audit), audit)
-    assert X.reduce_mod(ideal((1, 0, 0))).is_zero()
+    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("valuation-zero part must cancel")
     R = _step(steps, "divide by p", X.p_part())
-    assert (R + b1k(p, 1)).reduce_mod(ideal((1, 0, 0))).is_zero()
+    if not (R + b1k(p, 1)).reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("beta_p/p: p-part is not -b11 mod p")
     b1_ext = (
         alg.from_gen_names("h2", "h30")
         + alg.from_gen_names("h22", "h21")
         + alg.from_gen_names("h32", "h2")
     )
-    assert not masks_diff_mod_p(
+    if masks_diff_mod_p(
         project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
         ext_masks_mod_p(-b1_ext),
         p,
-    )
+    ):
+        raise AssertionError("beta_p/p exterior image is not -b1")
     steps.append({"desc": "exterior image", "value": "-b1"})
     chains.append({"name": "beta_p/p", "steps": steps, "image": "-b1"})
 
@@ -1068,12 +1080,14 @@ def verify_beta_chain(p: int = 7):
             ((( 2, 0), (-2, 1), (0, 0)), (t1_mon(2 * p),)): c_t2,
         },
     )
-    assert (dx - expected_bar).is_zero(), f"beta-bar normal form: {dx!r}"
+    if not (dx - expected_bar).is_zero():
+        raise AssertionError(f"beta-bar normal form: {dx!r}")
     rep = _step(steps, "divide by v1", dx.divide_v(1))
 
     ctx = ideal((2, 0, 0), (1, 1, 0), (0, 2, 0))
     X = _step(steps, "d(rep) mod (p^2, p*v1, v1^2)", d_cobar(rep, ctx, st, audit))
-    assert X.reduce_mod(ideal((1, 0, 0))).is_zero(), "valuation-zero part must cancel"
+    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("valuation-zero part must cancel")
     R = _step(
         steps,
         "divide by p, reduce mod (p, v1)",
@@ -1088,14 +1102,16 @@ def verify_beta_chain(p: int = 7):
         },
     )
     dk0 = d_cobar(k0_rep, ideal((1, 0, 0), (0, 1, 0)), st)
-    assert dk0.reduce_mod(ideal((1, 0, 0), (0, 1, 0))).is_zero(), "k0 witness cocycle"
+    if not dk0.reduce_mod(ideal((1, 0, 0), (0, 1, 0))).is_zero():
+        raise AssertionError("k0 witness cocycle")
     t_tt = _tp({2: 1, 1: -1})  # t(t-1)
     expected = (
         BPElement.v_power(p, e2=(-2, 1)).concat(k0_rep).scale(t_tt)
         - BPElement.v_power(p, e2=(-1, 1)).concat(b1k(p, 0)).scale(_tp({1: 1}))
     )
     diff = (R - expected).reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
-    assert diff.is_zero(), f"beta_t normal form mismatch: {diff!r}"
+    if not diff.is_zero():
+        raise AssertionError(f"beta_t normal form mismatch: {diff!r}")
     report["result"] = "t(t-1)*v2^(t-2)*k0_rep - t*v2^(t-1)*b10  mod (p, v1)"
     report["status"] = "pass"
     return report
@@ -1137,19 +1153,22 @@ def verify_gamma_chain(p: int = 7):
             (((0, 0), (2, 0), (-3, 1)), (t1_mon(3 * p**2),)): c_t3,
         },
     )
-    assert (gamma_bar - expected_bar).is_zero(), f"gamma-bar normal form: {gamma_bar!r}"
+    if not (gamma_bar - expected_bar).is_zero():
+        raise AssertionError(f"gamma-bar normal form: {gamma_bar!r}")
 
     ctx_b = ideal((1, 0, 0), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
     Y = _step(steps, "d(gamma-bar) mod (p, v1^3, v1^2 v2, v1 v2^2, v2^3)",
               d_cobar(gamma_bar, ctx_b, st, audit))
     v1_free = BPElement(p, {k: c for k, c in Y.terms.items() if k[0][0] == (0, 0)})
-    assert v1_free.is_zero(), f"v1-free part must cancel exactly: {v1_free!r}"
+    if not v1_free.is_zero():
+        raise AssertionError(f"v1-free part must cancel exactly: {v1_free!r}")
     gamma_prime = _step(steps, "divide by v1", Y.divide_v(1))
 
     ctx_c = ideal((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
     X = _step(steps, "d(gamma') mod (p^2, p v1, p v2, v1^2, v1 v2, v2^2)",
               d_cobar(gamma_prime, ctx_c, st, audit))
-    assert X.reduce_mod(ideal((1, 0, 0))).is_zero(), "valuation-zero part must cancel"
+    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
+        raise AssertionError("valuation-zero part must cancel")
     R0 = _step(
         steps,
         "divide by p, reduce mod (p, v1, v2), set v3 = 1",
@@ -1171,7 +1190,8 @@ def verify_gamma_chain(p: int = 7):
     for key, v in ext_masks_mod_p(k1z_ext, _tp({2: -1, 1: 1})).items():
         expected[key] = expected.get(key, TPoly()) + v
     bad = masks_diff_mod_p(img, expected, p)
-    assert not bad, f"gamma_t exterior image mismatch at {bad}"
+    if bad:
+        raise AssertionError(f"gamma_t exterior image mismatch at {bad}")
     report["result"] = "-t(t^2-1)*l - t(t-1)*k1*zeta3  (exterior, mod p)"
     report["status"] = "pass"
     return report

@@ -1,9 +1,16 @@
 """Congruence-tracking cobar calculator: arithmetic, d-identities, chains."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stab3.bp_cobar import (
     BPElement,
@@ -23,6 +30,7 @@ from stab3.bp_cobar import (
     project_to_exterior,
     t1_mon,
     t2_mon,
+    term_profile,
     tpoly_binom,
     verify_beta_chain,
     verify_d_basics,
@@ -30,6 +38,7 @@ from stab3.bp_cobar import (
     verify_gamma_chain,
 )
 from stab3.exterior import ExteriorAlgebra
+from stab3.reports import run_suites
 
 P = 7
 
@@ -52,6 +61,36 @@ def test_tpoly_mod_p():
     assert q.mod_p(7) == {0: 3, 1: 4}  # 1/2 = 4 mod 7
     with pytest.raises(InsufficientPrecisionError):
         TPoly.const(Fraction(1, 7)).mod_p(7)
+
+
+_COEFFS = st.dictionaries(
+    st.integers(0, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=5,
+)
+
+
+def _assert_exact(q, reference):
+    assert q.coeffs == reference.coeffs
+    assert all(type(c) is Fraction and c for c in q.coeffs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COEFFS, _COEFFS, st.sets(st.integers(0, 4)))
+def test_tpoly_exact_arithmetic_matches_coercing_constructor(a, b, negate):
+    # keys in `negate` copy -a into b, so sums cancel there
+    b = {**b, **{d: -a[d] for d in negate if d in a}}
+    x, y = TPoly(a), TPoly(b)
+    total = {d: x.coeffs.get(d, 0) + y.coeffs.get(d, 0) for d in set(a) | set(b)}
+    _assert_exact(x + y, TPoly(total))
+    _assert_exact(x - y, TPoly({d: x.coeffs.get(d, 0) - y.coeffs.get(d, 0) for d in total}))
+    _assert_exact(-x, TPoly({d: -c for d, c in a.items()}))
+    conv = {}
+    for d1, c1 in x.coeffs.items():
+        for d2, c2 in y.coeffs.items():
+            conv[d1 + d2] = conv.get(d1 + d2, 0) + c1 * c2
+    _assert_exact(x * y, TPoly(conv))
+    _assert_exact(x * 3, TPoly({d: 3 * c for d, c in a.items()}))
 
 
 def test_tpoly_binom_matches_binomials():
@@ -87,6 +126,22 @@ def test_element_ring_ops_and_homogeneity():
     assert list(z.terms) == [(V_ZERO, (t1_mon(1), t1_mon(P)))]
     assert (x + y - x - y).is_zero()
     assert x.is_homogeneous() and not (x + y).is_homogeneous()
+
+
+def test_element_coefficients_become_tpolys():
+    keys = [(V_ZERO, (t1_mon(i),)) for i in range(1, 5)]
+    x = BPElement(P, dict(zip(keys, (2, Fraction(1, 2), TPoly.const(3), 0))))
+    assert x.terms == {
+        keys[0]: TPoly.const(2), keys[1]: TPoly.const(Fraction(1, 2)), keys[2]: TPoly.const(3)
+    }
+    assert x.scale(2) == x.scale(TPoly.const(2)) == x + x
+    assert x.scale(0).is_zero()
+
+
+def test_term_profile_reads_symbolic_exponents_as_zero():
+    vexp = ((2, 0), (-1, 1), (0, 0))  # v1^2 v2^(t-1)
+    assert term_profile(P, vexp, TPoly.const(P * P)) == (2, 2, 0)
+    assert term_profile(P, ((0, 1), (3, 0), (0, 0)), TPoly.const(Fraction(1, P))) == (-1, 0, 3)
 
 
 def test_divide_v_requires_exponent():
@@ -218,3 +273,53 @@ def test_gamma_chain_symbolic():
     assert rep["status"] == "pass"
     assert rep["result"].startswith("-t(t^2-1)*l - t(t-1)*k1*zeta3")
     assert rep["projection_audit"]
+
+
+# -- certificates ------------------------------------------------------------
+
+#: sha256 of each BP suite record of `verify --prime 7`, serialized as
+#: json.dumps(record, sort_keys=True, separators=(",", ":")).
+BP_RECORD_SHA256 = {
+    "bp-basics": "338883fd13cf095851608368274c9f0e4ae73f76b9611333e6ce80f9ce2c6fc1",
+    "delta-chains": "a5da29d8c29e6548fc4bdaed8e406bc890b512c44167985ccae49466b32ce739",
+    "beta-chain": "80681005506df28133f5ae3fc80ccea0facb18aac4469331fa2c88db0ac01a3e",
+    "gamma-chain": "76e280b42f78b3357f6fde8df0961624821bed99859e684c8e28f0ef9a9b5736",
+}
+
+
+def test_bp_certificates_are_pinned():
+    report = run_suites(P, suites=list(BP_RECORD_SHA256))
+    digests = {
+        rec["name"]: hashlib.sha256(
+            json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        for rec in report["checks"]
+    }
+    assert digests == BP_RECORD_SHA256
+
+
+_SABOTAGED_BP_BASICS = """
+import json, sys
+from stab3 import bp_cobar
+from stab3.reports import run_suites
+
+d_cobar = bp_cobar.d_cobar
+# doubling every differential breaks the first identity, d(v1) = p[t1]
+bp_cobar.d_cobar = lambda *args, **kwargs: d_cobar(*args, **kwargs).scale(2)
+check, = run_suites(7, suites=["bp-basics"])["checks"]
+print(json.dumps({"optimize": sys.flags.optimize, "check": check}))
+"""
+
+
+def test_bp_checks_bite_under_python_O():
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGED_BP_BASICS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert out["check"]["status"] == "fail"
+    assert out["check"]["certificate"].startswith("d(v1) = ")
