@@ -21,7 +21,11 @@ justified by membership in a declared residual ideal.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+
+from .fplinalg import multinomials_over_p
+from .named import NamedClasses
 
 # ---------------------------------------------------------------------------
 # polynomials in the formal parameter t over Q
@@ -296,15 +300,6 @@ class BPElement:
                 continue
             out[key] = coeff
         return BPElement(self.p, out)
-
-    def coeffs_mod_p(self):
-        """{(vexp, slots): {deg: residue}} with p-divisible parts removed."""
-        out = {}
-        for key, coeff in self.terms.items():
-            r = coeff.mod_p(self.p)
-            if r:
-                out[key] = r
-        return out
 
     def p_part(self):
         """(1/p) * (terms with valuation >= 1); raises if a term mixes."""
@@ -660,18 +655,10 @@ def b20_mod_p_v1(p: int) -> BPElement:
     """Multinomial normal form of b20 mod (p, v1):
     sum over a+b+c = p (corners excluded) of
     (1/p)(p; a,b,c) [t2^a t1^b | t1^(p b) t2^c]."""
-    terms = {}
-    for a in range(p + 1):
-        for b in range(p + 1 - a):
-            c = p - a - b
-            if (a, b, c) in ((p, 0, 0), (0, p, 0), (0, 0, p)):
-                continue
-            mult = factorial(p) // (factorial(a) * factorial(b) * factorial(c))
-            coeff = (mult // p) % p
-            if coeff:
-                key = (V_ZERO, ((b, a, 0), (p * b, c, 0)))
-                terms[key] = TPoly.const(coeff)
-    return BPElement(p, terms)
+    return BPElement(p, {
+        (V_ZERO, ((b, a, 0), (p * b, c, 0))): TPoly.const(coeff)
+        for a, b, c, coeff in multinomials_over_p(p, p)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +688,8 @@ def verify_d_basics(p: int = 7):
 
     x = BPElement(p, {(V_ZERO, (t2_mon(p),)): 1})
     dx = d_cobar(x, ZERO_IDEAL, st)
-    expected = _corner_v1p_b11(p) - b20(p, st).scale(p)
+    b = b20(p, st)
+    expected = _corner_v1p_b11(p) - b.scale(p)
     if not (dx - expected).is_zero():
         raise AssertionError("d(t2^p) identity")
     report.append(
@@ -709,7 +697,7 @@ def verify_d_basics(p: int = 7):
     )
     report.append({"name": "b20 p-integrality", "status": "exact"})
 
-    bmod = b20(p, st).reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
+    bmod = b.reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
     diff = bmod - b20_mod_p_v1(p)
     ok = all(not v for v in (c.mod_p(p) for c in diff.terms.values()))
     if not ok:
@@ -806,6 +794,13 @@ def _block_tables(p: int):
     return tables, anchors
 
 
+@lru_cache(maxsize=None)
+def _named(p: int) -> NamedClasses:
+    """The exterior images of the named classes (b0 = b10, b1 = b11, k0, l, ...);
+    shared per prime, so callers only read it."""
+    return NamedClasses(p=p)
+
+
 def project_to_exterior(x: BPElement, p: int, audit=None):
     """Associated-graded comparison map into the exterior model.
 
@@ -818,17 +813,12 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
     Input terms must be free of v1 and v3 (concrete v2 powers are carried
     through).  Returns {(mask, v2exp): TPoly}.
     """
-    from .exterior import ExteriorAlgebra
-
-    alg = ExteriorAlgebra(p)
+    nc = _named(p)
+    alg = nc.engine.alg
     tables, anchors = _block_tables(p)
     block_image = {
-        "b10": alg.from_gen_names("h1", "h32")
-        + alg.from_gen_names("h21", "h20")
-        + alg.from_gen_names("h31", "h1"),
-        "b11": alg.from_gen_names("h2", "h30")
-        + alg.from_gen_names("h22", "h21")
-        + alg.from_gen_names("h32", "h2"),
+        "b10": nc["b0"],
+        "b11": nc["b1"],
         "b20": alg.from_gen_names("h21", "h30") + alg.from_gen_names("h31", "h21"),
     }
     out = {}
@@ -952,10 +942,8 @@ def delta_chain_displays(p: int = 7):
     rep = _step(steps, "divide by p", dx.divide_p())
     img = project_to_exterior(rep, p)
     steps.append({"desc": "exterior image", "value": "h0"})
-    from .exterior import ExteriorAlgebra
-
-    alg = ExteriorAlgebra(p)
-    if masks_diff_mod_p(img, ext_masks_mod_p(alg.gen(1, 0)), p):
+    nc = _named(p)
+    if masks_diff_mod_p(img, ext_masks_mod_p(nc["h0"]), p):
         raise AssertionError("alpha_1 exterior image is not h0")
     chains.append({"name": "alpha_1", "steps": steps, "image": "h0"})
 
@@ -973,14 +961,9 @@ def delta_chain_displays(p: int = 7):
     R = _step(steps, "divide by p", X.p_part())
     if not (R + b1k(p, 0)).reduce_mod(ideal((1, 0, 0))).is_zero():
         raise AssertionError("beta_1: p-part is not -b10 mod p")
-    b0_ext = (
-        alg.from_gen_names("h1", "h32")
-        + alg.from_gen_names("h21", "h20")
-        + alg.from_gen_names("h31", "h1")
-    )
     if masks_diff_mod_p(
         project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
-        ext_masks_mod_p(-b0_ext),
+        ext_masks_mod_p(-nc["b0"]),
         p,
     ):
         raise AssertionError("beta_1 exterior image is not -b0")
@@ -1009,9 +992,8 @@ def delta_chain_displays(p: int = 7):
     )
     paudit = []
     img = project_to_exterior(R, p, paudit)
-    k0_ext = alg.from_gen_names("h20", "h1")
-    expected = ext_masks_mod_p(2 * k0_ext)
-    for key, v in ext_masks_mod_p(alg.v2(1) * b0_ext, _tp({0: -2})).items():
+    expected = ext_masks_mod_p(2 * nc["k0"])
+    for key, v in ext_masks_mod_p(nc.engine.alg.v2(1) * nc["b0"], _tp({0: -2})).items():
         expected[key] = expected.get(key, TPoly()) + v
     if masks_diff_mod_p(img, expected, p):
         raise AssertionError("beta_2 exterior image is not 2*k0 - 2*v2*b0")
@@ -1038,14 +1020,9 @@ def delta_chain_displays(p: int = 7):
     R = _step(steps, "divide by p", X.p_part())
     if not (R + b1k(p, 1)).reduce_mod(ideal((1, 0, 0))).is_zero():
         raise AssertionError("beta_p/p: p-part is not -b11 mod p")
-    b1_ext = (
-        alg.from_gen_names("h2", "h30")
-        + alg.from_gen_names("h22", "h21")
-        + alg.from_gen_names("h32", "h2")
-    )
     if masks_diff_mod_p(
         project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
-        ext_masks_mod_p(-b1_ext),
+        ext_masks_mod_p(-nc["b1"]),
         p,
     ):
         raise AssertionError("beta_p/p exterior image is not -b1")
@@ -1132,8 +1109,6 @@ def verify_gamma_chain(p: int = 7):
 
           -t(t^2-1) l - t(t-1) k1 zeta3   (coefficients mod p).
     """
-    from .exterior import ExteriorAlgebra
-
     st = BPStructure(p)
     report = {"name": "gamma_t-chain", "steps": [], "audit": []}
     steps = report["steps"]
@@ -1181,13 +1156,9 @@ def verify_gamma_chain(p: int = 7):
     img = project_to_exterior(R0, p, paudit)
     report["projection_audit"] = paudit
 
-    alg = ExteriorAlgebra(p)
-    l_ext = alg.from_gen_names("h2", "h21", "h30")
-    k1z_ext = alg.from_gen_names("h21", "h2") * (
-        alg.from_gen_names("h30") + alg.from_gen_names("h31") + alg.from_gen_names("h32")
-    )
-    expected = ext_masks_mod_p(l_ext, _tp({3: -1, 1: 1}))
-    for key, v in ext_masks_mod_p(k1z_ext, _tp({2: -1, 1: 1})).items():
+    nc = _named(p)
+    expected = ext_masks_mod_p(nc["l"], _tp({3: -1, 1: 1}))
+    for key, v in ext_masks_mod_p(nc["k1"] * nc["zeta3"], _tp({2: -1, 1: 1})).items():
         expected[key] = expected.get(key, TPoly()) + v
     bad = masks_diff_mod_p(img, expected, p)
     if bad:

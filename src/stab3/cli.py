@@ -20,10 +20,14 @@ from .fplinalg import is_prime
 
 
 def _parse_t_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(1, int(text) + 1)
+    lo, _, hi = text.partition("..") if ".." in text else ("1", "", text)
+    try:
+        t_range = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise SystemExit2(f"--t-range must be N or A..B in integers, got {text!r}") from None
+    if not t_range:
+        raise SystemExit2(f"--t-range {text!r} is empty")
+    return t_range
 
 
 def _emit(text: str, output):
@@ -147,7 +151,10 @@ def cmd_greek(args) -> int:
     from . import greek
 
     if args.bidegree:
-        spec = greek.GreekSpec(tuple(int(x) for x in args.bidegree.split(",")), "custom")
+        try:
+            spec = greek.GreekSpec(tuple(int(x) for x in args.bidegree.split(",")), "custom")
+        except ValueError as exc:
+            raise SystemExit2(f"--bidegree {args.bidegree!r}: {exc}") from None
         n, tA = greek.bidegree(spec, args.prime)
         _emit(f"({n}, {tA})\n", args.output)
         return 0
@@ -187,7 +194,9 @@ def cmd_greek(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_prime = int(os.environ.get("STAB3_PRIME", "7"))
+    # a string default goes through type=int at parse time, so a malformed
+    # STAB3_PRIME is reported as a usage error
+    default_prime = os.environ.get("STAB3_PRIME", "7")
     parser = argparse.ArgumentParser(
         prog="stab3",
         description="Exact verification engine for a rank-3 exterior cohomology "
@@ -236,10 +245,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except Exception as exc:  # internal failure
+    except Exception as exc:  # a failed computation or an internal error
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -4,7 +4,9 @@ The complex splits as a direct sum over (internal degree, weight) sectors;
 each sector is a finite tower of F_p vector spaces graded by cohomological
 degree s.  `SectorTower` holds the generic linear algebra (cocycles,
 coboundaries, echelon cohomology representatives, reduction to class
-coordinates, bounding-cochain solver) and is reused by the cobar model.
+coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
+sector from a basis and a differential; `ExteriorCohomology` here and the
+cobar engine in `hopf_cobar` are its two subclasses.
 
 All bases are deterministic: basis keys are sorted, and every echelon
 computation uses the deterministic pivoting of `fplinalg`.
@@ -123,7 +125,6 @@ class SectorTower:
                     rows.append(v)
                     pivots.append(pc)
                     reps.append(v)
-            # re-reduce representatives against one another for determinism
             self._h_reps[s] = reps
         return self._h_reps[s]
 
@@ -181,54 +182,129 @@ class CohomologyClass:
         return f"CohomologyClass(sector={tuple(self.sector)}, coords={self.coords})"
 
 
-class ExteriorCohomology:
-    """Cohomology engine for the exterior complex at a fixed prime."""
+class SectorEngine:
+    """Sector towers of a (t, w)-graded complex: the contract shared by the
+    exterior model and the cobar complex.
 
-    def __init__(self, p: int = 7):
-        self.alg = ExteriorAlgebra(p)
-        self.p = p
-        self._sector_masks = {}
-        for mask in range(1 << 9):
-            g = self.alg.mask_grade(mask)
-            self._sector_masks.setdefault((g.t, g.w), {}).setdefault(g.s, []).append(mask)
-        for bases in self._sector_masks.values():
-            for lst in bases.values():
-                lst.sort()
-        self._towers = {}
+    A subclass sets `name` (the model label in Massey results), `p`, `alg`
+    (with `tmod` and `zero()`), `_sector_bases` ((t, w) -> {s: sorted basis
+    keys}) and `_towers = {}`, and defines `_element(terms)`, the complex
+    element with the given {basis key: coeff}; an element's term keys are
+    its basis keys.  The base derives the towers, element <-> vector
+    conversion, dimension reports, and the queries the Massey routines make.
+    """
 
     def sector_keys(self):
-        return sorted(self._sector_masks)
+        return sorted(self._sector_bases)
+
+    def _check_sector(self, w: int):
+        """Hook: reject a sector weight the engine cannot represent."""
+
+    def _d_of(self, s, key):
+        return self._element({key: 1}).d().terms
 
     def tower(self, t: int, w: int) -> SectorTower:
         key = (t % self.alg.tmod, w)
         if key not in self._towers:
-            bases = self._sector_masks.get(key, {})
-
-            def d_of(s, mask, _alg=self.alg):
-                dx = ExteriorElement(_alg, {(mask, 0): 1}).d()
-                return {m: c for (m, v2), c in dx.terms.items()}
-
-            self._towers[key] = SectorTower(self.p, bases, d_of)
+            self._check_sector(w)
+            bases = self._sector_bases.get(key, {})
+            self._towers[key] = SectorTower(self.p, bases, self._d_of)
         return self._towers[key]
 
     # -- element <-> vector -------------------------------------------------
 
+    def to_vec(self, x, sector: Trigrade):
+        idx = self.tower(sector.t, sector.w).index.get(sector.s, {})
+        vec = [0] * len(idx)
+        for key, c in x.terms.items():
+            vec[idx[key]] = c
+        return vec
+
+    def from_vec(self, vec, sector: Trigrade):
+        basis = self.tower(sector.t, sector.w).bases.get(sector.s, [])
+        return self._element({k: c for k, c in zip(basis, vec) if c})
+
+    # -- queries of the Massey routines --------------------------------------
+
+    def zero(self):
+        return self.alg.zero()
+
+    def sector_sum(self, sectors, drop: int) -> Trigrade:
+        return Trigrade(
+            sum(g.s for g in sectors) - drop,
+            sum(g.t for g in sectors) % self.alg.tmod,
+            sum(g.w for g in sectors),
+        )
+
+    def bar(self, x):
+        """x-bar = (-1)^(1 + deg x) x."""
+        if x.is_zero() or x.grade_of().s % 2:
+            return x
+        return (-1) * x
+
+    def dim(self, sector: Trigrade) -> int:
+        return self.tower(sector.t, sector.w).dim(sector.s)
+
+    def basis_elements(self, sector: Trigrade):
+        basis = self.tower(sector.t, sector.w).bases.get(sector.s, [])
+        return [self._element({k: 1}) for k in basis]
+
+    def class_coords(self, x):
+        """(sector, class coordinate tuple) of a cocycle; None for zero element."""
+        if x.is_zero():
+            return None
+        sector = x.grade_of()
+        tower = self.tower(sector.t, sector.w)
+        return sector, tuple(tower.reduce_vec(sector.s, self.to_vec(x, sector)))
+
+    # -- global reports -----------------------------------------------------
+
+    def dims_table(self):
+        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors."""
+        rows = []
+        for (t, w) in self.sector_keys():
+            tower = self.tower(t, w)
+            for s in sorted(tower.bases):
+                rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
+        rows.sort()
+        return rows
+
+    def euler_report(self):
+        """Per-sector Euler characteristics of cochains vs cohomology."""
+        out = []
+        for (t, w) in self.sector_keys():
+            tower = self.tower(t, w)
+            chi_c = sum((-1) ** s * tower.dim(s) for s in tower.bases)
+            chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.bases)
+            out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
+                        "equal": chi_c == chi_h})
+        return out
+
+
+class ExteriorCohomology(SectorEngine):
+    """Cohomology engine for the exterior complex at a fixed prime."""
+
+    name = "exterior"
+
+    def __init__(self, p: int = 7):
+        self.alg = ExteriorAlgebra(p)
+        self.p = p
+        self._sector_bases = {}
+        for mask in range(1 << 9):
+            g = self.alg.mask_grade(mask)
+            bucket = self._sector_bases.setdefault((g.t, g.w), {})
+            bucket.setdefault(g.s, []).append((mask, 0))
+        for bases in self._sector_bases.values():
+            for lst in bases.values():
+                lst.sort()
+        self._towers = {}
+
+    def _element(self, terms) -> ExteriorElement:
+        return ExteriorElement(self.alg, terms)
+
     def _check_plain(self, x: ExteriorElement):
         if any(v2 for (_, v2) in x.terms):
             raise ValueError("cohomology engine requires v2-free elements")
-
-    def to_vec(self, x: ExteriorElement, sector: Trigrade):
-        tower = self.tower(sector.t, sector.w)
-        idx = tower.index.get(sector.s, {})
-        vec = [0] * len(idx)
-        for (mask, _), c in x.terms.items():
-            vec[idx[mask]] = c
-        return vec
-
-    def from_vec(self, vec, sector: Trigrade) -> ExteriorElement:
-        tower = self.tower(sector.t, sector.w)
-        basis = tower.bases.get(sector.s, [])
-        return ExteriorElement(self.alg, {(m, 0): c for m, c in zip(basis, vec) if c})
 
     # -- class operations ---------------------------------------------------
 
@@ -236,12 +312,10 @@ class ExteriorCohomology:
         self._check_plain(x)
         if x.is_zero():
             return CohomologyClass(Trigrade(0, 0, 0), (), self.alg.zero())
-        sector = x.grade_of()
         dx = x.d()
         if not dx.is_zero():
             raise NotCocycleError(x, dx)
-        tower = self.tower(sector.t, sector.w)
-        coords = tower.reduce_vec(sector.s, self.to_vec(x, sector))
+        sector, coords = self.class_coords(x)
         return CohomologyClass(sector, coords, x)
 
     def bounding_cochain(self, x: ExteriorElement):
@@ -271,36 +345,10 @@ class ExteriorCohomology:
                 out.append(self.reduce(self.from_vec(rep, sector)))
         return out
 
-    def cup(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-        return self.reduce(a.representative * b.representative)
-
     def pair_top(self, x: ExteriorElement) -> int:
         """Coefficient of the canonical top monomial h0h1h2h20h21h22h30h31h32."""
         self._check_plain(x)
         return x.coefficient(FULL_MASK) % self.p
-
-    # -- global reports -----------------------------------------------------
-
-    def dims_table(self):
-        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors."""
-        rows = []
-        for (t, w) in self.sector_keys():
-            tower = self.tower(t, w)
-            for s in sorted(tower.bases):
-                rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
-        rows.sort()
-        return rows
-
-    def euler_report(self):
-        """Per-sector Euler characteristics of cochains vs cohomology."""
-        out = []
-        for (t, w) in self.sector_keys():
-            tower = self.tower(t, w)
-            chi_c = sum((-1) ** s * tower.dim(s) for s in tower.bases)
-            chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.bases)
-            out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
-                        "equal": chi_c == chi_h})
-        return out
 
     def duality_report(self):
         """Compare dim H^s and dim H^{9-s} per total degree (computed, not asserted)."""

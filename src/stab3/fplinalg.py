@@ -9,7 +9,7 @@ Vectors are lists of ints reduced mod p; matrices are lists of row lists.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 
 def is_prime(n: int) -> bool:
@@ -112,17 +112,6 @@ def kernel_basis(rows, ncols, p):
     return basis
 
 
-def image_basis(rows, ncols, p):
-    """Echelon basis of the column space of M (rows given as equations).
-
-    Vectors have length len(rows).
-    """
-    nrows = len(rows)
-    cols = [[rows[r][c] % p for r in range(nrows)] for c in range(ncols)]
-    ech, _ = rref(cols, nrows, p)
-    return ech
-
-
 def solve(rows, rhs, p):
     """One solution x of M x = rhs, or None if inconsistent.
 
@@ -154,36 +143,6 @@ def coordinates(v, basis, p):
     return solve(rows, list(v), p)
 
 
-class PrimeFieldMatrix:
-    """Immutable exact matrix over F_p."""
-
-    __slots__ = ("field", "rows", "nrows", "ncols")
-
-    def __init__(self, field: PrimeField, rows, ncols=None):
-        self.field = field
-        self.rows = tuple(tuple(x % field.p for x in r) for r in rows)
-        self.nrows = len(self.rows)
-        if ncols is None:
-            ncols = len(self.rows[0]) if self.rows else 0
-        self.ncols = ncols
-        for r in self.rows:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix")
-
-    def rank(self) -> int:
-        return rank(self.rows, self.ncols, self.field.p)
-
-    def kernel_basis(self):
-        return kernel_basis(self.rows, self.ncols, self.field.p)
-
-    def image_basis(self):
-        return image_basis(self.rows, self.ncols, self.field.p)
-
-    def apply(self, x):
-        p = self.field.p
-        return [sum(a * b for a, b in zip(r, x)) % p for r in self.rows]
-
-
 def binom_over_p(k: int, i: int, p: int) -> int:
     """(1/p) * C(p^(k+1), i) mod p for 0 < i < p^(k+1).
 
@@ -199,3 +158,21 @@ def binom_over_p(k: int, i: int, p: int) -> int:
     if r:
         raise ArithmeticError("binomial not divisible by p")  # unreachable
     return q % p
+
+
+def multinomials_over_p(n: int, p: int):
+    """(a, b, c, (1/p) * (n; a, b, c) mod p) over a + b + c = n, corners
+    (a, b or c equal to n) excluded, for the nonzero coefficients only.
+
+    For n a power of p every non-corner multinomial is divisible by p; the
+    order is a ascending, then b ascending.
+    """
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            c = n - a - b
+            if n in (a, b, c):
+                continue
+            mult = factorial(n) // (factorial(a) * factorial(b) * factorial(c))
+            coeff = (mult // p) % p
+            if coeff:
+                yield a, b, c, coeff

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cohomology import ExteriorCohomology
 from .named import NamedClasses
 
 

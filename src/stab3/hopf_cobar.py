@@ -18,11 +18,11 @@ towers for all sectors with w <= W.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 
-from .cohomology import SectorTower
+from .cohomology import SectorEngine
 from .exterior import GENERATORS, InhomogeneousError, Trigrade
-from .fplinalg import binom_over_p
+from .fplinalg import binom_over_p, multinomials_over_p
 from .massey import massey_from_system
 
 UNIT = (0,) * 9
@@ -283,28 +283,22 @@ def b_class(hopf: TruncatedHopf, level: int, k: int) -> CobarElement:
                 key = (hopf.power_monomial(1, i), hopf.power_monomial(1, n - i))
                 terms[key] = c
     elif level == 2:
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                c = n - a - b
-                if (a, b, c) in ((n, 0, 0), (0, n, 0), (0, 0, n)):
-                    continue
-                mult = factorial(n) // (factorial(a) * factorial(b) * factorial(c))
-                coeff = (mult // p) % p
-                if not coeff:
-                    continue
-                left = hopf.mon_mul(hopf.power_monomial(2, a), hopf.power_monomial(1, b))
-                right = hopf.mon_mul(hopf.power_monomial(1, p * b), hopf.power_monomial(2, c))
-                if left is None or right is None:
-                    raise ValueError("b-class term leaves the truncated basis")
-                key = (left, right)
-                terms[key] = (terms.get(key, 0) + coeff) % p
+        for a, b, c, coeff in multinomials_over_p(n, p):
+            left = hopf.mon_mul(hopf.power_monomial(2, a), hopf.power_monomial(1, b))
+            right = hopf.mon_mul(hopf.power_monomial(1, p * b), hopf.power_monomial(2, c))
+            if left is None or right is None:
+                raise ValueError("b-class term leaves the truncated basis")
+            key = (left, right)
+            terms[key] = (terms.get(key, 0) + coeff) % p
     else:
         raise ValueError(f"unsupported level {level}")
     return CobarElement(hopf, terms)
 
 
-class CobarEngine:
+class CobarEngine(SectorEngine):
     """Sector towers of the cobar complex, truncated by total weight."""
+
+    name = "cobar"
 
     def __init__(self, p: int = 7, weight_bound: int = 6, sector_cap: int = 20000):
         self.p = p
@@ -365,40 +359,12 @@ class CobarEngine:
                     )
                 basis.sort()
 
-    def sector_keys(self):
-        return sorted(self._sector_bases)
+    def _element(self, terms) -> CobarElement:
+        return CobarElement(self.alg, terms)
 
-    def tower(self, t: int, w: int) -> SectorTower:
-        key = (t % self.alg.tmod, w)
-        if key not in self._towers:
-            if w > self.weight_bound:
-                raise ValueError(f"sector weight {w} exceeds bound {self.weight_bound}")
-            bases = self._sector_bases.get(key, {})
-
-            def d_of(s, slots, _hopf=self.alg):
-                dx = CobarElement(_hopf, {slots: 1}).d()
-                return dict(dx.terms)
-
-            self._towers[key] = SectorTower(self.p, bases, d_of)
-        return self._towers[key]
-
-    def to_vec(self, x: CobarElement, sector: Trigrade):
-        tower = self.tower(sector.t, sector.w)
-        idx = tower.index.get(sector.s, {})
-        vec = [0] * len(idx)
-        for slots, c in x.terms.items():
-            vec[idx[slots]] = c
-        return vec
-
-    def from_vec(self, vec, sector: Trigrade) -> CobarElement:
-        tower = self.tower(sector.t, sector.w)
-        basis = tower.bases.get(sector.s, [])
-        return CobarElement(self.alg, {k: c for k, c in zip(basis, vec) if c})
-
-    def reduce(self, x: CobarElement):
-        sector = x.grade_of()
-        tower = self.tower(sector.t, sector.w)
-        return sector, tuple(tower.reduce_vec(sector.s, self.to_vec(x, sector)))
+    def _check_sector(self, w: int):
+        if w > self.weight_bound:
+            raise ValueError(f"sector weight {w} exceeds bound {self.weight_bound}")
 
 
 def collapse_check(p: int = 7, smax: int = 2, wmax: int = 3, sector_cap: int = 20000):
@@ -440,18 +406,6 @@ def collapse_check(p: int = 7, smax: int = 2, wmax: int = 3, sector_cap: int = 2
     return {"rows": rows, "mismatches": mismatches}
 
 
-def euler_report(engine: CobarEngine):
-    """Per-sector Euler characteristics, cochains vs cohomology."""
-    out = []
-    for (t, w) in engine.sector_keys():
-        tower = engine.tower(t, w)
-        chi_c = sum((-1) ** s * tower.dim(s) for s in tower.bases)
-        chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.bases)
-        out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
-                    "equal": chi_c == chi_h})
-    return out
-
-
 def p_fold_massey_check(p: int = 5, k: int = 0, engine: CobarEngine | None = None):
     """Explicit p-fold bracket <x, ..., x> for x = [t1^(p^k)].
 
@@ -462,27 +416,6 @@ def p_fold_massey_check(p: int = 5, k: int = 0, engine: CobarEngine | None = Non
     if engine is None:
         engine = CobarEngine(p, weight_bound=p)
     hopf = engine.alg
-
-    class _Model:
-        name = f"cobar(p={p})"
-
-        def __init__(self):
-            self.p = p
-            self.engine = engine
-
-        def zero(self):
-            return hopf.zero()
-
-        def sector_of(self, x):
-            return x.grade_of()
-
-        def bar(self, x):
-            if x.is_zero():
-                return x
-            s = x.grade_of().s
-            return x if (1 + s) % 2 == 0 else (-1) * x
-
-    model = _Model()
     entries = {}
     for i in range(p + 1):
         for j in range(i + 1, p + 1):
@@ -491,11 +424,11 @@ def p_fold_massey_check(p: int = 5, k: int = 0, engine: CobarEngine | None = Non
                 continue
             c = ((-1) ** (m + 1) * pow(factorial(m), p - 2, p)) % p
             entries[(i, j)] = c * hopf.t_power_slot(1, m * p**k)
-    value = massey_from_system(model, entries, p)
+    value = massey_from_system(engine, entries, p)
     target = b_class(hopf, 1, k)
     if not (value - target).is_zero():
         raise AssertionError(f"p-fold bracket value {value!r} != b-class {target!r}")
-    sector, coords = engine.reduce(value)
+    sector, coords = engine.class_coords(value)
     if not any(coords):
         raise AssertionError("p-fold bracket value is a coboundary")
     return {

@@ -1,8 +1,9 @@
 """Massey products via explicit defining systems over a sector complex.
 
-Works generically over any engine that exposes per-(t, w) `SectorTower`s and
-element <-> vector conversion (the exterior cohomology engine and the cobar
-engine both do).  Conventions: x-bar = (-1)^(1 + deg x) * x; the product
+Works over any `cohomology.SectorEngine` (the exterior cohomology engine and
+the cobar engine): the engine supplies the per-(t, w) `SectorTower`s,
+element <-> vector conversion, `bar`, `sector_sum`, `dim`, `basis_elements`
+and `class_coords`.  Conventions: x-bar = (-1)^(1 + deg x) * x; the product
 representative is sum_{0<m<n} a-bar_{0,m} a_{m,n}.
 
 For n in {3, 4} the defining-system constraints are jointly *linear* in the
@@ -23,89 +24,32 @@ class MasseyError(ValueError):
     pass
 
 
-class ComplexModel:
-    """Adapter giving Massey routines a uniform view of a sector complex."""
-
-    name = "generic"
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.p = engine.p
-
-    def zero(self):
-        return self.engine.alg.zero()
-
-    def sector_of(self, x) -> Trigrade:
-        return x.grade_of()
-
-    def sector_sum(self, sectors, drop: int) -> Trigrade:
-        tmod = self.engine.alg.tmod
-        return Trigrade(
-            sum(g.s for g in sectors) - drop,
-            sum(g.t for g in sectors) % tmod,
-            sum(g.w for g in sectors),
-        )
-
-    def bar(self, x):
-        if x.is_zero():
-            return x
-        s = self.sector_of(x).s
-        return x if (1 + s) % 2 == 0 else (-1) * x
-
-    def dim(self, sector: Trigrade) -> int:
-        return self.engine.tower(sector.t, sector.w).dim(sector.s)
-
-    def basis_elements(self, sector: Trigrade):
-        tower = self.engine.tower(sector.t, sector.w)
-        n = tower.dim(sector.s)
-        out = []
-        for i in range(n):
-            vec = [0] * n
-            vec[i] = 1
-            out.append(self.engine.from_vec(vec, sector))
-        return out
-
-    def vec(self, x, sector: Trigrade):
-        return self.engine.to_vec(x, sector)
-
-    def unvec(self, vec, sector: Trigrade):
-        return self.engine.from_vec(vec, sector)
-
-    def class_coords(self, x):
-        """(sector, class coordinate tuple) of a cocycle; None for zero element."""
-        if x.is_zero():
-            return None
-        sector = self.sector_of(x)
-        tower = self.engine.tower(sector.t, sector.w)
-        return sector, tuple(tower.reduce_vec(sector.s, self.vec(x, sector)))
-
-
-def _massey_layout(model, reps, n):
+def _massey_layout(engine, reps, n):
     """Sectors for every triangular entry (i, j), 0 <= i < j <= n."""
-    in_sectors = [None] + [model.sector_of(r) for r in reps]
+    in_sectors = [None] + [r.grade_of() for r in reps]
     sector = {}
     for i in range(n):
         for j in range(i + 1, n + 1):
-            sector[(i, j)] = model.sector_sum(in_sectors[i + 1 : j + 1], j - i - 1)
+            sector[(i, j)] = engine.sector_sum(in_sectors[i + 1 : j + 1], j - i - 1)
     return sector
 
 
-def massey_product(model: ComplexModel, reps, check_vanishing=True):
+def massey_product(engine, reps, check_vanishing=True):
     """n-fold Massey product of cocycle representatives, n in {3, 4}.
 
     Returns a dict with the value's class data, the indeterminacy span
     (list of class-coordinate vectors in the value sector), the defining
-    system, and the model name.  Raises MasseyError when consecutive
+    system, and the engine's model name.  Raises MasseyError when consecutive
     products do not vanish or no defining system exists.
     """
     n = len(reps)
     if n not in (3, 4):
         raise MasseyError(f"only 3- and 4-fold products supported, got {n}")
-    p = model.p
+    p = engine.p
     for r in reps:
         if not r.d().is_zero():
             raise MasseyError("input representative is not a cocycle")
-    sectors = _massey_layout(model, reps, n)
+    sectors = _massey_layout(engine, reps, n)
     fixed = {(i, i + 1): reps[i] for i in range(n)}
     unknowns = [
         (i, j)
@@ -116,12 +60,9 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
 
     if check_vanishing:
         for i in range(n - 1):
-            prod = model.bar(fixed[(i, i + 1)]) * fixed[(i + 1, i + 2)]
-            if prod.is_zero():
-                continue
-            sec = model.sector_of(prod)
-            tower = model.engine.tower(sec.t, sec.w)
-            if any(tower.reduce_vec(sec.s, model.vec(prod, sec))):
+            prod = engine.bar(fixed[(i, i + 1)]) * fixed[(i + 1, i + 2)]
+            cc = engine.class_coords(prod)
+            if cc is not None and any(cc[1]):
                 raise MasseyError(f"product of inputs {i},{i+1} does not vanish")
 
     # --- joint linear system for the interior entries ---------------------
@@ -129,14 +70,14 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
     total = 0
     for u in unknowns:
         offsets[u] = total
-        total += model.dim(sectors[u])
+        total += engine.dim(sectors[u])
 
     rows = []
     rhs = []
     for (i, j) in unknowns:
         tgt = sectors[(i, j)]
         tgt_up = Trigrade(tgt.s + 1, tgt.t, tgt.w)
-        m_up = model.dim(tgt_up)
+        m_up = engine.dim(tgt_up)
         block_rows = [[0] * total for _ in range(m_up)]
         block_rhs = [0] * m_up
 
@@ -150,10 +91,10 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
 
         # d(u_ij) columns
         off = offsets[(i, j)]
-        for c, e in enumerate(model.basis_elements(sectors[(i, j)])):
+        for c, e in enumerate(engine.basis_elements(sectors[(i, j)])):
             de = e.d()
             if not de.is_zero():
-                add_vec(model.vec(de, tgt_up), col=off + c)
+                add_vec(engine.to_vec(de, tgt_up), col=off + c)
 
         # minus sum over middles of bar(a_im) * a_mj
         for m in range(i + 1, j):
@@ -164,21 +105,21 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
             if left_unknown:
                 sgn = 1 if (1 + sectors[(i, m)].s) % 2 == 0 else -1
                 off_l = offsets[(i, m)]
-                for c, e in enumerate(model.basis_elements(sectors[(i, m)])):
+                for c, e in enumerate(engine.basis_elements(sectors[(i, m)])):
                     prod = e * fixed[(m, j)]
                     if not prod.is_zero():
-                        add_vec(model.vec(prod, tgt_up), col=off_l + c, sign=-sgn)
+                        add_vec(engine.to_vec(prod, tgt_up), col=off_l + c, sign=-sgn)
             elif right_unknown:
-                left = model.bar(fixed[(i, m)])
+                left = engine.bar(fixed[(i, m)])
                 off_r = offsets[(m, j)]
-                for c, e in enumerate(model.basis_elements(sectors[(m, j)])):
+                for c, e in enumerate(engine.basis_elements(sectors[(m, j)])):
                     prod = left * e
                     if not prod.is_zero():
-                        add_vec(model.vec(prod, tgt_up), col=off_r + c, sign=-1)
+                        add_vec(engine.to_vec(prod, tgt_up), col=off_r + c, sign=-1)
             else:
-                prod = model.bar(fixed[(i, m)]) * fixed[(m, j)]
+                prod = engine.bar(fixed[(i, m)]) * fixed[(m, j)]
                 if not prod.is_zero():
-                    add_vec(model.vec(prod, tgt_up), sign=1)
+                    add_vec(engine.to_vec(prod, tgt_up), sign=1)
 
         rows.extend(block_rows)
         rhs.extend(block_rhs)
@@ -192,28 +133,26 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
         out = dict(fixed)
         for (i, j) in unknowns:
             off = offsets[(i, j)]
-            d = model.dim(sectors[(i, j)])
-            out[(i, j)] = model.unvec(uvec[off : off + d], sectors[(i, j)])
+            d = engine.dim(sectors[(i, j)])
+            out[(i, j)] = engine.from_vec(uvec[off : off + d], sectors[(i, j)])
         return out
 
-    value_sector = model.sector_sum(
-        [model.sector_of(r) for r in reps], n - 2
-    )
+    value_sector = engine.sector_sum([r.grade_of() for r in reps], n - 2)
 
     def value_at(uvec):
         a = entries_at(uvec)
-        val = model.zero()
+        val = engine.zero()
         for m in range(1, n):
-            val = val + model.bar(a[(0, m)]) * a[(m, n)]
+            val = val + engine.bar(a[(0, m)]) * a[(m, n)]
         return val
 
     def value_coords(uvec):
         val = value_at(uvec)
         if not val.d().is_zero():
             raise MasseyError("value is not a cocycle (internal error)")
-        cc = model.class_coords(val)
+        cc = engine.class_coords(val)
         if cc is None:
-            tower = model.engine.tower(value_sector.t, value_sector.w)
+            tower = engine.tower(value_sector.t, value_sector.w)
             return (0,) * tower.dim_h(value_sector.s)
         return cc[1]
 
@@ -246,7 +185,7 @@ def massey_product(model: ComplexModel, reps, check_vanishing=True):
     indet, _ = rref([d for d in diffs if any(d)], ncls, p) if ncls else ([], [])
 
     return {
-        "model": model.name,
+        "model": engine.name,
         "value_sector": value_sector,
         "value_coords": tuple(c0),
         "indeterminacy": [tuple(r) for r in indet],
@@ -268,7 +207,7 @@ def class_in_coset(target_coords, result, p):
     return coordinates(diff, span, p) is not None
 
 
-def massey_from_system(model: ComplexModel, entries, n):
+def massey_from_system(engine, entries, n):
     """Validate an explicit defining system and return its value element.
 
     `entries` maps (i, j) for 0 <= i < j <= n, (i, j) != (0, n), to cochains.
@@ -277,14 +216,14 @@ def massey_from_system(model: ComplexModel, entries, n):
     for (i, j), a in entries.items():
         if j - i < 2:
             continue
-        rhs = model.zero()
+        rhs = engine.zero()
         for m in range(i + 1, j):
-            rhs = rhs + model.bar(entries[(i, m)]) * entries[(m, j)]
+            rhs = rhs + engine.bar(entries[(i, m)]) * entries[(m, j)]
         if not (a.d() - rhs).is_zero():
             raise MasseyError(f"defining-system identity fails at entry {(i, j)}")
-    val = model.zero()
+    val = engine.zero()
     for m in range(1, n):
-        val = val + model.bar(entries[(0, m)]) * entries[(m, n)]
+        val = val + engine.bar(entries[(0, m)]) * entries[(m, n)]
     if not val.d().is_zero():
         raise MasseyError("value is not a cocycle")
     return val

@@ -1,9 +1,10 @@
 """Aggregated verification suites with JSON-serializable certificates.
 
 Each suite runs one coherent batch of checks and returns a check record
-{name, ref, status, certificate}; `run_suites` assembles the full report
-with stable ordering and deterministic content, so two runs with the same
-configuration serialize to byte-identical JSON.
+{name, ref, status, certificate}, with status "pass", "fail" (a check
+failed) or "error" (the suite raised another exception); `run_suites`
+assembles the full report with stable ordering and deterministic content,
+so two runs with the same configuration serialize to byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from fractions import Fraction
 
 from . import __version__
 from .cohomology import ExteriorCohomology
-from .exterior import FULL_MASK, GEN_NAMES, GENERATORS
-from .massey import ComplexModel, class_in_coset, massey_product
+from .exterior import FULL_MASK, GENERATORS
+from .massey import class_in_coset, massey_product
 from .named import NamedClasses
 from . import bp_cobar
 from . import greek
 from .hopf_cobar import collapse_check, CobarEngine, p_fold_massey_check
-from .hopf_cobar import euler_report as cobar_euler_report
 
 
 def jsonable(x):
@@ -124,14 +124,12 @@ def suite_massey_fourfold(ctx: _Context):
     eng = ctx.engine
     nc = ctx.named
     p = ctx.p
-    model = ComplexModel(eng)
-    model.name = "exterior"
-    cert = {"model": model.name}
+    cert = {"model": eng.name}
     for label, reps, target in (
         ("<h0,h1,h2,h0>", ["h0", "h1", "h2", "h0"], "b2"),
         ("<h1,h2,h0,h1>", ["h1", "h2", "h0", "h1"], "b0"),
     ):
-        res = massey_product(model, [nc[n] for n in reps])
+        res = massey_product(eng, [nc[n] for n in reps])
         cls = eng.reduce(nc[target])
         if tuple(cls.sector) != tuple(res["value_sector"]):
             raise AssertionError(f"{label}: sector mismatch")
@@ -144,7 +142,7 @@ def suite_massey_fourfold(ctx: _Context):
             "indeterminacy": [list(v) for v in res["indeterminacy"]],
             "contains": f"+{target}" if plus else f"-{target}",
         }
-    res3 = massey_product(model, [nc["h0"], nc["h0"], nc["h0"]])
+    res3 = massey_product(eng, [nc["h0"], nc["h0"], nc["h0"]])
     if any(res3["value_coords"]):
         raise AssertionError("<h0,h0,h0> has nonzero value")
     cert["<h0,h0,h0>"] = {"value_coords": list(res3["value_coords"])}
@@ -171,7 +169,7 @@ def suite_euler(ctx: _Context):
     ext = ctx.engine.euler_report()
     bad = [r for r in ext if not r["equal"]]
     cob_engine = CobarEngine(ctx.p, weight_bound=3, sector_cap=ctx.sector_cap)
-    cob = cobar_euler_report(cob_engine)
+    cob = cob_engine.euler_report()
     bad += [r for r in cob if not r["equal"]]
     if bad:
         raise AssertionError(f"Euler characteristic mismatch: {bad[:3]}")
@@ -243,6 +241,9 @@ def run_suites(p: int = 7, suites=None, t_range=None, sector_cap: int = 20000,
             checks.append(
                 {"name": name, "ref": ref, "status": "fail", "certificate": str(exc)}
             )
+        except Exception as exc:  # a crashed suite is recorded; the others still run
+            checks.append({"name": name, "ref": ref, "status": "error",
+                           "certificate": f"{type(exc).__name__}: {exc}"})
     return {
         "meta": {"prime": p, "version": __version__, "command": command},
         "checks": checks,

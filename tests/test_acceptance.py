@@ -7,8 +7,7 @@ from stab3.cli import main as cli_main
 from stab3 import bp_cobar, greek
 from stab3.cohomology import ExteriorCohomology
 from stab3.hopf_cobar import CobarEngine, collapse_check, p_fold_massey_check
-from stab3.hopf_cobar import euler_report as cobar_euler_report
-from stab3.massey import ComplexModel, class_in_coset, massey_product
+from stab3.massey import class_in_coset, massey_product
 from stab3.named import NamedClasses
 from stab3.reports import _Context, suite_exterior_dga
 
@@ -84,9 +83,7 @@ def test_criterion_06_degree_coherence():
 
 
 def test_criterion_07_massey_products():
-    model = ComplexModel(ENGINE)
-    model.name = "exterior"
-    res = massey_product(model, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
+    res = massey_product(ENGINE, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
     cls = ENGINE.reduce(NC["b2"])
     plus = class_in_coset(cls.coords, res, 7)
     minus = class_in_coset(tuple((-c) % 7 for c in cls.coords), res, 7)
@@ -95,7 +92,7 @@ def test_criterion_07_massey_products():
         rep = p_fold_massey_check(5, k)
         assert rep["status"] == "pass"
     sign = "+" if plus else "-"
-    _pass(7, f"{sign}b2 in <h0,h1,h2,h0> mod indeterminacy (model: {model.name}); "
+    _pass(7, f"{sign}b2 in <h0,h1,h2,h0> mod indeterminacy (model: {ENGINE.name}); "
              "p-fold bracket equals b_(1,k) at p = 5, k = 0, 1")
 
 
@@ -127,7 +124,7 @@ def test_criterion_10_gamma1_expansion():
 
 def test_criterion_11_euler_characteristics():
     ext = ENGINE.euler_report()
-    cob = cobar_euler_report(CobarEngine(7, weight_bound=3))
+    cob = CobarEngine(7, weight_bound=3).euler_report()
     assert all(r["equal"] for r in ext + cob)
     _pass(11, f"Euler characteristics agree in all {len(ext)} exterior and "
               f"{len(cob)} cobar sectors")

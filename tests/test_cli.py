@@ -109,3 +109,63 @@ def test_env_var_prime_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "greek", "--prime", "7", "--t-range", "1..1",
                        "--format", "json")
     assert json.loads(out)["meta"]["prime"] == 7
+
+
+def test_env_var_prime_malformed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("STAB3_PRIME", "abc")
+    code, _, err = run(capsys, "table")
+    assert code == 2
+    assert "invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "5..1"])
+def test_bad_t_range_is_usage_error(capsys, bad):
+    code, out, err = run(capsys, "greek", "--prime", "7", "--t-range", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t-range")
+
+
+@pytest.mark.parametrize("bad", ["1,x", "0,1"])
+def test_bad_bidegree_is_usage_error(capsys, bad):
+    code, out, err = run(capsys, "greek", "--bidegree", bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --bidegree")
+
+
+def test_computation_failure_exits_1(capsys, monkeypatch):
+    from stab3.cohomology import ExteriorCohomology
+    from stab3.massey import MasseyError
+
+    def broken(self):
+        raise MasseyError("no defining system")
+
+    monkeypatch.setattr(ExteriorCohomology, "dims_table", broken)
+    code, out, err = run(capsys, "table", "--prime", "7")
+    assert code == 1
+    assert out == ""
+    assert "MasseyError: no defining system" in err
+
+
+def test_crashed_suite_is_recorded_and_the_rest_still_run(capsys, monkeypatch):
+    from stab3 import reports
+    from stab3.massey import MasseyError
+
+    def crash(ctx):
+        raise MasseyError("no defining system")
+
+    suites = tuple(
+        (name, crash if name == "shift-cycle" else fn, ref) for name, fn, ref in reports.SUITES
+    )
+    monkeypatch.setattr(reports, "SUITES", suites)
+    code, out, err = run(capsys, "verify", "--prime", "7", "--suite", "generator-classes",
+                         "--suite", "shift-cycle", "--suite", "b1-identity")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert list(checks) == ["generator-classes", "b1-identity", "shift-cycle"]
+    assert checks["generator-classes"]["status"] == "pass"
+    assert checks["b1-identity"]["status"] == "pass"
+    assert checks["shift-cycle"]["status"] == "error"
+    assert checks["shift-cycle"]["certificate"] == "MasseyError: no defining system"
+    assert err.startswith("FAILED shift-cycle")

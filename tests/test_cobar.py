@@ -7,7 +7,6 @@ from stab3.hopf_cobar import (
     TruncatedHopf,
     b_class,
     collapse_check,
-    euler_report,
     p_fold_massey_check,
 )
 
@@ -58,7 +57,7 @@ def test_collapse_matches_exterior_low_weight():
 
 def test_euler_equality_cobar():
     engine = CobarEngine(5, weight_bound=3)
-    for row in euler_report(engine):
+    for row in engine.euler_report():
         assert row["equal"], row
 
 

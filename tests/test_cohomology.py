@@ -4,7 +4,7 @@ import pytest
 
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
 from stab3.exterior import FULL_MASK
-from stab3.massey import ComplexModel, MasseyError, class_in_coset, massey_product
+from stab3.massey import MasseyError, class_in_coset, massey_product
 from stab3.named import NamedClasses
 
 ENGINE = ExteriorCohomology(7)
@@ -73,14 +73,8 @@ def test_cup_representative_independence():
 # -- Massey products --------------------------------------------------------
 
 
-def _model():
-    m = ComplexModel(ENGINE)
-    m.name = "exterior"
-    return m
-
-
 def test_fourfold_massey_contains_b2():
-    res = massey_product(_model(), [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
+    res = massey_product(ENGINE, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
     cls = ENGINE.reduce(NC["b2"])
     assert tuple(cls.sector) == tuple(res["value_sector"])
     plus = class_in_coset(cls.coords, res, 7)
@@ -89,7 +83,7 @@ def test_fourfold_massey_contains_b2():
 
 
 def test_fourfold_massey_contains_b0():
-    res = massey_product(_model(), [NC["h1"], NC["h2"], NC["h0"], NC["h1"]])
+    res = massey_product(ENGINE, [NC["h1"], NC["h2"], NC["h0"], NC["h1"]])
     cls = ENGINE.reduce(NC["b0"])
     assert class_in_coset(cls.coords, res, 7) or class_in_coset(
         tuple((-c) % 7 for c in cls.coords), res, 7
@@ -97,18 +91,17 @@ def test_fourfold_massey_contains_b0():
 
 
 def test_threefold_massey_h0_cubed_vanishes():
-    res = massey_product(_model(), [NC["h0"], NC["h0"], NC["h0"]])
+    res = massey_product(ENGINE, [NC["h0"], NC["h0"], NC["h0"]])
     assert not any(res["value_coords"])
 
 
 def test_massey_coset_stable_under_system_perturbation():
     # Changing the defining system by a kernel vector moves the value only
     # inside the reported indeterminacy span.
-    model = _model()
-    res = massey_product(model, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
+    res = massey_product(ENGINE, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
     base = {"value_coords": res["value_coords"], "indeterminacy": res["indeterminacy"]}
     # recompute: deterministic solver must reproduce the same value
-    res2 = massey_product(model, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
+    res2 = massey_product(ENGINE, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
     assert res2["value_coords"] == base["value_coords"]
     # the value shifted by an indeterminacy vector is still in the coset
     for vec in res["indeterminacy"]:
@@ -118,4 +111,4 @@ def test_massey_coset_stable_under_system_perturbation():
 
 def test_massey_rejects_nonvanishing_consecutive_products():
     with pytest.raises(MasseyError):
-        massey_product(_model(), [NC["b0"], NC["b0"], NC["b0"]])
+        massey_product(ENGINE, [NC["b0"], NC["b0"], NC["b0"]])
