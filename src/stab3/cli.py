@@ -96,14 +96,7 @@ def cmd_table(args) -> int:
 
         eng = CobarEngine(args.prime, weight_bound=args.may_bound,
                           sector_cap=args.sector_cap)
-        rows = []
-        for (t, w) in eng.sector_keys():
-            tower = eng.tower(t, w)
-            for s in sorted(tower.bases):
-                if s > args.max_s:
-                    continue
-                rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
-        rows.sort()
+        rows = eng.dims_table(args.max_s)
         header = ("s", "t", "w", "dim_cochains", "dim_cohomology")
     _emit(_format_rows(header, rows, args.format, meta), args.output)
     return 0
@@ -194,9 +187,6 @@ def cmd_greek(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a string default goes through type=int at parse time, so a malformed
-    # STAB3_PRIME is reported as a usage error
-    default_prime = os.environ.get("STAB3_PRIME", "7")
     parser = argparse.ArgumentParser(
         prog="stab3",
         description="Exact verification engine for a rank-3 exterior cohomology "
@@ -206,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, fmt_default="human"):
-        sp.add_argument("--prime", type=int, default=default_prime,
+        sp.add_argument("--prime", type=int,
                         help="odd prime > 3 (default from STAB3_PRIME or 7)")
         sp.add_argument("--format", choices=("human", "csv", "json"), default=fmt_default)
         sp.add_argument("--output", help="write output to this path instead of stdout")
@@ -241,6 +231,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses its own exit codes
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.prime is None:  # no --prime flag
+            text = os.environ.get("STAB3_PRIME", "7")
+            try:
+                args.prime = int(text)
+            except ValueError:
+                raise SystemExit2(f"STAB3_PRIME must be an integer, got {text!r}") from None
         return args.fn(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,14 +8,18 @@ coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
 sector from a basis and a differential; `ExteriorCohomology` here and the
 cobar engine in `hopf_cobar` are its two subclasses.
 
-All bases are deterministic: basis keys are sorted, and every echelon
-computation uses the deterministic pivoting of `fplinalg`.
+All bases are deterministic: basis keys are sorted, and reduced row echelon
+forms are unique.
 """
 
 from __future__ import annotations
 
 from .exterior import ExteriorAlgebra, ExteriorElement, FULL_MASK, Trigrade
-from .fplinalg import kernel_basis, solve
+from .fplinalg import sparse_kernel, sparse_rref, sparse_solve, sub_multiple, to_dense
+
+# The towers use the sparse kernel; `kernel_basis` stays importable from here
+# because the benchmark's tracer tests look it up as `cohomology.kernel_basis`.
+from .fplinalg import kernel_basis  # noqa: F401
 
 
 class NotCocycleError(ValueError):
@@ -25,16 +29,16 @@ class NotCocycleError(ValueError):
         super().__init__(f"not a cocycle; d(x) = {dx!r}")
 
 
-def _transpose(rows, ncols):
-    return [[r[c] for r in rows] for c in range(ncols)]
-
-
 class SectorTower:
     """Cochain complex of one sector, graded by s, over F_p.
 
     Parameters: p; bases, a dict s -> sorted list of basis keys; d_of, a
     function (s, key) -> dict key -> coeff giving the differential of a
     basis element in the s+1 basis.  Degrees outside `bases` are zero.
+
+    Matrices, cocycles and representatives are sparse rows {basis index:
+    coeff} (see `fplinalg`); `coboundary_vectors`, `reduce_vec` and
+    `bound_vec` take and return dense vectors.
     """
 
     def __init__(self, p, bases, d_of):
@@ -43,7 +47,6 @@ class SectorTower:
         self.index = {s: {k: i for i, k in enumerate(b)} for s, b in self.bases.items()}
         self._d_of = d_of
         self._dmat = {}
-        self._cocycles = {}
         self._coboundaries = {}
         self._h_reps = {}
 
@@ -51,108 +54,94 @@ class SectorTower:
         return len(self.bases.get(s, ()))
 
     def dmat(self, s: int):
-        """Rows: d-image of each s-basis vector in s+1 coordinates."""
+        """Sparse rows: d-image of each s-basis vector in s+1 coordinates."""
         if s not in self._dmat:
-            src = self.bases.get(s, [])
+            p = self.p
             tgt_index = self.index.get(s + 1, {})
-            ncols = len(tgt_index)
             rows = []
-            for key in src:
-                row = [0] * ncols
+            for key in self.bases.get(s, []):
+                row = {}
                 for k2, c in self._d_of(s, key).items():
-                    if c % self.p:
+                    c %= p
+                    if c:
                         if k2 not in tgt_index:
                             raise ValueError(
                                 f"differential leaves sector: {key!r} -> {k2!r}"
                             )
-                        row[tgt_index[k2]] = c % self.p
+                        row[tgt_index[k2]] = c
                 rows.append(row)
             self._dmat[s] = rows
         return self._dmat[s]
 
-    def apply_d(self, s, vec):
-        mat = self.dmat(s)
-        ncols = self.dim(s + 1)
-        out = [0] * ncols
-        for xi, row in zip(vec, mat):
-            if xi:
-                for c in range(ncols):
-                    if row[c]:
-                        out[c] = (out[c] + xi * row[c]) % self.p
-        return out
+    def _dmat_columns(self, s: int):
+        """Columns of `dmat(s)`: one sparse equation row per (s+1)-basis vector."""
+        cols = [{} for _ in range(self.dim(s + 1))]
+        for i, row in enumerate(self.dmat(s)):
+            for c, x in row.items():
+                cols[c][i] = x
+        return cols
 
     def cocycle_vectors(self, s):
-        if s not in self._cocycles:
-            mat = self.dmat(s)
-            n = self.dim(s)
-            m = self.dim(s + 1)
-            if m == 0:
-                basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            else:
-                basis = kernel_basis(_transpose(mat, m), n, self.p)
-            self._cocycles[s] = basis
-        return self._cocycles[s]
+        return sparse_kernel(self._dmat_columns(s), self.dim(s), self.p)
 
-    def coboundary_vectors(self, s):
+    def _coboundary_rows(self, s):
+        """{pivot: row} of the echelon coboundary basis, in pivot order."""
         if s not in self._coboundaries:
-            if (s - 1) not in self.bases or self.dim(s) == 0:
-                self._coboundaries[s] = []
-            else:
-                from .fplinalg import rref
-
-                mat = self.dmat(s - 1)
-                ech, _ = rref(mat, self.dim(s), self.p)
-                self._coboundaries[s] = ech
+            ech, pivots = sparse_rref(self.dmat(s - 1), self.p)
+            self._coboundaries[s] = dict(zip(pivots, ech))
         return self._coboundaries[s]
 
+    def coboundary_vectors(self, s):
+        return [to_dense(r, self.dim(s)) for r in self._coboundary_rows(s).values()]
+
+    def _reduce(self, s, v, reps):
+        """Reduce v in place by the coboundary rows, then by the {pivot: row}
+        `reps` in order; return the rep coefficients.  A coboundary row
+        vanishes on the other coboundary pivots, a rep on all earlier pivots,
+        so for v in their span these are its coordinates and v ends empty."""
+        p = self.p
+        bnd = self._coboundary_rows(s)
+        for pc, f in [(c, x) for c, x in v.items() if c in bnd]:
+            sub_multiple(v, f, bnd[pc], p)
+        coeffs = []
+        for pc, row in reps.items():
+            f = v.get(pc, 0)
+            if f:
+                sub_multiple(v, f, row, p)
+            coeffs.append(f)
+        return coeffs
+
     def h_reps(self, s):
-        """Echelon cohomology representatives extending the coboundary space."""
+        """Echelon cohomology representatives extending the coboundary space,
+        in the order found (a view of the rows, kept by pivot)."""
         if s not in self._h_reps:
             p = self.p
-            rows = [list(r) for r in self.coboundary_vectors(s)]
-            pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
-            reps = []
-            for z in self.cocycle_vectors(s):
-                v = list(z)
-                for r, pc in zip(rows, pivots):
-                    if v[pc]:
-                        f = v[pc]
-                        v = [(a - f * b) % p for a, b in zip(v, r)]
-                if any(v):
-                    pc = next(i for i, x in enumerate(v) if x)
+            reps = {}
+            for v in self.cocycle_vectors(s):
+                self._reduce(s, v, reps)
+                if v:
+                    pc = min(v)
                     inv = pow(v[pc], p - 2, p)
-                    v = [(x * inv) % p for x in v]
-                    rows.append(v)
-                    pivots.append(pc)
-                    reps.append(v)
+                    reps[pc] = {k: x * inv % p for k, x in v.items()}
             self._h_reps[s] = reps
-        return self._h_reps[s]
+        return self._h_reps[s].values()
 
     def dim_h(self, s) -> int:
         return len(self.h_reps(s))
 
-    def is_cocycle_vec(self, s, vec) -> bool:
-        return not any(self.apply_d(s, vec))
-
     def reduce_vec(self, s, vec):
         """Class coordinates of a cocycle vector in the h_reps basis."""
-        reps = self.h_reps(s)
-        bnd = self.coboundary_vectors(s)
-        from .fplinalg import coordinates
-
-        span = list(bnd) + list(reps)
-        coords = coordinates(vec, span, self.p) if span else ([] if not any(vec) else None)
-        if coords is None:
+        p = self.p
+        self.h_reps(s)  # built once, on the first call
+        v = {i: c % p for i, c in enumerate(vec) if c % p}
+        coeffs = self._reduce(s, v, self._h_reps[s])
+        if v:
             raise ValueError("vector not in cocycle span (not a cocycle?)")
-        return coords[len(bnd):]
+        return coeffs
 
     def bound_vec(self, s, vec):
         """A vector y in degree s-1 with d(y) = vec, or None."""
-        if (s - 1) not in self.bases:
-            return None if any(vec) else []
-        mat = self.dmat(s - 1)
-        m = self.dim(s)
-        return solve(_transpose(mat, m), vec, self.p)
+        return sparse_solve(self._dmat_columns(s - 1), vec, self.dim(s - 1), self.p)
 
 
 class CohomologyClass:
@@ -259,13 +248,15 @@ class SectorEngine:
 
     # -- global reports -----------------------------------------------------
 
-    def dims_table(self):
-        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors."""
+    def dims_table(self, max_s=None):
+        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
+        the degrees s <= max_s (all degrees when max_s is None)."""
         rows = []
         for (t, w) in self.sector_keys():
             tower = self.tower(t, w)
             for s in sorted(tower.bases):
-                rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
+                if max_s is None or s <= max_s:
+                    rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
         rows.sort()
         return rows
 
@@ -342,7 +333,7 @@ class ExteriorCohomology(SectorEngine):
                 continue
             sector = Trigrade(s, st, sw)
             for rep in tower.h_reps(s):
-                out.append(self.reduce(self.from_vec(rep, sector)))
+                out.append(self.reduce(self.from_vec(to_dense(rep, tower.dim(s)), sector)))
         return out
 
     def pair_top(self, x: ExteriorElement) -> int:
@@ -353,10 +344,8 @@ class ExteriorCohomology(SectorEngine):
     def duality_report(self):
         """Compare dim H^s and dim H^{9-s} per total degree (computed, not asserted)."""
         total = [0] * 10
-        for (t, w) in self.sector_keys():
-            tower = self.tower(t, w)
-            for s in tower.bases:
-                total[s] += tower.dim_h(s)
+        for (s, _, _, _, dim_h) in self.dims_table():
+            total[s] += dim_h
         return {
             "dims": total,
             "symmetric": all(total[s] == total[9 - s] for s in range(10)),

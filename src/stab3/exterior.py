@@ -48,10 +48,6 @@ class InhomogeneousError(ValueError):
         super().__init__(f"inhomogeneous element with trigrades {self.grades}")
 
 
-def _popcount_below(mask: int, pos: int) -> int:
-    return bin(mask & ((1 << pos) - 1)).count("1")
-
-
 def _merge_sign(a: int, b: int) -> int:
     """Parity sign of merging two disjoint sorted generator words a, b."""
     sign = 1

@@ -1,10 +1,12 @@
 """Exact linear algebra over a prime field F_p, plus exact binomial helpers.
 
-All routines use Gaussian elimination over F_p with deterministic pivoting
-(first nonzero column, lowest row) so that computed bases are reproducible
-byte-for-byte between runs.  No floating point anywhere.
-
-Vectors are lists of ints reduced mod p; matrices are lists of row lists.
+Internally rows are sparse dicts {col: value} of the nonzero entries: one
+elimination kernel, `sparse_rref`, with `sparse_kernel` and `sparse_solve`
+on top and `sub_multiple` as the one row update; `SectorTower` keeps its
+matrices in this form.  The public API
+(`rref`, `rank`, `kernel_basis`, `solve`, `coordinates`) takes and returns
+dense lists of ints mod p.  Reduced row echelon forms are unique, so every
+computed basis is reproducible byte-for-byte.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -43,53 +45,107 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
 
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+def sparse_rref(rows, p):
+    """Reduced row echelon form of sparse rows {col: value}: (rows, pivots).
 
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    Rows are taken sparsest first (less fill-in) and reduced against the
+    pivots found so far in ascending column order; a row left nonzero gets
+    its first column as a new pivot.  Back-substitution from the last pivot
+    then clears the entries above each pivot.  Output rows have leading
+    entry 1, sorted by pivot; being unique, they do not depend on row order.
+    """
+    tails = {}  # pivot col -> entries right of the pivot (the pivot is 1)
+    for row in sorted(rows, key=len):
+        v = dict(row)
+        todo = {c for c in v if c in tails}
+        while todo:
+            c = min(todo)
+            todo.remove(c)
+            f = v.pop(c) % p
+            if not f:
+                continue
+            for k, x in tails[c].items():
+                if k in v:
+                    v[k] -= f * x
+                else:
+                    v[k] = -f * x
+                    if k in tails:
+                        todo.add(k)
+        v = {k: x % p for k, x in v.items() if x % p}
+        if v:
+            c = min(v)
+            inv = pow(v.pop(c), p - 2, p)
+            tails[c] = {k: x * inv % p for k, x in v.items()}
+    pivots = sorted(tails)
+    for c in reversed(pivots):
+        tail = tails[c]
+        for k in [k for k in tail if k in tails]:
+            sub_multiple(tail, tail.pop(k), tails[k], p)
+    return [{c: 1, **tails[c]} for c in pivots], pivots
+
+
+def sub_multiple(v, f, row, p):
+    """v -= f * row over F_p, in place on the sparse vector v."""
+    for k, x in row.items():
+        y = (v.get(k, 0) - f * x) % p
+        if y:
+            v[k] = y
+        else:
+            v.pop(k, None)
+
+
+def sparse_kernel(rows, ncols, p):
+    """Basis of {x : M x = 0} for sparse equation rows, as sparse vectors.
+
+    One vector per free column, in ascending column order, with the free
+    coordinate set to 1.
+    """
+    ech, pivots = sparse_rref(rows, p)
+    basis = {f: {f: 1} for f in range(ncols)}
+    for pc in pivots:
+        del basis[pc]
+    for r, pc in zip(ech, pivots):
+        for f, x in r.items():
+            if f != pc:
+                basis[f][pc] = -x % p
+    return list(basis.values())
+
+
+def sparse_solve(rows, rhs, ncols, p):
+    """One solution x (a list) of M x = rhs for sparse rows, or None if
+    inconsistent.  Free variables are set to 0."""
+    aug = [{**r, ncols: b} if b % p else r for r, b in zip(rows, rhs)]
+    ech, pivots = sparse_rref(aug, p)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    for r, pc in zip(ech, pivots):
+        x[pc] = r.get(ncols, 0)
+    return x
+
+
+def _sparse(rows):
+    return [{i: x for i, x in enumerate(r) if x} for r in rows]
+
+
+def to_dense(v, n):
+    """The dense list of length n of a sparse vector."""
+    return [v.get(i, 0) for i in range(n)]
 
 
 def rref(rows, ncols, p):
-    """Reduced row echelon form.
+    """Reduced row echelon form of dense rows: (echelon_rows, pivot_cols).
 
-    Returns (echelon_rows, pivot_cols).  Echelon rows have leading entry 1,
-    zeros above and below each pivot; zero rows are dropped.  Pivoting is
-    deterministic: scan columns left to right, take the lowest-index row
-    with a nonzero entry.
+    Echelon rows have leading entry 1, zeros above and below each pivot;
+    zero rows are dropped.
     """
-    mat = [[x % p for x in r] for r in rows]
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if mat[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+    ech, pivots = sparse_rref(_sparse(rows), p)
+    return [to_dense(r, ncols) for r in ech], pivots
 
 
 def rank(rows, ncols, p) -> int:
-    return len(rref(rows, ncols, p)[0])
+    return len(sparse_rref(_sparse(rows), p)[1])
 
 
 def kernel_basis(rows, ncols, p):
@@ -98,18 +154,7 @@ def kernel_basis(rows, ncols, p):
     Returns a deterministic list of vectors of length ncols (one per free
     column, in ascending column order, free coordinate set to 1).
     """
-    ech, pivots = rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, pc in zip(ech, pivots):
-            v[pc] = (-r[free]) % p
-        basis.append(v)
-    return basis
+    return [to_dense(v, ncols) for v in sparse_kernel(_sparse(rows), ncols, p)]
 
 
 def solve(rows, rhs, p):
@@ -117,17 +162,7 @@ def solve(rows, rhs, p):
 
     Free variables are set to 0, so the result is deterministic.
     """
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-    if not rows:
-        return [0] * ncols if not any(b % p for b in rhs) else None
-    ech, pivots = rref(aug, ncols + 1, p)
-    x = [0] * ncols
-    for r, pc in zip(ech, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = r[ncols]
-    return x
+    return sparse_solve(_sparse(rows), rhs, len(rows[0]) if rows else 0, p)
 
 
 def coordinates(v, basis, p):
@@ -138,9 +173,7 @@ def coordinates(v, basis, p):
     """
     if not basis:
         return [] if not any(x % p for x in v) else None
-    n = len(basis[0])
-    rows = [[basis[i][r] % p for i in range(len(basis))] for r in range(n)]
-    return solve(rows, list(v), p)
+    return solve(list(zip(*basis)), v, p)
 
 
 def binom_over_p(k: int, i: int, p: int) -> int:

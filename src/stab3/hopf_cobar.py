@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .cohomology import SectorEngine
+from .cohomology import ExteriorCohomology, SectorEngine
 from .exterior import GENERATORS, InhomogeneousError, Trigrade
 from .fplinalg import binom_over_p, multinomials_over_p
 from .massey import massey_from_system
@@ -371,35 +371,22 @@ def collapse_check(p: int = 7, smax: int = 2, wmax: int = 3, sector_cap: int = 2
     """Compare cobar cohomology dims against the exterior model, s <= smax,
     weight <= wmax.  In this range the polynomial b-classes (weight p) do not
     contribute, so the prediction is exactly the exterior dimensions."""
-    from .cohomology import ExteriorCohomology
-
     cob = CobarEngine(p, weight_bound=wmax, sector_cap=sector_cap)
-    ext = ExteriorCohomology(p)
-    ext_dims = {}
-    for (t, w) in ext.sector_keys():
-        if w > wmax:
-            continue
-        tower = ext.tower(t, w)
-        for s in tower.bases:
-            if s <= smax:
-                d = tower.dim_h(s)
-                if d:
-                    ext_dims[(s, t, w)] = d
+    ext_dims = {
+        (s, t, w): dim_h
+        for (s, t, w, _, dim_h) in ExteriorCohomology(p).dims_table(smax)
+        if w <= wmax and dim_h
+    }
     rows = []
     mismatches = []
     seen = set()
-    for (t, w) in cob.sector_keys():
-        tower = cob.tower(t, w)
-        for s in sorted(tower.bases):
-            if s > smax:
-                continue
-            dim_c = tower.dim_h(s)
-            dim_e = ext_dims.get((s, t, w), 0)
-            seen.add((s, t, w))
-            if dim_c or dim_e:
-                rows.append({"s": s, "t": t, "w": w, "cobar": dim_c, "predicted": dim_e})
-            if dim_c != dim_e:
-                mismatches.append((s, t, w, dim_c, dim_e))
+    for (s, t, w, _, dim_c) in cob.dims_table(smax):
+        dim_e = ext_dims.get((s, t, w), 0)
+        seen.add((s, t, w))
+        if dim_c or dim_e:
+            rows.append({"s": s, "t": t, "w": w, "cobar": dim_c, "predicted": dim_e})
+        if dim_c != dim_e:
+            mismatches.append((s, t, w, dim_c, dim_e))
     for key, d in ext_dims.items():
         if key not in seen:
             mismatches.append((*key, 0, d))

@@ -17,7 +17,7 @@ difference.
 from __future__ import annotations
 
 from .cohomology import Trigrade
-from .fplinalg import kernel_basis, rref, solve
+from .fplinalg import coordinates, kernel_basis, rref, solve
 
 
 class MasseyError(ValueError):
@@ -199,12 +199,7 @@ def class_in_coset(target_coords, result, p):
     diff = [(a - b) % p for a, b in zip(target_coords, result["value_coords"])]
     if not any(diff):
         return True
-    span = [list(v) for v in result["indeterminacy"]]
-    if not span:
-        return False
-    from .fplinalg import coordinates
-
-    return coordinates(diff, span, p) is not None
+    return coordinates(diff, result["indeterminacy"], p) is not None
 
 
 def massey_from_system(engine, entries, n):

@@ -113,9 +113,13 @@ def test_env_var_prime_default(capsys, monkeypatch):
 
 def test_env_var_prime_malformed_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("STAB3_PRIME", "abc")
-    code, _, err = run(capsys, "table")
+    code, out, err = run(capsys, "table")
     assert code == 2
-    assert "invalid int value: 'abc'" in err
+    assert out == ""
+    assert err == "error: STAB3_PRIME must be an integer, got 'abc'\n"
+    # an explicit flag wins, so the malformed variable is never read
+    code, _, _ = run(capsys, "table", "--prime", "7")
+    assert code == 0
 
 
 @pytest.mark.parametrize("bad", ["abc", "5..1"])

@@ -1,5 +1,8 @@
 """Truncated-Hopf cobar engine: coalgebra axioms, d^2, collapse, p-fold bracket."""
 
+import hashlib
+import json
+
 import pytest
 
 from stab3.hopf_cobar import (
@@ -55,6 +58,13 @@ def test_collapse_matches_exterior_low_weight():
     assert res["rows"]
 
 
+def test_collapse_matches_exterior_up_to_weight_p_minus_1():
+    # w <= p - 1 keeps the weight-p b-classes out of the range
+    res = collapse_check(7, smax=2, wmax=6)
+    assert res["mismatches"] == []
+    assert res["rows"]
+
+
 def test_euler_equality_cobar():
     engine = CobarEngine(5, weight_bound=3)
     for row in engine.euler_report():
@@ -66,3 +76,25 @@ def test_p_fold_bracket_equals_b_class(k):
     rep = p_fold_massey_check(5, k)
     assert rep["status"] == "pass"
     assert any(rep["coords"])
+
+
+#: sha256 of p_fold_massey_check(7, k, CobarEngine(7, weight_bound=7)) as
+#: json.dumps(result, sort_keys=True, separators=(",", ":"), default=repr)
+P7_BRACKET_SHA256 = {
+    0: "f29bc704998f8012981d1cce85f8ad658ccf5de5fe1c06a92199f0451e4f93d5",
+    1: "3514976affb054911d7701806c16e93e3f53843f005566ff537c8acc388ad349",
+}
+
+
+@pytest.fixture(scope="module")
+def cobar_p7():
+    return CobarEngine(7, weight_bound=7)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_p_fold_bracket_at_p7_is_pinned(cobar_p7, k):
+    rep = p_fold_massey_check(7, k, cobar_p7)
+    assert rep["status"] == "pass"
+    assert any(rep["coords"])
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=repr)
+    assert hashlib.sha256(text.encode()).hexdigest() == P7_BRACKET_SHA256[k]

@@ -1,11 +1,13 @@
 """Exact F_p linear algebra: oracles and round-trip properties."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stab3.cohomology import ExteriorCohomology
 from stab3.fplinalg import (
     PrimeField,
     binom_over_p,
@@ -17,6 +19,157 @@ from stab3.fplinalg import (
     rref,
     solve,
 )
+from stab3.hopf_cobar import CobarEngine
+
+
+# -- dense reference: the elimination the sparse kernel replaced -------------
+
+
+def dense_rref(rows, ncols, p):
+    """Reduced row echelon form.
+
+    Returns (echelon_rows, pivot_cols).  Echelon rows have leading entry 1,
+    zeros above and below each pivot; zero rows are dropped.  Pivoting is
+    deterministic: scan columns left to right, take the lowest-index row
+    with a nonzero entry.
+    """
+    mat = [[x % p for x in r] for r in rows]
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if mat[i][c] % p:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                row_r = mat[r]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat[:r], pivots
+
+
+def dense_kernel_basis(rows, ncols, p):
+    ech, pivots = dense_rref(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [0] * ncols
+        v[free] = 1
+        for r, pc in zip(ech, pivots):
+            v[pc] = (-r[free]) % p
+        basis.append(v)
+    return basis
+
+
+def dense_solve(rows, rhs, p):
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(r) + [b % p] for r, b in zip(rows, rhs)]
+    if not rows:
+        return [0] * ncols if not any(b % p for b in rhs) else None
+    ech, pivots = dense_rref(aug, ncols + 1, p)
+    x = [0] * ncols
+    for r, pc in zip(ech, pivots):
+        if pc == ncols:
+            return None
+        x[pc] = r[ncols]
+    return x
+
+
+def dense_coordinates(v, basis, p):
+    if not basis:
+        return [] if not any(x % p for x in v) else None
+    n = len(basis[0])
+    rows = [[basis[i][r] % p for i in range(len(basis))] for r in range(n)]
+    return dense_solve(rows, list(v), p)
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols, p): density 0-100%, with zero and duplicate rows."""
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    ncols = draw(st.integers(0, 12))
+    density = draw(st.integers(0, 100))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate")))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([
+                draw(st.integers(-p, 2 * p)) if draw(st.integers(0, 99)) < density else 0
+                for _ in range(ncols)
+            ])
+    return rows, ncols, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_sparse_kernel_equals_dense_reference(mat, rng):
+    rows, ncols, p = mat
+    assert rref(rows, ncols, p) == dense_rref(rows, ncols, p)
+    assert rank(rows, ncols, p) == len(dense_rref(rows, ncols, p)[1])
+    assert kernel_basis(rows, ncols, p) == dense_kernel_basis(rows, ncols, p)
+    rhs = [rng.randrange(-p, 2 * p) for _ in rows]
+    assert solve(rows, rhs, p) == dense_solve(rows, rhs, p)
+    xs = [rng.randrange(p) for _ in range(ncols)]
+    consistent = [sum(a * x for a, x in zip(r, xs)) for r in rows]
+    x = solve(rows, consistent, p)
+    assert x is not None and x == dense_solve(rows, consistent, p)
+    # coordinates in the span of the rows: a member, and a random vector
+    cs = [rng.randrange(p) for _ in rows]
+    member = [sum(c * r[i] for c, r in zip(cs, rows)) for i in range(ncols)]
+    other = [rng.randrange(p) for _ in range(ncols)]
+    for v in (member, other):
+        assert coordinates(v, rows, p) == dense_coordinates(v, rows, p)
+
+
+def _dense(v, n):
+    return [v.get(i, 0) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [ExteriorCohomology(7), CobarEngine(5, weight_bound=3)],
+    ids=["exterior-7", "cobar-5-w3"],
+)
+def test_reduce_vec_equals_coordinates_in_the_cocycle_span(engine):
+    p = engine.p
+    rng = random.Random(7)
+    for (t, w) in engine.sector_keys():
+        tower = engine.tower(t, w)
+        for s in tower.bases:
+            n = tower.dim(s)
+            bnd = tower.coboundary_vectors(s)
+            span = bnd + [_dense(r, n) for r in tower.h_reps(s)]
+            cocycles = [_dense(z, n) for z in tower.cocycle_vectors(s)]
+            combos = []
+            for _ in range(3):
+                cs = [rng.randrange(p) for _ in cocycles]
+                combos.append([sum(c * z[i] for c, z in zip(cs, cocycles)) % p
+                               for i in range(n)])
+            for vec in cocycles + combos:
+                assert tower.reduce_vec(s, vec) == coordinates(vec, span, p)[len(bnd):]
+            for i, row in enumerate(tower.dmat(s)):
+                if row:  # the basis vector e_i is not a cocycle
+                    with pytest.raises(ValueError):
+                        tower.reduce_vec(s, [int(i == j) for j in range(n)])
+                    break
 
 
 def test_is_prime_oracle():

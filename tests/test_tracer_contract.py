@@ -1,0 +1,69 @@
+"""The benchmark's tracer wraps stab3 functions by name; they must stay there.
+
+`perfbench/tracer.py` lists its targets in `TARGETS` and looks each one up
+in its module's or class's `__dict__`; the benchmark's own tests also check
+that named aliases (`massey.rref`, `cohomology.kernel_basis`, ...) are
+wrapped.  These tests check that every target resolves, that the traced
+`fplinalg.rref` takes dense list rows (its counter calls `row.count(0)`),
+and run the benchmark's alias test, so a refactor that breaks any of these
+fails in the tier-1 suite and not only in `python3 -m pytest perfbench`.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(filename, name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tracer_module():
+    return _load("tracer.py", "perfbench_tracer")
+
+
+def test_every_traced_target_resolves():
+    tracer = _tracer_module()
+    assert tracer.TARGETS
+    for modname, qualname, *_ in tracer.TARGETS:
+        owner = importlib.import_module(f"stab3.{modname}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = owner.__dict__[part]
+        assert callable(owner.__dict__.get(attr)), f"stab3.{modname}.{qualname}"
+
+
+def test_traced_rref_takes_dense_rows():
+    tracer = _tracer_module()
+    tr = tracer.Tracer().install()
+    try:
+        assert tr.unwrapped() == []
+        fplinalg = importlib.import_module("stab3.fplinalg")
+        ech, pivots = fplinalg.rref([[1, 2, 0], [0, 0, 0], [2, 4, 3]], 3, 7)
+        assert (ech, pivots) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+        assert tr.stat_errors == {}
+        assert tr.counters["fplinalg.rref.cells"] == 9
+        assert tr.counters["fplinalg.rref.nnz"] == 5
+    finally:
+        tr.uninstall()
+    assert not hasattr(fplinalg.rref, "__wrapped__")
+
+
+def test_benchmark_alias_test_passes(monkeypatch):
+    # test_perfbench.py puts perfbench/ on sys.path and imports its modules
+    # by their bare names; undo both afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    before = set(sys.modules)
+    try:
+        bench_tests = _load("test_perfbench.py", "perfbench_test_perfbench")
+        bench_tests.test_tracer_rebinds_every_alias_and_uninstalls()
+    finally:
+        for name in set(sys.modules) - before:
+            if name in ("child", "tracer", "workloads"):
+                del sys.modules[name]
