@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .fplinalg import multinomials_over_p
+from .greek import alpha, beta, r_image
 from .named import NamedClasses
 
 # ---------------------------------------------------------------------------
@@ -435,15 +436,21 @@ class BPStructure:
         }
         self._delta_t2_cache = {}
 
-    # -- coefficient (eta) expansions ---------------------------------------
+    # -- products of expansions ---------------------------------------------
 
-    def _coef_mul(self, A, B, ctx):
+    def _mul(self, A, B, ctx):
+        """Product of two expansions {(vexp, mon, ...): TPoly}, one monomial
+        per tensor factor (multiplied slot by slot), modulo ctx."""
         out = {}
-        for (va, ma), ca in A.items():
-            for (vb, mb), cb in B.items():
-                key = (_vexp_add(va, vb), _mon_mul(ma, mb))
-                out[key] = out.get(key, TPoly()) + ca * cb
+        for ka, ca in A.items():
+            va, ma = ka[0], ka[1:]
+            for kb, cb in B.items():
+                key = (_vexp_add(va, kb[0]), *map(_mon_mul, ma, kb[1:]))
+                c = out.get(key)
+                out[key] = ca * cb if c is None else c + ca * cb
         return _drop_terms(self.p, out, ctx)
+
+    # -- coefficient (eta) expansions ---------------------------------------
 
     def eta_power(self, which: int, exp, ctx: Ideal):
         """eta_R(v_which)^(c+mt) as {(vexp, mon): TPoly} modulo ctx."""
@@ -475,7 +482,7 @@ class BPStructure:
                 raise InsufficientPrecisionError(
                     f"eta_R(v{which})^exp expansion does not terminate in context {ctx}"
                 )
-            Dk = self._coef_mul(Dk, D, ZERO_IDEAL)
+            Dk = self._mul(Dk, D, ZERO_IDEAL)
         return _drop_terms(self.p, out, ctx)
 
     def eta_v(self, vexp, ctx: Ideal):
@@ -483,18 +490,10 @@ class BPStructure:
         out = {(V_ZERO, MON_ONE): TPoly.const(1)}
         for which in (1, 2, 3):
             if vexp[which - 1] != (0, 0):
-                out = self._coef_mul(out, self.eta_power(which, vexp[which - 1], ctx), ctx)
+                out = self._mul(out, self.eta_power(which, vexp[which - 1], ctx), ctx)
         return out
 
     # -- coproducts ----------------------------------------------------------
-
-    def _tensor_mul(self, A, B, ctx):
-        out = {}
-        for (va, la, ra), ca in A.items():
-            for (vb, lb, rb), cb in B.items():
-                key = (_vexp_add(va, vb), _mon_mul(la, lb), _mon_mul(ra, rb))
-                out[key] = out.get(key, TPoly()) + ca * cb
-        return _drop_terms(self.p, out, ctx)
 
     def delta_t1_power(self, a: int, ctx: Ideal):
         """Delta(t1)^a = sum C(a,i) t1^i (x) t1^(a-i); exact."""
@@ -505,13 +504,6 @@ class BPStructure:
             coeff = TPoly.const(c)
             out[term] = coeff
         return _drop_terms(self.p, out, ctx)
-
-    def b10_tensor(self):
-        """b_{1,0} as tensor terms: (1/p) sum C(p,i) t1^i (x) t1^(p-i)."""
-        return {
-            (V_ZERO, t1_mon(i), t1_mon(self.p - i)): TPoly.const(Fraction(comb(self.p, i), self.p))
-            for i in range(1, self.p)
-        }
 
     def delta_t2_power(self, b: int, ctx: Ideal):
         """Delta(t2)^b with Delta(t2) = t2 (x) 1 + t1 (x) t1^p + 1 (x) t2 - v1 b10; exact."""
@@ -524,11 +516,11 @@ class BPStructure:
             (V_ZERO, MON_ONE, t2_mon(1)): TPoly.const(1),
         }
         v1 = ((1, 0), (0, 0), (0, 0))
-        for (vexp, ml, mr), c in self.b10_tensor().items():
-            base[(_vexp_add(vexp, v1), ml, mr)] = -c
+        for (_, (ml, mr)), c in b1k(self.p, 0).terms.items():
+            base[(v1, ml, mr)] = -c
         out = {(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}
         for _ in range(b):
-            out = self._tensor_mul(out, base, ctx)
+            out = self._mul(out, base, ctx)
         self._delta_t2_cache[key] = out
         return out
 
@@ -549,16 +541,16 @@ class BPStructure:
         }
         out = {(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}
         for _ in range(c):
-            out = self._tensor_mul(out, base, ctx)
+            out = self._mul(out, base, ctx)
         return out
 
     def delta_mon(self, mon, ctx: Ideal):
         a, b, c = mon
         out = self.delta_t1_power(a, ctx)
         if b:
-            out = self._tensor_mul(out, self.delta_t2_power(b, ctx), ctx)
+            out = self._mul(out, self.delta_t2_power(b, ctx), ctx)
         if c:
-            out = self._tensor_mul(out, self.delta_t3_power(c, ctx), ctx)
+            out = self._mul(out, self.delta_t3_power(c, ctx), ctx)
         return out
 
     def delta_bar(self, mon, ctx: Ideal):
@@ -822,12 +814,6 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
         "b20": alg.from_gen_names("h21", "h30") + alg.from_gen_names("h31", "h21"),
     }
     out = {}
-
-    def add_ext(elem, v2e, coeff):
-        for (mask, ev), c in elem.terms.items():
-            key = (mask, v2e + ev)
-            out[key] = out.get(key, TPoly()) + coeff * c
-
     groups = {}
     for (vexp, slots), coeff in x.terms.items():
         if vexp[0] != (0, 0) or vexp[2] != (0, 0) or vexp[1][1]:
@@ -840,7 +826,7 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
             elem = alg.one()
             for g in gens:
                 elem = elem * alg.gen(*g)
-            add_ext(elem, v2e, coeff)
+            _add_ext(out, elem, coeff, v2e)
             continue
         placed = False
         for pos in range(len(slots) - 1):
@@ -886,17 +872,21 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
             elem = alg.gen(*_single_gen(m, p)) * elem
         for m in right:
             elem = elem * alg.gen(*_single_gen(m, p))
-        add_ext(elem, v2e, lam)
+        _add_ext(out, elem, lam, v2e)
     return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _add_ext(out, elem, coeff, v2e=0):
+    """out += coeff * v2^v2e * elem on a {(mask, v2exp): TPoly} table; returns out."""
+    for (mask, ev), c in elem.terms.items():
+        key = (mask, v2e + ev)
+        out[key] = out.get(key, TPoly()) + coeff * c
+    return out
 
 
 def ext_masks_mod_p(elem, tpoly=None):
     """{(mask, v2exp): TPoly} view of an exterior element, optionally scaled."""
-    scale = tpoly if tpoly is not None else TPoly.const(1)
-    out = {}
-    for (mask, v2e), c in elem.terms.items():
-        out[(mask, v2e)] = out.get((mask, v2e), TPoly()) + scale * c
-    return out
+    return _add_ext({}, elem, tpoly if tpoly is not None else TPoly.const(1))
 
 
 def masks_diff_mod_p(a, b, p):
@@ -912,124 +902,139 @@ def masks_diff_mod_p(a, b, p):
 # delta chains
 # ---------------------------------------------------------------------------
 
+MOD_P = ideal((1, 0, 0))
+MOD_P_V1 = ideal((1, 0, 0), (0, 1, 0))
 
-def _tp(d):
-    return TPoly(d)
+
+class _Chain:
+    """The displayed steps of one connecting-map chain.
+
+    Terms that a step's reduction drops go to `audit` when the chain keeps
+    one list for all its steps, otherwise into that step's own entry.
+    """
+
+    def __init__(self, name, st: BPStructure, audit=None):
+        self.name = name
+        self.st = st
+        self.audit = audit
+        self.steps = []
+
+    def step(self, desc, value, dropped=()):
+        entry = {"desc": desc, "value": repr(value)}
+        if self.audit is not None:
+            self.audit.extend(dropped)
+        elif dropped:
+            entry["audit"] = dropped
+        self.steps.append(entry)
+        return value
+
+    def d(self, desc, x, ctx):
+        """Step: d(x) mod ctx."""
+        dropped = []
+        return self.step(desc, d_cobar(x, ctx, self.st, dropped), dropped)
+
+    def p_part(self, desc, x, ctx, final=None, v3_one=False):
+        """Steps: d(x) mod ctx, whose valuation-zero part must cancel, then its
+        p-part, reduced mod `final` (and v3 set to 1) when `final` is given."""
+        X = self.d(desc, x, ctx)
+        if not X.reduce_mod(MOD_P).is_zero():
+            raise AssertionError("valuation-zero part must cancel")
+        if final is None:
+            return self.step("divide by p", X.p_part())
+        dropped = []
+        R = X.p_part().reduce_mod(final, dropped, "final reduction")
+        if v3_one:
+            return self.step(f"divide by p, reduce mod {final}, set v3 = 1",
+                             R.set_v3_one(), dropped)
+        return self.step(f"divide by p, reduce mod {final}", R, dropped)
+
+    def lands_on(self, x, expected, label, audit=None):
+        """Last step: x projects to the exterior image `expected` (a
+        {(mask, v2exp): TPoly} table) mod p; returns the chain's record."""
+        p = self.st.p
+        if masks_diff_mod_p(project_to_exterior(x, p, audit), expected, p):
+            raise AssertionError(f"{self.name} exterior image is not {label}")
+        entry = {"desc": "exterior image", "value": label}
+        if audit is not None:
+            entry["audit"] = audit
+        self.steps.append(entry)
+        return {"name": self.name, "steps": self.steps, "image": label}
+
+    def record(self, **fields):
+        """The passing suite record of a symbolic chain."""
+        return {"name": self.name, "steps": self.steps, "audit": self.audit, **fields,
+                "status": "pass"}
 
 
-def _step(report, desc, value, audit=None):
-    entry = {"desc": desc, "value": repr(value)}
-    if audit:
-        entry["audit"] = list(audit)
-    report.append(entry)
-    return value
+def _v2_power_zigzag(chain: _Chain, e, name):
+    """v2^e --d, mod (p, v1^3)--> beta-bar --/v1--> rep --d, /p--> mod (p, v1),
+    for e = (c, m) meaning c + m*t.  beta-bar must be the normal form
+    e v1 v2^(e-1)[t1^p] + C(e,2) v1^2 v2^(e-2)[t1^(2p)]."""
+    p = chain.st.p
+    c, m = e
+    dx = chain.d(f"d({name}) mod (p, v1^3)", BPElement.v_power(p, e2=e),
+                 ideal((1, 0, 0), (0, 3, 0)))
+    expected_bar = BPElement(p, {
+        (((j, 0), (c - j, m), (0, 0)), (t1_mon(j * p),)): tpoly_binom(e, j) for j in (1, 2)
+    })
+    if not (dx - expected_bar).is_zero():
+        raise AssertionError(f"beta-bar normal form: {dx!r}")
+    rep = chain.step("divide by v1", dx.divide_v(1))
+    return chain.p_part("d(rep) mod (p^2, p*v1, v1^2)", rep,
+                        ideal((2, 0, 0), (1, 1, 0), (0, 2, 0)), final=MOD_P_V1)
+
+
+def _beta_1k_chain(p: int, st: BPStructure, k: int):
+    """beta_1 (k = 0) and beta_{p/p} (k = 1), with q = p^k:
+    v2^q --d, mod p--> v1^q[t1^(pq)] - v1^(pq)[t1^q] --/v1^q--> rep
+    --d, /p--> -b_{1,k} ~ -b_k."""
+    q = p**k
+    name, v2q, label, spec = (
+        ("beta_1", "v2", "-b0", beta(1)) if k == 0 else ("beta_p/p", "v2^p", "-b1", beta(p, p))
+    )
+    chain = _Chain(name, st)
+    dx = chain.d(f"d({v2q}) mod (p)", BPElement.v_power(p, e2=q), MOD_P)
+    if dx != BPElement(p, {
+        (((q, 0), (0, 0), (0, 0)), (t1_mon(p * q),)): 1,
+        (((p * q, 0), (0, 0), (0, 0)), (t1_mon(q),)): -1,
+    }):
+        raise AssertionError(f"d({v2q}) mod (p) = {dx!r}")
+    rep = chain.step("divide by v1" if k == 0 else f"divide by v1^{q}", dx.divide_v(1, q))
+    R = chain.p_part("d(rep) mod (p^2, p*v1)", rep, ideal((2, 0, 0), (1, 1, 0)))
+    if not (R + b1k(p, k)).reduce_mod(MOD_P).is_zero():
+        raise AssertionError(f"{name}: p-part is not -b1{k} mod p")
+    image = ext_masks_mod_p(r_image(spec, _named(p)).image)
+    return chain.lands_on(R.reduce_mod(MOD_P_V1), image, label)
 
 
 def delta_chain_displays(p: int = 7):
     """Four worked connecting-map chains with every step displayed:
     alpha_1, beta_1, beta_2 and beta_{p/p}.  Each chain divides the cobar
     differential by the exact invariant factors and ends with the exterior
-    image of the leading term."""
+    image of the leading term, checked against `greek.r_image`."""
     st = BPStructure(p)
-    chains = []
+    nc = _named(p)
 
     # alpha_1: v1 --d--> p[t1] --/p--> [t1] ~ h0
-    steps = []
-    x = BPElement.v_power(p, e1=1)
-    dx = _step(steps, "d(v1), exact", d_cobar(x, ZERO_IDEAL, st))
+    alpha_1 = _Chain("alpha_1", st)
+    dx = alpha_1.step("d(v1), exact", d_cobar(BPElement.v_power(p, e1=1), ZERO_IDEAL, st))
     if dx != BPElement(p, {(V_ZERO, (t1_mon(1),)): p}):
         raise AssertionError(f"d(v1) = {dx!r}")
-    rep = _step(steps, "divide by p", dx.divide_p())
-    img = project_to_exterior(rep, p)
-    steps.append({"desc": "exterior image", "value": "h0"})
-    nc = _named(p)
-    if masks_diff_mod_p(img, ext_masks_mod_p(nc["h0"]), p):
-        raise AssertionError("alpha_1 exterior image is not h0")
-    chains.append({"name": "alpha_1", "steps": steps, "image": "h0"})
+    rep = alpha_1.step("divide by p", dx.divide_p())
+    chains = [alpha_1.lands_on(rep, ext_masks_mod_p(r_image(alpha(1), nc).image), "h0")]
 
-    # beta_1: v2 --d, mod p--> v1[t1^p] - v1^p[t1] --/v1--> rep --d, /p--> -b10 ~ -b0
-    steps = []
-    audit = []
-    x = BPElement.v_power(p, e2=1)
-    dx = _step(steps, "d(v2) mod (p)", d_cobar(x, ideal((1, 0, 0)), st, audit), audit)
-    rep = _step(steps, "divide by v1", dx.divide_v(1))
-    audit = []
-    ctx = ideal((2, 0, 0), (1, 1, 0))
-    X = _step(steps, "d(rep) mod (p^2, p*v1)", d_cobar(rep, ctx, st, audit), audit)
-    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("valuation-zero part must cancel")
-    R = _step(steps, "divide by p", X.p_part())
-    if not (R + b1k(p, 0)).reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("beta_1: p-part is not -b10 mod p")
-    if masks_diff_mod_p(
-        project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
-        ext_masks_mod_p(-nc["b0"]),
-        p,
-    ):
-        raise AssertionError("beta_1 exterior image is not -b0")
-    steps.append({"desc": "exterior image", "value": "-b0"})
-    chains.append({"name": "beta_1", "steps": steps, "image": "-b0"})
+    chains.append(_beta_1k_chain(p, st, 0))
 
-    # beta_2: v2^2, same zigzag; answer 2*k0 - 2*v2*b0 mod (p, v1)
-    steps = []
-    audit = []
-    x = BPElement.v_power(p, e2=2)
-    dx = _step(
-        steps, "d(v2^2) mod (p, v1^3)", d_cobar(x, ideal((1, 0, 0), (0, 3, 0)), st, audit), audit
-    )
-    rep = _step(steps, "divide by v1", dx.divide_v(1))
-    audit = []
-    ctx = ideal((2, 0, 0), (1, 1, 0), (0, 2, 0))
-    X = _step(steps, "d(rep) mod (p^2, p*v1, v1^2)", d_cobar(rep, ctx, st, audit), audit)
-    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("valuation-zero part must cancel")
-    audit = []
-    R = _step(
-        steps,
-        "divide by p, reduce mod (p, v1)",
-        X.p_part().reduce_mod(ideal((1, 0, 0), (0, 1, 0)), audit, "final reduction"),
-        audit,
-    )
-    paudit = []
-    img = project_to_exterior(R, p, paudit)
-    expected = ext_masks_mod_p(2 * nc["k0"])
-    for key, v in ext_masks_mod_p(nc.engine.alg.v2(1) * nc["b0"], _tp({0: -2})).items():
-        expected[key] = expected.get(key, TPoly()) + v
-    if masks_diff_mod_p(img, expected, p):
-        raise AssertionError("beta_2 exterior image is not 2*k0 - 2*v2*b0")
-    steps.append({"desc": "exterior image", "value": "2*k0 - 2*v2*b0", "audit": paudit})
-    chains.append({"name": "beta_2", "steps": steps, "image": "2*k0 - 2*v2*b0"})
+    # beta_2: the v2^t zigzag at t = 2; answer 2*k0 - 2*v2*b0 mod (p, v1)
+    beta_2 = _Chain("beta_2", st)
+    R = _v2_power_zigzag(beta_2, (2, 0), "v2^2")
+    image = _add_ext(ext_masks_mod_p(r_image(beta(2), nc).image),
+                     nc["b0"], TPoly.const(-2), v2e=1)
+    chains.append(beta_2.lands_on(R, image, "2*k0 - 2*v2*b0", audit=[]))
 
-    # beta_{p/p}: v2^p --d, mod p--> v1^p t1^(p^2) - v1^(p^2) t1^p --/v1^p-->
-    #   rep --d, /p--> -b11 ~ -b1
-    steps = []
-    audit = []
-    x = BPElement.v_power(p, e2=p)
-    dx = _step(steps, "d(v2^p) mod (p)", d_cobar(x, ideal((1, 0, 0)), st, audit), audit)
-    if dx != BPElement(p, {
-        (((p, 0), (0, 0), (0, 0)), (t1_mon(p**2),)): 1,
-        (((p * p, 0), (0, 0), (0, 0)), (t1_mon(p),)): -1,
-    }):
-        raise AssertionError(f"d(v2^p) mod (p) = {dx!r}")
-    rep = _step(steps, f"divide by v1^{p}", dx.divide_v(1, p))
-    audit = []
-    ctx = ideal((2, 0, 0), (1, 1, 0))
-    X = _step(steps, "d(rep) mod (p^2, p*v1)", d_cobar(rep, ctx, st, audit), audit)
-    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("valuation-zero part must cancel")
-    R = _step(steps, "divide by p", X.p_part())
-    if not (R + b1k(p, 1)).reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("beta_p/p: p-part is not -b11 mod p")
-    if masks_diff_mod_p(
-        project_to_exterior(R.reduce_mod(ideal((1, 0, 0), (0, 1, 0))), p),
-        ext_masks_mod_p(-nc["b1"]),
-        p,
-    ):
-        raise AssertionError("beta_p/p exterior image is not -b1")
-    steps.append({"desc": "exterior image", "value": "-b1"})
-    chains.append({"name": "beta_p/p", "steps": steps, "image": "-b1"})
-
+    chains.append(_beta_1k_chain(p, st, 1))
     return chains
+
 
 def verify_beta_chain(p: int = 7):
     """Symbolic zigzag for the v2^t family (t a formal parameter).
@@ -1043,33 +1048,8 @@ def verify_beta_chain(p: int = 7):
     whose two summands are cocycle representatives for k0 and b0.
     """
     st = BPStructure(p)
-    report = {"name": "beta_t-chain", "steps": [], "audit": []}
-    steps = report["steps"]
-    audit = report["audit"]
-
-    x = BPElement.v_power(p, e2=(0, 1))
-    dx = _step(steps, "d(v2^t) mod (p, v1^3)", d_cobar(x, ideal((1, 0, 0), (0, 3, 0)), st, audit))
-    c_t2 = _tp({2: Fraction(1, 2), 1: Fraction(-1, 2)})  # C(t, 2)
-    expected_bar = BPElement(
-        p,
-        {
-            ((( 1, 0), (-1, 1), (0, 0)), (t1_mon(p),)): _tp({1: 1}),
-            ((( 2, 0), (-2, 1), (0, 0)), (t1_mon(2 * p),)): c_t2,
-        },
-    )
-    if not (dx - expected_bar).is_zero():
-        raise AssertionError(f"beta-bar normal form: {dx!r}")
-    rep = _step(steps, "divide by v1", dx.divide_v(1))
-
-    ctx = ideal((2, 0, 0), (1, 1, 0), (0, 2, 0))
-    X = _step(steps, "d(rep) mod (p^2, p*v1, v1^2)", d_cobar(rep, ctx, st, audit))
-    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("valuation-zero part must cancel")
-    R = _step(
-        steps,
-        "divide by p, reduce mod (p, v1)",
-        X.p_part().reduce_mod(ideal((1, 0, 0), (0, 1, 0)), audit, "final reduction"),
-    )
+    chain = _Chain("beta_t-chain", st, audit=[])
+    R = _v2_power_zigzag(chain, (0, 1), "v2^t")
 
     k0_rep = BPElement(
         p,
@@ -1078,20 +1058,17 @@ def verify_beta_chain(p: int = 7):
             (V_ZERO, (t1_mon(1), t1_mon(2 * p))): Fraction(1, 2),
         },
     )
-    dk0 = d_cobar(k0_rep, ideal((1, 0, 0), (0, 1, 0)), st)
-    if not dk0.reduce_mod(ideal((1, 0, 0), (0, 1, 0))).is_zero():
+    dk0 = d_cobar(k0_rep, MOD_P_V1, st)
+    if not dk0.reduce_mod(MOD_P_V1).is_zero():
         raise AssertionError("k0 witness cocycle")
-    t_tt = _tp({2: 1, 1: -1})  # t(t-1)
     expected = (
-        BPElement.v_power(p, e2=(-2, 1)).concat(k0_rep).scale(t_tt)
-        - BPElement.v_power(p, e2=(-1, 1)).concat(b1k(p, 0)).scale(_tp({1: 1}))
+        BPElement.v_power(p, e2=(-2, 1)).concat(k0_rep).scale(TPoly({2: 1, 1: -1}))  # t(t-1)
+        - BPElement.v_power(p, e2=(-1, 1)).concat(b1k(p, 0)).scale(TPoly.t())
     )
-    diff = (R - expected).reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
+    diff = (R - expected).reduce_mod(MOD_P_V1)
     if not diff.is_zero():
         raise AssertionError(f"beta_t normal form mismatch: {diff!r}")
-    report["result"] = "t(t-1)*v2^(t-2)*k0_rep - t*v2^(t-1)*b10  mod (p, v1)"
-    report["status"] = "pass"
-    return report
+    return chain.record(result="t(t-1)*v2^(t-2)*k0_rep - t*v2^(t-1)*b10  mod (p, v1)")
 
 
 def verify_gamma_chain(p: int = 7):
@@ -1110,59 +1087,38 @@ def verify_gamma_chain(p: int = 7):
           -t(t^2-1) l - t(t-1) k1 zeta3   (coefficients mod p).
     """
     st = BPStructure(p)
-    report = {"name": "gamma_t-chain", "steps": [], "audit": []}
-    steps = report["steps"]
-    audit = report["audit"]
+    chain = _Chain("gamma_t-chain", st, audit=[])
 
-    x = BPElement.v_power(p, e3=(0, 1))
-    ctx_a = ideal((1, 0, 0), (0, 1, 0), (0, 0, 4))
-    dx = _step(steps, "d(v3^t) mod (p, v1, v2^4)", d_cobar(x, ctx_a, st, audit))
-    gamma_bar = _step(steps, "divide by v2", dx.divide_v(2))
-    c_t2 = _tp({2: Fraction(1, 2), 1: Fraction(-1, 2)})
-    c_t3 = _tp({3: Fraction(1, 6), 2: Fraction(-1, 2), 1: Fraction(1, 3)})
-    expected_bar = BPElement(
-        p,
-        {
-            (((0, 0), (0, 0), (-1, 1)), (t1_mon(p**2),)): _tp({1: 1}),
-            (((0, 0), (1, 0), (-2, 1)), (t1_mon(2 * p**2),)): c_t2,
-            (((0, 0), (2, 0), (-3, 1)), (t1_mon(3 * p**2),)): c_t3,
-        },
-    )
+    dx = chain.d("d(v3^t) mod (p, v1, v2^4)", BPElement.v_power(p, e3=(0, 1)),
+                 ideal((1, 0, 0), (0, 1, 0), (0, 0, 4)))
+    gamma_bar = chain.step("divide by v2", dx.divide_v(2))
+    expected_bar = BPElement(p, {
+        (((0, 0), (j - 1, 0), (-j, 1)), (t1_mon(j * p**2),)): tpoly_binom((0, 1), j)
+        for j in (1, 2, 3)
+    })
     if not (gamma_bar - expected_bar).is_zero():
         raise AssertionError(f"gamma-bar normal form: {gamma_bar!r}")
 
-    ctx_b = ideal((1, 0, 0), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3))
-    Y = _step(steps, "d(gamma-bar) mod (p, v1^3, v1^2 v2, v1 v2^2, v2^3)",
-              d_cobar(gamma_bar, ctx_b, st, audit))
+    Y = chain.d("d(gamma-bar) mod (p, v1^3, v1^2 v2, v1 v2^2, v2^3)", gamma_bar,
+                ideal((1, 0, 0), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)))
     v1_free = BPElement(p, {k: c for k, c in Y.terms.items() if k[0][0] == (0, 0)})
     if not v1_free.is_zero():
         raise AssertionError(f"v1-free part must cancel exactly: {v1_free!r}")
-    gamma_prime = _step(steps, "divide by v1", Y.divide_v(1))
+    gamma_prime = chain.step("divide by v1", Y.divide_v(1))
 
-    ctx_c = ideal((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    X = _step(steps, "d(gamma') mod (p^2, p v1, p v2, v1^2, v1 v2, v2^2)",
-              d_cobar(gamma_prime, ctx_c, st, audit))
-    if not X.reduce_mod(ideal((1, 0, 0))).is_zero():
-        raise AssertionError("valuation-zero part must cancel")
-    R0 = _step(
-        steps,
-        "divide by p, reduce mod (p, v1, v2), set v3 = 1",
-        X.p_part()
-        .reduce_mod(ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)), audit, "final reduction")
-        .set_v3_one(),
+    R0 = chain.p_part(
+        "d(gamma') mod (p^2, p v1, p v2, v1^2, v1 v2, v2^2)", gamma_prime,
+        ideal((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)),
+        final=ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)), v3_one=True,
     )
 
     paudit = []
     img = project_to_exterior(R0, p, paudit)
-    report["projection_audit"] = paudit
-
     nc = _named(p)
-    expected = ext_masks_mod_p(nc["l"], _tp({3: -1, 1: 1}))
-    for key, v in ext_masks_mod_p(nc["k1"] * nc["zeta3"], _tp({2: -1, 1: 1})).items():
-        expected[key] = expected.get(key, TPoly()) + v
+    expected = _add_ext(ext_masks_mod_p(nc["l"], TPoly({3: -1, 1: 1})),
+                        nc["k1"] * nc["zeta3"], TPoly({2: -1, 1: 1}))
     bad = masks_diff_mod_p(img, expected, p)
     if bad:
         raise AssertionError(f"gamma_t exterior image mismatch at {bad}")
-    report["result"] = "-t(t^2-1)*l - t(t-1)*k1*zeta3  (exterior, mod p)"
-    report["status"] = "pass"
-    return report
+    return chain.record(projection_audit=paudit,
+                        result="-t(t^2-1)*l - t(t-1)*k1*zeta3  (exterior, mod p)")

@@ -27,6 +27,8 @@ def _parse_t_range(text: str):
         raise SystemExit2(f"--t-range must be N or A..B in integers, got {text!r}") from None
     if not t_range:
         raise SystemExit2(f"--t-range {text!r} is empty")
+    if t_range[0] < 1:
+        raise SystemExit2(f"--t-range values must be >= 1, got {text!r}")
     return t_range
 
 
@@ -114,13 +116,7 @@ def cmd_verify(args) -> int:
                 f"unknown suite(s) {sorted(unknown)}; available: {', '.join(SUITE_NAMES)}"
             )
     t_range = _parse_t_range(args.t_range) if args.t_range else None
-    report = run_suites(
-        args.prime,
-        suites=suites,
-        t_range=t_range,
-        sector_cap=args.sector_cap,
-        command="verify",
-    )
+    report = run_suites(args.prime, suites=suites, t_range=t_range, sector_cap=args.sector_cap)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.format == "human":
         lines = [
@@ -195,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, fmt_default="human"):
+    def common(sp, formats=("human", "csv", "json")):
         sp.add_argument("--prime", type=int,
                         help="odd prime > 3 (default from STAB3_PRIME or 7)")
-        sp.add_argument("--format", choices=("human", "csv", "json"), default=fmt_default)
+        sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--output", help="write output to this path instead of stdout")
         sp.add_argument("--sector-cap", type=int, default=20000,
                         help="abort if a cobar sector exceeds this dimension")
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("verify", help="run verification suites, emit a JSON report")
-    common(sp, fmt_default="json")
+    common(sp, formats=("json", "human"))
     sp.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     sp.add_argument("--t-range", help="range of t values, e.g. 1..49")
     sp.set_defaults(fn=cmd_verify)

@@ -130,11 +130,12 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
     tbl = nc.table
     if t_range is None:
         t_range = range(1, p**2 + 1)
+    alpha1, beta2, beta1 = (r_image(s, nc).image for s in (alpha(1), beta(2), beta(1)))
     factors = {
-        "alpha1*gamma_t": [tbl["h0"]],
-        "beta2*gamma_t": [2 * tbl["k0"]],
-        "beta1*gamma_t": [-1 * tbl["b0"]],
-        "alpha1*b2*beta1*gamma_t": [tbl["h0"], tbl["b2"], -1 * tbl["b0"]],
+        "alpha1*gamma_t": [alpha1],
+        "beta2*gamma_t": [beta2],
+        "beta1*gamma_t": [beta1],
+        "alpha1*b2*beta1*gamma_t": [alpha1, tbl["b2"], beta1],
         "h1*gamma_t": [tbl["h1"]],
     }
     rows = []

@@ -34,7 +34,7 @@ def _massey_layout(engine, reps, n):
     return sector
 
 
-def massey_product(engine, reps, check_vanishing=True):
+def massey_product(engine, reps):
     """n-fold Massey product of cocycle representatives, n in {3, 4}.
 
     Returns a dict with the value's class data, the indeterminacy span
@@ -58,12 +58,11 @@ def massey_product(engine, reps, check_vanishing=True):
         if (i, j) != (0, n)
     ]
 
-    if check_vanishing:
-        for i in range(n - 1):
-            prod = engine.bar(fixed[(i, i + 1)]) * fixed[(i + 1, i + 2)]
-            cc = engine.class_coords(prod)
-            if cc is not None and any(cc[1]):
-                raise MasseyError(f"product of inputs {i},{i+1} does not vanish")
+    for i in range(n - 1):
+        prod = engine.bar(fixed[(i, i + 1)]) * fixed[(i + 1, i + 2)]
+        cc = engine.class_coords(prod)
+        if cc is not None and any(cc[1]):
+            raise MasseyError(f"product of inputs {i},{i+1} does not vanish")
 
     # --- joint linear system for the interior entries ---------------------
     offsets = {}

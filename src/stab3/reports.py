@@ -220,8 +220,7 @@ SUITES = (
 SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
 
-def run_suites(p: int = 7, suites=None, t_range=None, sector_cap: int = 20000,
-               command: str = "verify"):
+def run_suites(p: int = 7, suites=None, t_range=None, sector_cap: int = 20000):
     """Run the selected suites (all by default); returns the report dict."""
     ctx = _Context(p, t_range=t_range, sector_cap=sector_cap)
     selected = set(suites) if suites else set(SUITE_NAMES)
@@ -245,6 +244,6 @@ def run_suites(p: int = 7, suites=None, t_range=None, sector_cap: int = 20000,
             checks.append({"name": name, "ref": ref, "status": "error",
                            "certificate": f"{type(exc).__name__}: {exc}"})
     return {
-        "meta": {"prime": p, "version": __version__, "command": command},
+        "meta": {"prime": p, "version": __version__, "command": "verify"},
         "checks": checks,
     }

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stab3 import bp_cobar, greek
 from stab3.bp_cobar import (
     BPElement,
     BPStructure,
@@ -38,6 +39,7 @@ from stab3.bp_cobar import (
     verify_gamma_chain,
 )
 from stab3.exterior import ExteriorAlgebra
+from stab3.greek import alpha, beta
 from stab3.reports import run_suites
 
 P = 7
@@ -260,6 +262,19 @@ def test_delta_chain_displays():
     assert [c["image"] for c in chains] == ["h0", "-b0", "2*k0 - 2*v2*b0", "-b1"]
     for c in chains:
         assert c["steps"]
+
+
+@pytest.mark.parametrize("spec", [alpha(1), beta(1), beta(2), beta(P, P)],
+                         ids=["alpha_1", "beta_1", "beta_2", "beta_p_p"])
+def test_chains_land_on_the_r_image_table(monkeypatch, spec):
+    # a sign change in greek.r_image must fail the chain that lands on it
+    def flipped(s, nc):
+        img = greek.r_image(s, nc)
+        return greek.RImage(s, -1 * img.image) if s == spec else img
+
+    monkeypatch.setattr(bp_cobar, "r_image", flipped)
+    with pytest.raises(AssertionError, match="exterior image is not"):
+        delta_chain_displays(P)
 
 
 def test_beta_chain_symbolic():

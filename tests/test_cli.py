@@ -1,5 +1,6 @@
 """CLI: subcommands, formats, exit codes, env-var prime, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,12 +123,26 @@ def test_env_var_prime_malformed_is_usage_error(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("bad", ["abc", "5..1"])
+@pytest.mark.parametrize("bad", ["abc", "5..1", "0..3"])
 def test_bad_t_range_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--prime", "7", "--t-range", bad)
     assert code == 2
     assert out == ""
     assert err.startswith("error: --t-range")
+
+
+def test_verify_t_range_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "product-table", "--t-range", "0..3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --t-range values must be >= 1, got '0..3'\n"
+
+
+def test_verify_rejects_csv_format(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "shift-cycle", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'csv'" in err
 
 
 @pytest.mark.parametrize("bad", ["1,x", "0,1"])
@@ -173,3 +188,14 @@ def test_crashed_suite_is_recorded_and_the_rest_still_run(capsys, monkeypatch):
     assert checks["shift-cycle"]["status"] == "error"
     assert checks["shift-cycle"]["certificate"] == "MasseyError: no defining system"
     assert err.startswith("FAILED shift-cycle")
+
+
+#: sha256 of the whole `stab3 verify --prime 7` JSON report: every suite
+#: record, the suite order and `meta`.
+VERIFY_P7_SHA256 = "c83492158915d1d7c171d92057becf5a12f45fc00803bdefbfa01b9efc78bce7"
+
+
+def test_verify_p7_report_is_pinned(tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--prime", "7", "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_P7_SHA256
