@@ -21,7 +21,6 @@ justified by membership in a declared residual ideal.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .fplinalg import multinomials_over_p
@@ -209,6 +208,12 @@ def _mon_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _acc(out, key, c):
+    """out[key] += c on a {key: TPoly} table; a new key stores c itself."""
+    s = out.get(key)
+    out[key] = c if s is None else s + c
+
+
 def term_profile(p, vexp, coeff):
     """(p-valuation, v1-exponent, v2-exponent) of a term; a symbolic
     exponent reads as 0, so membership in an ideal claims nothing from it."""
@@ -262,7 +267,7 @@ class BPElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, TPoly()) + c
+            _acc(out, k, c)
         return BPElement(self.p, out)
 
     def __sub__(self, other):
@@ -280,8 +285,7 @@ class BPElement:
         out = {}
         for (va, sa), ca in self.terms.items():
             for (vb, sb), cb in other.terms.items():
-                key = (_vexp_add(va, vb), sa + sb)
-                out[key] = out.get(key, TPoly()) + ca * cb
+                _acc(out, (_vexp_add(va, vb), sa + sb), ca * cb)
         return BPElement(self.p, out)
 
     def is_zero(self):
@@ -329,16 +333,14 @@ class BPElement:
     def set_v3_one(self):
         out = {}
         for (vexp, slots), c in self.terms.items():
-            key = ((vexp[0], vexp[1], (0, 0)), slots)
-            out[key] = out.get(key, TPoly()) + c
+            _acc(out, ((vexp[0], vexp[1], (0, 0)), slots), c)
         return BPElement(self.p, out)
 
     def eval_t(self, t):
         out = {}
         for (vexp, slots), c in self.terms.items():
             new = tuple((cc + mm * t, 0) for (cc, mm) in vexp)
-            key = (new, slots)
-            out[key] = out.get(key, TPoly()) + TPoly.const(c.eval_at(t))
+            _acc(out, (new, slots), TPoly.const(c.eval_at(t)))
         return BPElement(self.p, out)
 
     # -- grading -------------------------------------------------------------
@@ -475,8 +477,7 @@ class BPStructure:
                 vk = [(cc - k, mm) if i == which - 1 else (cc, mm)
                       for i, (cc, mm) in enumerate(base)]
                 for (vexp, mon), coeff in Dk.items():
-                    key = (_vexp_add(tuple(vk), vexp), mon)
-                    out[key] = out.get(key, TPoly()) + binom * coeff
+                    _acc(out, (_vexp_add(tuple(vk), vexp), mon), binom * coeff)
             k += 1
             if k > 4 * self.p:
                 raise InsufficientPrecisionError(
@@ -556,7 +557,7 @@ class BPStructure:
     def delta_bar(self, mon, ctx: Ideal):
         out = dict(self.delta_mon(mon, ctx))
         for key in ((V_ZERO, mon, MON_ONE), (V_ZERO, MON_ONE, mon)):
-            out[key] = out.get(key, TPoly()) - TPoly.const(1)
+            _acc(out, key, TPoly.const(-1))
         return _drop_terms(self.p, out, ctx)
 
 
@@ -575,10 +576,6 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
     """
     st = structure if structure is not None else BPStructure(x.p)
     out = {}
-
-    def add(key, coeff):
-        out[key] = out.get(key, TPoly()) + coeff
-
     for (vexp, slots), coeff in x.terms.items():
         # coefficient differential
         eta = st.eta_v(vexp, ctx)
@@ -589,7 +586,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
                 continue
             if mon == MON_ONE:
                 continue  # pure-v corrections vanish only mod ctx; none occur exactly
-            add((v2exp, (mon,) + slots), coeff * c)
+            _acc(out, (v2exp, (mon,) + slots), coeff * c)
         # slot insertions
         for i, mon in enumerate(slots):
             sign = -1 if i % 2 == 0 else 1
@@ -597,7 +594,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
                 if ml == MON_ONE or mr == MON_ONE:
                     continue
                 key = (_vexp_add(vexp, dv), slots[:i] + (ml, mr) + slots[i + 1:])
-                add(key, sign * coeff * c)
+                _acc(out, key, sign * coeff * c)
     return BPElement(x.p, out).reduce_mod(ctx, audit=audit, reason="d_cobar context")
 
 # ---------------------------------------------------------------------------
@@ -786,14 +783,7 @@ def _block_tables(p: int):
     return tables, anchors
 
 
-@lru_cache(maxsize=None)
-def _named(p: int) -> NamedClasses:
-    """The exterior images of the named classes (b0 = b10, b1 = b11, k0, l, ...);
-    shared per prime, so callers only read it."""
-    return NamedClasses(p=p)
-
-
-def project_to_exterior(x: BPElement, p: int, audit=None):
+def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
     """Associated-graded comparison map into the exterior model.
 
     Slots t_i^(p^j) map to the exterior generator with that index; a
@@ -803,9 +793,10 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
     lies above the comparison filtration and maps to zero (audited).
 
     Input terms must be free of v1 and v3 (concrete v2 powers are carried
-    through).  Returns {(mask, v2exp): TPoly}.
+    through).  The block images are read from `nc` (b0 = b10, b1 = b11).
+    Returns {(mask, v2exp): TPoly}.
     """
-    nc = _named(p)
+    p = nc.p
     alg = nc.engine.alg
     tables, anchors = _block_tables(p)
     block_image = {
@@ -837,8 +828,7 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
             for bname, supp in tables.items():
                 if pair in supp and rest_single:
                     key = (bname, pos, slots[:pos], slots[pos + 2 :], v2e)
-                    grp = groups.setdefault(key, {})
-                    grp[pair] = grp.get(pair, TPoly()) + coeff
+                    _acc(groups.setdefault(key, {}), pair, coeff)
                     placed = True
                     break
             if placed:
@@ -879,8 +869,7 @@ def project_to_exterior(x: BPElement, p: int, audit=None):
 def _add_ext(out, elem, coeff, v2e=0):
     """out += coeff * v2^v2e * elem on a {(mask, v2exp): TPoly} table; returns out."""
     for (mask, ev), c in elem.terms.items():
-        key = (mask, v2e + ev)
-        out[key] = out.get(key, TPoly()) + coeff * c
+        _acc(out, (mask, v2e + ev), coeff * c)
     return out
 
 
@@ -913,9 +902,10 @@ class _Chain:
     one list for all its steps, otherwise into that step's own entry.
     """
 
-    def __init__(self, name, st: BPStructure, audit=None):
+    def __init__(self, name, st: BPStructure, nc: NamedClasses | None = None, audit=None):
         self.name = name
         self.st = st
+        self.nc = nc
         self.audit = audit
         self.steps = []
 
@@ -952,7 +942,7 @@ class _Chain:
         """Last step: x projects to the exterior image `expected` (a
         {(mask, v2exp): TPoly} table) mod p; returns the chain's record."""
         p = self.st.p
-        if masks_diff_mod_p(project_to_exterior(x, p, audit), expected, p):
+        if masks_diff_mod_p(project_to_exterior(x, self.nc, audit), expected, p):
             raise AssertionError(f"{self.name} exterior image is not {label}")
         entry = {"desc": "exterior image", "value": label}
         if audit is not None:
@@ -984,15 +974,16 @@ def _v2_power_zigzag(chain: _Chain, e, name):
                         ideal((2, 0, 0), (1, 1, 0), (0, 2, 0)), final=MOD_P_V1)
 
 
-def _beta_1k_chain(p: int, st: BPStructure, k: int):
+def _beta_1k_chain(nc: NamedClasses, st: BPStructure, k: int):
     """beta_1 (k = 0) and beta_{p/p} (k = 1), with q = p^k:
     v2^q --d, mod p--> v1^q[t1^(pq)] - v1^(pq)[t1^q] --/v1^q--> rep
     --d, /p--> -b_{1,k} ~ -b_k."""
+    p = nc.p
     q = p**k
     name, v2q, label, spec = (
         ("beta_1", "v2", "-b0", beta(1)) if k == 0 else ("beta_p/p", "v2^p", "-b1", beta(p, p))
     )
-    chain = _Chain(name, st)
+    chain = _Chain(name, st, nc)
     dx = chain.d(f"d({v2q}) mod (p)", BPElement.v_power(p, e2=q), MOD_P)
     if dx != BPElement(p, {
         (((q, 0), (0, 0), (0, 0)), (t1_mon(p * q),)): 1,
@@ -1003,36 +994,36 @@ def _beta_1k_chain(p: int, st: BPStructure, k: int):
     R = chain.p_part("d(rep) mod (p^2, p*v1)", rep, ideal((2, 0, 0), (1, 1, 0)))
     if not (R + b1k(p, k)).reduce_mod(MOD_P).is_zero():
         raise AssertionError(f"{name}: p-part is not -b1{k} mod p")
-    image = ext_masks_mod_p(r_image(spec, _named(p)).image)
+    image = ext_masks_mod_p(r_image(spec, nc).image)
     return chain.lands_on(R.reduce_mod(MOD_P_V1), image, label)
 
 
-def delta_chain_displays(p: int = 7):
+def delta_chain_displays(nc: NamedClasses):
     """Four worked connecting-map chains with every step displayed:
     alpha_1, beta_1, beta_2 and beta_{p/p}.  Each chain divides the cobar
     differential by the exact invariant factors and ends with the exterior
     image of the leading term, checked against `greek.r_image`."""
+    p = nc.p
     st = BPStructure(p)
-    nc = _named(p)
 
     # alpha_1: v1 --d--> p[t1] --/p--> [t1] ~ h0
-    alpha_1 = _Chain("alpha_1", st)
+    alpha_1 = _Chain("alpha_1", st, nc)
     dx = alpha_1.step("d(v1), exact", d_cobar(BPElement.v_power(p, e1=1), ZERO_IDEAL, st))
     if dx != BPElement(p, {(V_ZERO, (t1_mon(1),)): p}):
         raise AssertionError(f"d(v1) = {dx!r}")
     rep = alpha_1.step("divide by p", dx.divide_p())
     chains = [alpha_1.lands_on(rep, ext_masks_mod_p(r_image(alpha(1), nc).image), "h0")]
 
-    chains.append(_beta_1k_chain(p, st, 0))
+    chains.append(_beta_1k_chain(nc, st, 0))
 
     # beta_2: the v2^t zigzag at t = 2; answer 2*k0 - 2*v2*b0 mod (p, v1)
-    beta_2 = _Chain("beta_2", st)
+    beta_2 = _Chain("beta_2", st, nc)
     R = _v2_power_zigzag(beta_2, (2, 0), "v2^2")
     image = _add_ext(ext_masks_mod_p(r_image(beta(2), nc).image),
                      nc["b0"], TPoly.const(-2), v2e=1)
     chains.append(beta_2.lands_on(R, image, "2*k0 - 2*v2*b0", audit=[]))
 
-    chains.append(_beta_1k_chain(p, st, 1))
+    chains.append(_beta_1k_chain(nc, st, 1))
     return chains
 
 
@@ -1071,7 +1062,7 @@ def verify_beta_chain(p: int = 7):
     return chain.record(result="t(t-1)*v2^(t-2)*k0_rep - t*v2^(t-1)*b10  mod (p, v1)")
 
 
-def verify_gamma_chain(p: int = 7):
+def verify_gamma_chain(nc: NamedClasses):
     """Symbolic zigzag for the v3^t family, ending in the exterior model.
 
     Stage A (mod (p, v1, v2^4)): d(v3^t) is divisible by v2; the quotient is
@@ -1086,6 +1077,7 @@ def verify_gamma_chain(p: int = 7):
 
           -t(t^2-1) l - t(t-1) k1 zeta3   (coefficients mod p).
     """
+    p = nc.p
     st = BPStructure(p)
     chain = _Chain("gamma_t-chain", st, audit=[])
 
@@ -1113,8 +1105,7 @@ def verify_gamma_chain(p: int = 7):
     )
 
     paudit = []
-    img = project_to_exterior(R0, p, paudit)
-    nc = _named(p)
+    img = project_to_exterior(R0, nc, paudit)
     expected = _add_ext(ext_masks_mod_p(nc["l"], TPoly({3: -1, 1: 1})),
                         nc["k1"] * nc["zeta3"], TPoly({2: -1, 1: 1}))
     bad = masks_diff_mod_p(img, expected, p)

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .fplinalg import is_prime
+from .fplinalg import check_prime
 
 
 def _parse_t_range(text: str):
@@ -69,8 +69,10 @@ def _format_rows(header, rows, fmt, meta=None) -> str:
 
 
 def _check_prime(p: int):
-    if p <= 3 or not is_prime(p):
-        raise SystemExit2(f"prime required: p must be a prime > 3, got {p}")
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
 
 
 class SystemExit2(Exception):
@@ -196,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="odd prime > 3 (default from STAB3_PRIME or 7)")
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--output", help="write output to this path instead of stdout")
-        sp.add_argument("--sector-cap", type=int, default=20000,
-                        help="abort if a cobar sector exceeds this dimension")
 
     sp = sub.add_parser("table", help="per-sector dimension tables")
     common(sp)
+    sp.add_argument("--sector-cap", type=int, default=20000,
+                    help="abort if a cobar sector exceeds this dimension")
     sp.add_argument("--model", choices=("exterior", "cobar"), default="exterior")
     sp.add_argument("--max-s", type=int, default=2, help="cobar: bound on cohomological degree")
     sp.add_argument("--may-bound", type=int, default=3, help="cobar: bound on the weight grading")
@@ -208,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run verification suites, emit a JSON report")
     common(sp, formats=("json", "human"))
+    sp.add_argument("--sector-cap", type=int, default=20000,
+                    help="abort if a cobar sector exceeds this dimension")
     sp.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     sp.add_argument("--t-range", help="range of t values, e.g. 1..49")
     sp.set_defaults(fn=cmd_verify)

@@ -176,11 +176,11 @@ class SectorEngine:
     exterior model and the cobar complex.
 
     A subclass sets `name` (the model label in Massey results), `p`, `alg`
-    (with `tmod` and `zero()`), `_sector_bases` ((t, w) -> {s: sorted basis
-    keys}) and `_towers = {}`, and defines `_element(terms)`, the complex
-    element with the given {basis key: coeff}; an element's term keys are
-    its basis keys.  The base derives the towers, element <-> vector
-    conversion, dimension reports, and the queries the Massey routines make.
+    (an `exterior.FpAlgebra`, whose `element` class builds the complex's
+    elements; an element's term keys are its basis keys), `_sector_bases`
+    ((t, w) -> {s: sorted basis keys}) and `_towers = {}`.  The base derives
+    the towers, element <-> vector conversion, dimension reports, and the
+    queries the Massey routines make.
     """
 
     def sector_keys(self):
@@ -188,6 +188,10 @@ class SectorEngine:
 
     def _check_sector(self, w: int):
         """Hook: reject a sector weight the engine cannot represent."""
+
+    def _element(self, terms):
+        """The complex element with the given {basis key: coeff}."""
+        return self.alg.element(self.alg, terms)
 
     def _d_of(self, s, key):
         return self._element({key: 1}).d().terms
@@ -282,16 +286,13 @@ class ExteriorCohomology(SectorEngine):
         self.p = p
         self._sector_bases = {}
         for mask in range(1 << 9):
-            g = self.alg.mask_grade(mask)
+            g = self.alg.key_grade((mask, 0))
             bucket = self._sector_bases.setdefault((g.t, g.w), {})
             bucket.setdefault(g.s, []).append((mask, 0))
         for bases in self._sector_bases.values():
             for lst in bases.values():
                 lst.sort()
         self._towers = {}
-
-    def _element(self, terms) -> ExteriorElement:
-        return ExteriorElement(self.alg, terms)
 
     def _check_plain(self, x: ExteriorElement):
         if any(v2 for (_, v2) in x.terms):

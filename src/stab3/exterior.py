@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fplinalg import PrimeField
+from .fplinalg import check_prime
 
 NGEN = 9
 GENERATORS = tuple((i, j) for i in (1, 2, 3) for j in (0, 1, 2))
@@ -61,115 +61,83 @@ def _merge_sign(a: int, b: int) -> int:
     return sign
 
 
-class ExteriorAlgebra:
-    """Shared immutable data (degrees, differential table) at a fixed prime."""
+class FpAlgebra:
+    """Generator degrees at a prime p > 3, shared by the exterior and cobar
+    models: (i, j) has internal degree 2(p^i - 1)p^j mod 2(p^3 - 1), weight i.
+    A subclass sets its `element` class and defines `key_grade(key)`."""
+
+    element = None
 
     def __init__(self, p: int = 7):
-        self.field = PrimeField(p)
+        check_prime(p)
         self.p = p
         self.tmod = 2 * (p**3 - 1)
-        self.v2_tdeg = (2 * (p**2 - 1)) % self.tmod
         self.gen_tdeg = tuple(
             (2 * (p**i - 1) * p**j) % self.tmod for (i, j) in GENERATORS
         )
         self.gen_weight = tuple(i for (i, _) in GENERATORS)
-        self._dgen = self._build_differential_table()
 
-    def _build_differential_table(self):
-        table = []
-        for (i, j) in GENERATORS:
-            terms = {}
-            for s in range(1, i):
-                a = gen_index(s, j)
-                b = gen_index(i - s, s + j)
-                if a == b:
-                    continue
-                sign = 1 if a < b else -1
-                key = (1 << a) | (1 << b)
-                terms[key] = (terms.get(key, 0) + sign) % self.field.p
-            table.append({k: v for k, v in terms.items() if v})
-        return tuple(table)
-
-    # -- constructors -------------------------------------------------------
-
-    def zero(self) -> "ExteriorElement":
-        return ExteriorElement(self, {})
-
-    def one(self) -> "ExteriorElement":
-        return ExteriorElement(self, {(0, 0): 1})
-
-    def gen(self, i: int, j: int) -> "ExteriorElement":
-        return ExteriorElement(self, {(1 << gen_index(i, j), 0): 1})
-
-    def v2(self, exp: int = 1) -> "ExteriorElement":
-        return ExteriorElement(self, {(0, exp): 1})
-
-    def monomial(self, mask: int, v2exp: int = 0, coeff: int = 1) -> "ExteriorElement":
-        return ExteriorElement(self, {(mask, v2exp): coeff % self.p})
-
-    def from_gen_names(self, *names) -> "ExteriorElement":
-        out = self.one()
-        for n in names:
-            out = out * self.gen(*GENERATORS[GEN_NAMES.index(n)])
-        return out
-
-    # -- grading helpers ----------------------------------------------------
-
-    def mask_tdeg(self, mask: int, v2exp: int = 0) -> int:
-        t = v2exp * self.v2_tdeg
-        rest = mask
-        while rest:
-            low = rest & -rest
-            t += self.gen_tdeg[low.bit_length() - 1]
-            rest ^= low
-        return t % self.tmod
-
-    def mask_weight(self, mask: int) -> int:
-        w = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            w += self.gen_weight[low.bit_length() - 1]
-            rest ^= low
-        return w
-
-    def mask_grade(self, mask: int, v2exp: int = 0) -> Trigrade:
-        return Trigrade(
-            bin(mask).count("1"), self.mask_tdeg(mask, v2exp), self.mask_weight(mask)
-        )
+    def zero(self):
+        return self.element(self, {})
 
 
-class ExteriorElement:
-    """F_p-linear combination of sorted exterior monomials (times v2 powers)."""
+class FpElement:
+    """F_p-linear combination {basis key: coeff mod p, zeros dropped} over an
+    `FpAlgebra`; sums and equality hold only between elements of one type."""
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: ExteriorAlgebra, terms):
+    def __init__(self, alg: FpAlgebra, terms):
         self.alg = alg
         self.terms = {k: v % alg.p for k, v in terms.items() if v % alg.p}
 
-    # -- ring structure -----------------------------------------------------
-
     def __add__(self, other):
-        if not isinstance(other, ExteriorElement):
+        if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = (out.get(k, 0) + v) % self.alg.p
-        return ExteriorElement(self.alg, out)
+        return type(self)(self.alg, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExteriorElement(self.alg, {k: -v for k, v in self.terms.items()})
+        return type(self)(self.alg, {k: -v for k, v in self.terms.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, int):
-            return ExteriorElement(
-                self.alg, {k: scalar * v for k, v in self.terms.items()}
-            )
+            return type(self)(self.alg, {k: scalar * v for k, v in self.terms.items()})
         return NotImplemented
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.alg.p == other.alg.p
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.alg.p, tuple(sorted(self.terms.items()))))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def grades(self):
+        return {self.alg.key_grade(k) for k in self.terms}
+
+    def grade_of(self) -> Trigrade:
+        gs = self.grades()
+        if len(gs) != 1:
+            raise InhomogeneousError(gs)
+        return next(iter(gs))
+
+
+class ExteriorElement(FpElement):
+    """F_p-linear combination of sorted exterior monomials (times v2 powers),
+    keyed by (mask, v2exp)."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -187,19 +155,6 @@ class ExteriorElement:
                 out[key] = (out.get(key, 0) + sign * ca * cb) % p
         return ExteriorElement(self.alg, out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExteriorElement)
-            and self.alg.p == other.alg.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.alg.p, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # -- differential -------------------------------------------------------
 
     def d(self) -> "ExteriorElement":
@@ -208,8 +163,7 @@ class ExteriorElement:
         out = {}
         for (mask, v2exp), coeff in self.terms.items():
             rest = mask
-            below = 0  # parity sign (-1)^{number of generators to the left}
-            sign = 1
+            sign = 1  # (-1)^(number of generators to the left)
             while rest:
                 low = rest & -rest
                 pos = low.bit_length() - 1
@@ -224,20 +178,6 @@ class ExteriorElement:
                 sign = -sign
                 rest ^= low
         return ExteriorElement(alg, out)
-
-    # -- grading ------------------------------------------------------------
-
-    def grades(self):
-        return {self.alg.mask_grade(m, v) for (m, v) in self.terms}
-
-    def grade_of(self) -> Trigrade:
-        gs = self.grades()
-        if len(gs) != 1:
-            raise InhomogeneousError(gs)
-        return next(iter(gs))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
 
     # -- misc ---------------------------------------------------------------
 
@@ -277,3 +217,76 @@ class ExteriorElement:
                 rest ^= low
             parts.append("*".join(names))
         return " + ".join(parts)
+
+
+class ExteriorAlgebra(FpAlgebra):
+    """Shared immutable data (degrees, differential table) at a fixed prime."""
+
+    element = ExteriorElement
+
+    def __init__(self, p: int = 7):
+        super().__init__(p)
+        self.v2_tdeg = (2 * (p**2 - 1)) % self.tmod
+        self._dgen = self._build_differential_table()
+
+    def _build_differential_table(self):
+        table = []
+        for (i, j) in GENERATORS:
+            terms = {}
+            for s in range(1, i):
+                a = gen_index(s, j)
+                b = gen_index(i - s, s + j)
+                if a == b:
+                    continue
+                sign = 1 if a < b else -1
+                key = (1 << a) | (1 << b)
+                terms[key] = (terms.get(key, 0) + sign) % self.p
+            table.append({k: v for k, v in terms.items() if v})
+        return tuple(table)
+
+    # -- constructors -------------------------------------------------------
+
+    def one(self) -> ExteriorElement:
+        return ExteriorElement(self, {(0, 0): 1})
+
+    def gen(self, i: int, j: int) -> ExteriorElement:
+        return ExteriorElement(self, {(1 << gen_index(i, j), 0): 1})
+
+    def v2(self, exp: int = 1) -> ExteriorElement:
+        return ExteriorElement(self, {(0, exp): 1})
+
+    def monomial(self, mask: int, v2exp: int = 0, coeff: int = 1) -> ExteriorElement:
+        return ExteriorElement(self, {(mask, v2exp): coeff % self.p})
+
+    def from_gen_names(self, *names) -> ExteriorElement:
+        out = self.one()
+        for n in names:
+            out = out * self.gen(*GENERATORS[GEN_NAMES.index(n)])
+        return out
+
+    # -- grading helpers ----------------------------------------------------
+
+    def mask_tdeg(self, mask: int, v2exp: int = 0) -> int:
+        t = v2exp * self.v2_tdeg
+        rest = mask
+        while rest:
+            low = rest & -rest
+            t += self.gen_tdeg[low.bit_length() - 1]
+            rest ^= low
+        return t % self.tmod
+
+    def mask_weight(self, mask: int) -> int:
+        w = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            w += self.gen_weight[low.bit_length() - 1]
+            rest ^= low
+        return w
+
+    def key_grade(self, key) -> Trigrade:
+        """Trigrade of the basis key (mask, v2exp)."""
+        mask, v2exp = key
+        return Trigrade(
+            bin(mask).count("1"), self.mask_tdeg(mask, v2exp), self.mask_weight(mask)
+        )

@@ -27,23 +27,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field F_p for a prime p > 3."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int = 7):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p <= 3:
-            raise ValueError(f"prime must exceed 3, got {p}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
+def check_prime(p: int):
+    """Raise ValueError unless p is a prime > 3, the primes every model here
+    is defined over."""
+    if p <= 3 or not is_prime(p):
+        raise ValueError(f"prime required: p must be a prime > 3, got {p}")
 
 
 def sparse_rref(rows, p):

@@ -84,9 +84,9 @@ def r_image(spec: GreekSpec, nc: NamedClasses) -> RImage:
     return RImage(spec, img)
 
 
-def degree_coherence(p: int, t_range=None):
+def degree_coherence(nc: NamedClasses, t_range=None):
     """Check internal degree of every r-image against t(A) mod 2(p^3-1)."""
-    nc = NamedClasses(p=p)
+    p = nc.p
     tmod = nc.engine.alg.tmod
     if t_range is None:
         t_range = range(1, p**2 + 1)
@@ -173,11 +173,11 @@ def classification_disagreements(rows):
     return [row["t"] for row in rows if not row["agree"]]
 
 
-def gamma1_expansion_check(p: int = 7):
+def gamma1_expansion_check(nc: NamedClasses):
     """Exact expansion in the v2-coefficient ring:
     h0*(2k0 - 2 v2 b0)*(2 v2^(p-3) k0 + v2^(p-2) b0)
       = -2 v2^(p-2) h0 k0 b0 - 2 v2^(p-1) h0 b0^2."""
-    nc = NamedClasses(p=p)
+    p = nc.p
     alg = nc.engine.alg
     t = nc.table
     v2 = alg.v2

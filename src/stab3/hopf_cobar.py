@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import factorial
 
 from .cohomology import ExteriorCohomology, SectorEngine
-from .exterior import GENERATORS, InhomogeneousError, Trigrade
+from .exterior import GENERATORS, FpAlgebra, FpElement, Trigrade, gen_index
 from .fplinalg import binom_over_p, multinomials_over_p
 from .massey import massey_from_system
 
@@ -32,14 +32,57 @@ class SectorCapError(RuntimeError):
     pass
 
 
-class TruncatedHopf:
+class CobarElement(FpElement):
+    """F_p-linear combination of tensors of reduced monomials, keyed by the
+    tuple of slots."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.__rmul__(other)
+        if not isinstance(other, CobarElement):
+            return NotImplemented
+        out = {}
+        p = self.alg.p
+        for sa, ca in self.terms.items():
+            for sb, cb in other.terms.items():
+                key = sa + sb
+                out[key] = (out.get(key, 0) + ca * cb) % p
+        return CobarElement(self.alg, out)
+
+    def d(self):
+        hopf = self.alg
+        out = {}
+        for slots, coeff in self.terms.items():
+            for i, m in enumerate(slots):
+                sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
+                for (a, b), c in hopf.reduced_coproduct(m).items():
+                    key = slots[:i] + (a, b) + slots[i + 1 :]
+                    out[key] = (out.get(key, 0) + sign * coeff * c) % hopf.p
+        return CobarElement(hopf, out)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for slots, coeff in sorted(self.terms.items()):
+            body = "|".join(
+                "*".join(f"g{i}{j}^{e}" if e > 1 else f"g{i}{j}"
+                         for (i, j), e in zip(GENERATORS, m) if e)
+                for m in slots
+            )
+            parts.append(f"{coeff}[{body}]")
+        return " + ".join(parts)
+
+
+class TruncatedHopf(FpAlgebra):
     """Shared coproduct/degree data at a fixed prime."""
 
+    element = CobarElement
+
     def __init__(self, p: int = 7):
-        self.p = p
-        self.tmod = 2 * (p**3 - 1)
-        self.gen_tdeg = tuple((2 * (p**i - 1) * p**j) % self.tmod for (i, j) in GENERATORS)
-        self.gen_weight = tuple(i for (i, _) in GENERATORS)
+        super().__init__(p)
         self._gen_coproduct = []
         for idx, (i, j) in enumerate(GENERATORS):
             terms = {}
@@ -50,11 +93,12 @@ class TruncatedHopf:
             self._gen_coproduct.append(terms)
         self._power_cache = {}
         self._mon_coproduct_cache = {}
+        self._reduced_cache = {}
 
     @staticmethod
     def _gen_monomial(i, j):
         m = [0] * 9
-        m[3 * (i - 1) + (j % 3)] = 1
+        m[gen_index(i, j)] = 1
         return tuple(m)
 
     # -- monomial arithmetic -------------------------------------------------
@@ -69,6 +113,14 @@ class TruncatedHopf:
 
     def mon_weight(self, m):
         return sum(e * w for e, w in zip(m, self.gen_weight))
+
+    def key_grade(self, slots) -> Trigrade:
+        """Trigrade of the basis tensor `slots`."""
+        return Trigrade(
+            len(slots),
+            sum(self.mon_tdeg(m) for m in slots) % self.tmod,
+            sum(self.mon_weight(m) for m in slots),
+        )
 
     def power_monomial(self, row: int, e: int):
         """t_row^e encoded by base-p digits across g_{row,0..2}; e < p^3."""
@@ -116,10 +168,15 @@ class TruncatedHopf:
         return self._mon_coproduct_cache[m]
 
     def reduced_coproduct(self, m):
-        out = dict(self.coproduct(m))
-        for key in ((m, UNIT), (UNIT, m)):
-            out[key] = out.get(key, 0) - 1
-        return {k: v % self.p for k, v in out.items() if v % self.p}
+        """Coproduct of m minus m (x) 1 and 1 (x) m; cached, so callers only read it."""
+        out = self._reduced_cache.get(m)
+        if out is None:
+            out = dict(self.coproduct(m))
+            for key in ((m, UNIT), (UNIT, m)):
+                out[key] = out.get(key, 0) - 1
+            out = {k: v % self.p for k, v in out.items() if v % self.p}
+            self._reduced_cache[m] = out
+        return out
 
     def check_coassociativity(self):
         """(Delta x 1)Delta = (1 x Delta)Delta on every generator."""
@@ -141,11 +198,8 @@ class TruncatedHopf:
 
     def check_counit(self):
         """Both counit composites are the identity on every generator."""
-        for idx in range(9):
-            g = [0] * 9
-            row = idx // 3 + 1
-            g[idx] = 1
-            g = tuple(g)
+        for idx, (i, j) in enumerate(GENERATORS):
+            g = self._gen_monomial(i, j)
             left = {}
             right = {}
             for (a, b), c in self._gen_coproduct[idx].items():
@@ -161,9 +215,6 @@ class TruncatedHopf:
 
     # -- element constructors ------------------------------------------------
 
-    def zero(self):
-        return CobarElement(self, {})
-
     def one(self):
         return CobarElement(self, {(): 1})
 
@@ -177,93 +228,6 @@ class TruncatedHopf:
 
     def t_power_slot(self, row, e):
         return self.slot(self.power_monomial(row, e))
-
-
-class CobarElement:
-    """F_p-linear combination of tensors of reduced monomials."""
-
-    __slots__ = ("hopf", "terms")
-
-    def __init__(self, hopf: TruncatedHopf, terms):
-        self.hopf = hopf
-        self.terms = {k: v % hopf.p for k, v in terms.items() if v % hopf.p}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = (out.get(k, 0) + v) % self.hopf.p
-        return CobarElement(self.hopf, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CobarElement(self.hopf, {k: -v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            return CobarElement(self.hopf, {k: scalar * v for k, v in self.terms.items()})
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.__rmul__(other)
-        out = {}
-        p = self.hopf.p
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                key = sa + sb
-                out[key] = (out.get(key, 0) + ca * cb) % p
-        return CobarElement(self.hopf, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CobarElement)
-            and self.hopf.p == other.hopf.p
-            and self.terms == other.terms
-        )
-
-    def is_zero(self):
-        return not self.terms
-
-    def d(self):
-        hopf = self.hopf
-        out = {}
-        for slots, coeff in self.terms.items():
-            for i, m in enumerate(slots):
-                sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
-                for (a, b), c in hopf.reduced_coproduct(m).items():
-                    key = slots[:i] + (a, b) + slots[i + 1 :]
-                    out[key] = (out.get(key, 0) + sign * coeff * c) % hopf.p
-        return CobarElement(hopf, out)
-
-    def grades(self):
-        hopf = self.hopf
-        out = set()
-        for slots in self.terms:
-            t = sum(hopf.mon_tdeg(m) for m in slots) % hopf.tmod
-            w = sum(hopf.mon_weight(m) for m in slots)
-            out.add(Trigrade(len(slots), t, w))
-        return out
-
-    def grade_of(self):
-        gs = self.grades()
-        if len(gs) != 1:
-            raise InhomogeneousError(gs)
-        return next(iter(gs))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for slots, coeff in sorted(self.terms.items()):
-            body = "|".join(
-                "*".join(f"g{i}{j}^{e}" if e > 1 else f"g{i}{j}"
-                         for (i, j), e in zip(GENERATORS, m) if e)
-                for m in slots
-            )
-            parts.append(f"{coeff}[{body}]")
-        return " + ".join(parts)
 
 
 def b_class(hopf: TruncatedHopf, level: int, k: int) -> CobarElement:
@@ -358,9 +322,6 @@ class CobarEngine(SectorEngine):
                         f"(cap {self.sector_cap})"
                     )
                 basis.sort()
-
-    def _element(self, terms) -> CobarElement:
-        return CobarElement(self.alg, terms)
 
     def _check_sector(self, w: int):
         if w > self.weight_bound:

@@ -104,7 +104,7 @@ def suite_shift_cycle(ctx: _Context):
 
 
 def suite_degree_coherence(ctx: _Context):
-    rows = greek.degree_coherence(ctx.p, ctx.t_range)
+    rows = greek.degree_coherence(ctx.named, ctx.t_range)
     return {"rows": len(rows), "statuses": sorted({r["status"] for r in rows})}
 
 
@@ -117,7 +117,7 @@ def suite_product_table(ctx: _Context):
 
 
 def suite_gamma1_expansion(ctx: _Context):
-    return greek.gamma1_expansion_check(ctx.p)
+    return greek.gamma1_expansion_check(ctx.named)
 
 
 def suite_massey_fourfold(ctx: _Context):
@@ -186,7 +186,7 @@ def suite_bp_basics(ctx: _Context):
 
 
 def suite_delta_chains(ctx: _Context):
-    return bp_cobar.delta_chain_displays(ctx.p)
+    return bp_cobar.delta_chain_displays(ctx.named)
 
 
 def suite_beta_chain(ctx: _Context):
@@ -194,7 +194,7 @@ def suite_beta_chain(ctx: _Context):
 
 
 def suite_gamma_chain(ctx: _Context):
-    return bp_cobar.verify_gamma_chain(ctx.p)
+    return bp_cobar.verify_gamma_chain(ctx.named)
 
 
 SUITES = (

@@ -77,7 +77,7 @@ def test_criterion_05_product_table_three_primes():
 
 
 def test_criterion_06_degree_coherence():
-    rows = greek.degree_coherence(7)
+    rows = greek.degree_coherence(NC)
     assert rows and all(r["status"] in ("coherent", "zero-image") for r in rows)
     _pass(6, f"internal degrees of all {len(rows)} r-images match t(A)")
 
@@ -107,17 +107,17 @@ def test_criterion_09_bp_suite():
     basics = bp_cobar.verify_d_basics(7)
     dd = bp_cobar.verify_dd(7)
     assert all(r["status"] in ("exact", "pass") for r in basics + dd)
-    chains = bp_cobar.delta_chain_displays(7)
+    chains = bp_cobar.delta_chain_displays(NC)
     assert [c["image"] for c in chains] == ["h0", "-b0", "2*k0 - 2*v2*b0", "-b1"]
     beta = bp_cobar.verify_beta_chain(7)
-    gamma = bp_cobar.verify_gamma_chain(7)
+    gamma = bp_cobar.verify_gamma_chain(NC)
     assert beta["status"] == "pass" and gamma["status"] == "pass"
     _pass(9, "BP-level identities, four connecting chains, and the symbolic "
              f"beta_t / gamma_t chains; gamma_t image: {gamma['result']}")
 
 
 def test_criterion_10_gamma1_expansion():
-    rep = greek.gamma1_expansion_check(7)
+    rep = greek.gamma1_expansion_check(NC)
     assert rep["status"] == "exact"
     _pass(10, "h0*(2k0 - 2v2*b0)*(2v2^(p-3)*k0 + v2^(p-2)*b0) expansion exact")
 

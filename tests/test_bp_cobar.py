@@ -40,9 +40,11 @@ from stab3.bp_cobar import (
 )
 from stab3.exterior import ExteriorAlgebra
 from stab3.greek import alpha, beta
+from stab3.named import NamedClasses
 from stab3.reports import run_suites
 
 P = 7
+NC = NamedClasses(p=P)
 
 
 # -- TPoly -------------------------------------------------------------------
@@ -236,19 +238,19 @@ def test_projection_of_b10_block():
         + alg.from_gen_names("h21", "h20")
         + alg.from_gen_names("h31", "h1")
     )
-    img = project_to_exterior(-b1k(P, 0), P)
+    img = project_to_exterior(-b1k(P, 0), NC)
     assert not masks_diff_mod_p(img, ext_masks_mod_p(-b0_ext), P)
 
 
 def test_projection_rejects_v1_content():
     with pytest.raises(InsufficientPrecisionError):
-        project_to_exterior(BPElement.v_power(P, e1=1), P)
+        project_to_exterior(BPElement.v_power(P, e1=1), NC)
 
 
 def test_projection_audits_junk():
     x = BPElement.cochain(P, (2, 1, 0))  # not a generator, not a known block
     audit = []
-    img = project_to_exterior(x, P, audit)
+    img = project_to_exterior(x, NC, audit)
     assert img == {}
     assert len(audit) == 1
 
@@ -257,7 +259,7 @@ def test_projection_audits_junk():
 
 
 def test_delta_chain_displays():
-    chains = delta_chain_displays(P)
+    chains = delta_chain_displays(NC)
     assert [c["name"] for c in chains] == ["alpha_1", "beta_1", "beta_2", "beta_p/p"]
     assert [c["image"] for c in chains] == ["h0", "-b0", "2*k0 - 2*v2*b0", "-b1"]
     for c in chains:
@@ -274,7 +276,7 @@ def test_chains_land_on_the_r_image_table(monkeypatch, spec):
 
     monkeypatch.setattr(bp_cobar, "r_image", flipped)
     with pytest.raises(AssertionError, match="exterior image is not"):
-        delta_chain_displays(P)
+        delta_chain_displays(NC)
 
 
 def test_beta_chain_symbolic():
@@ -284,7 +286,7 @@ def test_beta_chain_symbolic():
 
 
 def test_gamma_chain_symbolic():
-    rep = verify_gamma_chain(P)
+    rep = verify_gamma_chain(NC)
     assert rep["status"] == "pass"
     assert rep["result"].startswith("-t(t^2-1)*l - t(t-1)*k1*zeta3")
     assert rep["projection_audit"]

@@ -145,6 +145,14 @@ def test_verify_rejects_csv_format(capsys):
     assert "invalid choice: 'csv'" in err
 
 
+def test_greek_has_no_sector_cap_option(capsys):
+    # --sector-cap bounds cobar sectors; greek builds none, so it is not an option there
+    code, out, err = run(capsys, "greek", "--bidegree", "1,1", "--sector-cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --sector-cap 5" in err
+
+
 @pytest.mark.parametrize("bad", ["1,x", "0,1"])
 def test_bad_bidegree_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--bidegree", bad)

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from stab3.cli import main
 from stab3.cohomology import ExteriorCohomology, SectorEngine, Trigrade
-from stab3.hopf_cobar import CobarEngine
+from stab3.exterior import ExteriorAlgebra
+from stab3.hopf_cobar import CobarEngine, TruncatedHopf
+from stab3.named import NamedClasses
 from stab3.reports import run_suites
 
 P = 7
@@ -69,3 +72,30 @@ def test_sector_engine_contract(engine):
                 assert engine.to_vec(e, sector) == [int(i == j) for j in range(n)]
     report = engine.euler_report()
     assert report and all(row["equal"] for row in report)
+
+
+def test_one_named_classes_per_report(monkeypatch):
+    built = Counter()
+    for cls in (NamedClasses, ExteriorCohomology):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    report = run_suites(P)
+    assert all(rec["status"] == "pass" for rec in report["checks"])
+    assert built["NamedClasses"] == 1
+    assert built["ExteriorCohomology"] <= 2
+
+
+def test_elements_of_two_complexes_do_not_mix():
+    ext = ExteriorAlgebra(P).gen(1, 0)
+    cob = TruncatedHopf(P).gen_slot(1, 0)
+    for a, b in ((cob, ext), (ext, cob)):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+        with pytest.raises(TypeError):
+            a * b
+        assert a != b

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab3.cohomology import ExteriorCohomology
+from stab3.exterior import ExteriorAlgebra
 from stab3.fplinalg import (
-    PrimeField,
     binom_over_p,
+    check_prime,
     coordinates,
     is_prime,
     kernel_basis,
@@ -19,7 +20,7 @@ from stab3.fplinalg import (
     rref,
     solve,
 )
-from stab3.hopf_cobar import CobarEngine
+from stab3.hopf_cobar import CobarEngine, TruncatedHopf
 
 
 # -- dense reference: the elimination the sparse kernel replaced -------------
@@ -181,16 +182,15 @@ def test_is_prime_oracle():
 
 
 def test_prime_field_requires_large_prime():
-    with pytest.raises(ValueError):
-        PrimeField(6)
-    with pytest.raises(ValueError):
-        PrimeField(3)
-
-
-def test_field_inverse():
-    f = PrimeField(7)
-    for a in range(1, 7):
-        assert (a * f.inv(a)) % 7 == 1
+    for build in (
+        lambda: check_prime(6),
+        lambda: check_prime(3),
+        lambda: ExteriorAlgebra(6),
+        lambda: TruncatedHopf(6),
+        lambda: CobarEngine(4, weight_bound=3),
+    ):
+        with pytest.raises(ValueError, match="prime required"):
+            build()
 
 
 def test_rref_known_matrix():

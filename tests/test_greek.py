@@ -50,7 +50,7 @@ def test_r_image_unsupported():
 
 
 def test_degree_coherence_p7():
-    rows = greek.degree_coherence(7)
+    rows = greek.degree_coherence(NC)
     assert len(rows) == 4 + 49
     assert all(r["status"] in ("coherent", "zero-image") for r in rows)
 
@@ -78,5 +78,5 @@ def test_predicates_match_number_theory():
 
 
 def test_gamma1_expansion_exact():
-    rep = greek.gamma1_expansion_check(7)
+    rep = greek.gamma1_expansion_check(NC)
     assert rep["status"] == "exact"
