@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .fplinalg import multinomials_over_p
+from .fplinalg import b_class_terms
 from .greek import alpha, beta, r_image
 from .named import NamedClasses
 
@@ -603,15 +603,8 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
 
 
 def b1k(p: int, k: int) -> BPElement:
-    """(1/p) sum_i C(p^(k+1), i) [t1^i | t1^(p^(k+1)-i)]; exactly p-integral."""
-    n = p ** (k + 1)
-    return BPElement(
-        p,
-        {
-            (V_ZERO, (t1_mon(i), t1_mon(n - i))): TPoly.const(Fraction(comb(n, i), p))
-            for i in range(1, n)
-        },
-    )
+    """(1/p) sum_i C(p^(k+1), i) [t1^i | t1^(p^(k+1)-i)] (`b_class_terms`)."""
+    return BPElement(p, {(V_ZERO, (l, r)): c for l, r, c in b_class_terms(p, 1, k)})
 
 
 def _corner_v1p_b11(p: int) -> BPElement:
@@ -641,13 +634,10 @@ def b20(p: int, structure: BPStructure | None = None) -> BPElement:
 
 
 def b20_mod_p_v1(p: int) -> BPElement:
-    """Multinomial normal form of b20 mod (p, v1):
-    sum over a+b+c = p (corners excluded) of
-    (1/p)(p; a,b,c) [t2^a t1^b | t1^(p b) t2^c]."""
-    return BPElement(p, {
-        (V_ZERO, ((b, a, 0), (p * b, c, 0))): TPoly.const(coeff)
-        for a, b, c, coeff in multinomials_over_p(p, p)
-    })
+    """Multinomial normal form of b20 mod (p, v1): the level-2, k = 0 terms
+    (1/p)(p; a,b,c) [t2^a t1^b | t1^(p b) t2^c] of `fplinalg.b_class_terms`,
+    reduced mod p."""
+    return BPElement(p, {(V_ZERO, (l, r)): c % p for l, r, c in b_class_terms(p, 2, 0)})
 
 
 # ---------------------------------------------------------------------------
@@ -764,22 +754,15 @@ def _block_tables(p: int):
     distinguished anchor pair of coefficient known to be a unit."""
     tables = {}
     anchors = {}
-    for name, elem in (("b10", b1k(p, 0)), ("b11", b1k(p, 1)), ("b20", b20_mod_p_v1(p))):
-        supp = {}
-        for (vexp, slots), c in elem.terms.items():
-            r = c.mod_p(p)
-            if r:
-                supp[slots] = r[0]
-        tables[name] = supp
-        anchors[name] = (
-            (t1_mon(1), t1_mon(p - 1))
-            if name == "b10"
-            else (t1_mon(p), t1_mon(p * p - p))
-            if name == "b11"
-            else ((1, p - 1, 0), t1_mon(p))
-        )
-        if not (anchors[name] in supp and supp[anchors[name]] % p):
-            raise AssertionError(f"{name} anchor {anchors[name]} has no unit coefficient")
+    for name, level, k, anchor in (
+        ("b10", 1, 0, (t1_mon(1), t1_mon(p - 1))),
+        ("b11", 1, 1, (t1_mon(p), t1_mon(p * p - p))),
+        ("b20", 2, 0, ((1, p - 1, 0), t1_mon(p))),
+    ):
+        supp = {(l, r): c % p for l, r, c in b_class_terms(p, level, k) if c % p}
+        if anchor not in supp:
+            raise AssertionError(f"{name} anchor {anchor} has no unit coefficient")
+        tables[name], anchors[name] = supp, anchor
     return tables, anchors
 
 
@@ -799,11 +782,7 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
     p = nc.p
     alg = nc.engine.alg
     tables, anchors = _block_tables(p)
-    block_image = {
-        "b10": nc["b0"],
-        "b11": nc["b1"],
-        "b20": alg.from_gen_names("h21", "h30") + alg.from_gen_names("h31", "h21"),
-    }
+    block_image = {"b10": nc["b0"], "b11": nc["b1"], "b20": nc["b20"]}
     out = {}
     groups = {}
     for (vexp, slots), coeff in x.terms.items():

@@ -32,10 +32,22 @@ def _parse_t_range(text: str):
     return t_range
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low, so a bad bound is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _emit(text: str, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -201,16 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="per-sector dimension tables")
     common(sp)
-    sp.add_argument("--sector-cap", type=int, default=20000,
+    sp.add_argument("--sector-cap", type=_at_least(1), default=20000,
                     help="abort if a cobar sector exceeds this dimension")
     sp.add_argument("--model", choices=("exterior", "cobar"), default="exterior")
-    sp.add_argument("--max-s", type=int, default=2, help="cobar: bound on cohomological degree")
-    sp.add_argument("--may-bound", type=int, default=3, help="cobar: bound on the weight grading")
+    sp.add_argument("--max-s", type=_at_least(0), default=2,
+                    help="cobar: bound on cohomological degree")
+    sp.add_argument("--may-bound", type=_at_least(0), default=3,
+                    help="cobar: bound on the weight grading")
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("verify", help="run verification suites, emit a JSON report")
     common(sp, formats=("json", "human"))
-    sp.add_argument("--sector-cap", type=int, default=20000,
+    sp.add_argument("--sector-cap", type=_at_least(1), default=20000,
                     help="abort if a cobar sector exceeds this dimension")
     sp.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     sp.add_argument("--t-range", help="range of t values, e.g. 1..49")

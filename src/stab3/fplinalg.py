@@ -1,4 +1,4 @@
-"""Exact linear algebra over a prime field F_p, plus exact binomial helpers.
+"""Exact linear algebra over a prime field F_p, plus the b-class table.
 
 Internally rows are sparse dicts {col: value} of the nonzero entries: one
 elimination kernel, `sparse_rref`, with `sparse_kernel` and `sparse_solve`
@@ -7,11 +7,13 @@ matrices in this form.  The public API
 (`rref`, `rank`, `kernel_basis`, `solve`, `coordinates`) takes and returns
 dense lists of ints mod p.  Reduced row echelon forms are unique, so every
 computed basis is reproducible byte-for-byte.  No floating point anywhere.
+`b_class_terms` is the one table of the b-classes b_{1,k}, b_{2,k} that the
+cobar model (`hopf_cobar`) and the BP model (`bp_cobar`) both read.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 
 
 def is_prime(n: int) -> bool:
@@ -164,36 +166,24 @@ def coordinates(v, basis, p):
     return solve(list(zip(*basis)), v, p)
 
 
-def binom_over_p(k: int, i: int, p: int) -> int:
-    """(1/p) * C(p^(k+1), i) mod p for 0 < i < p^(k+1).
-
-    Computed by exact big-integer arithmetic: C(p^(k+1), i) is always
-    divisible by p in this range; one exact division, then reduction.  When
-    the binomial is divisible by a higher power of p the result is 0.
-    """
+def b_class_terms(p: int, level: int, k: int):
+    """Terms (left, right, c) of the 2-cochain b_{level,k}, n = p^(k+1):
+    (t1, t2, t3) exponent triples and the exact integer c.  Level 1: (1/p)
+    C(n, i) on t1^i | t1^(n-i), 0 < i < n.  Level 2: (1/p) (n; a, b, c) on
+    t2^a t1^b | t1^(p b) t2^c, a + b + c = n without the corners, a then b
+    ascending.  Each binomial and multinomial is checked divisible by p."""
     n = p ** (k + 1)
-    if not 0 < i < n:
-        raise ValueError(f"index {i} outside (0, {n})")
-    c = comb(n, i)
-    q, r = divmod(c, p)
-    if r:
-        raise ArithmeticError("binomial not divisible by p")  # unreachable
-    return q % p
-
-
-def multinomials_over_p(n: int, p: int):
-    """(a, b, c, (1/p) * (n; a, b, c) mod p) over a + b + c = n, corners
-    (a, b or c equal to n) excluded, for the nonzero coefficients only.
-
-    For n a power of p every non-corner multinomial is divisible by p; the
-    order is a ascending, then b ascending.
-    """
-    for a in range(n + 1):
-        for b in range(n + 1 - a):
-            c = n - a - b
-            if n in (a, b, c):
-                continue
-            mult = factorial(n) // (factorial(a) * factorial(b) * factorial(c))
-            coeff = (mult // p) % p
-            if coeff:
-                yield a, b, c, coeff
+    if level == 1:
+        terms = (((i, 0, 0), (n - i, 0, 0), comb(n, i)) for i in range(1, n))
+    elif level == 2:
+        terms = (((b, a, 0), (p * b, n - a - b, 0), comb(n, a) * comb(n - a, b))
+                 for a in range(n + 1) for b in range(n + 1 - a) if n not in (a, b, n - a - b))
+    else:
+        raise ValueError(f"unsupported level {level}")
+    out = []
+    for left, right, m in terms:
+        c, r = divmod(m, p)
+        if r:
+            raise ArithmeticError(f"coefficient {m} of b_({level},{k}) not divisible by p")
+        out.append((left, right, c))
+    return out

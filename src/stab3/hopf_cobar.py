@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from math import factorial
 
-from .cohomology import ExteriorCohomology, SectorEngine
+from .cohomology import SectorEngine
 from .exterior import GENERATORS, FpAlgebra, FpElement, Trigrade, gen_index
-from .fplinalg import binom_over_p, multinomials_over_p
+from .fplinalg import b_class_terms
 from .massey import massey_from_system
 
 UNIT = (0,) * 9
@@ -92,7 +92,6 @@ class TruncatedHopf(FpAlgebra):
                 terms[(left, right)] = terms.get((left, right), 0) + 1
             self._gen_coproduct.append(terms)
         self._power_cache = {}
-        self._mon_coproduct_cache = {}
         self._reduced_cache = {}
 
     @staticmethod
@@ -132,6 +131,10 @@ class TruncatedHopf(FpAlgebra):
             m[3 * (row - 1) + j] = digit
         return tuple(m)
 
+    def t_monomial(self, exps):
+        """t1^e1 t2^e2 t3^e3 for the triple exps = (e1, e2, e3), each e < p^3."""
+        return tuple(map(sum, zip(*map(self.power_monomial, (1, 2, 3), exps))))
+
     # -- coproduct -----------------------------------------------------------
 
     def _tensor_mul(self, A, B):
@@ -159,19 +162,17 @@ class TruncatedHopf(FpAlgebra):
         return self._power_cache[key]
 
     def coproduct(self, m):
-        if m not in self._mon_coproduct_cache:
-            out = {(UNIT, UNIT): 1}
-            for idx, e in enumerate(m):
-                if e:
-                    out = self._tensor_mul(out, self._gen_power_coproduct(idx, e))
-            self._mon_coproduct_cache[m] = out
-        return self._mon_coproduct_cache[m]
+        out = {(UNIT, UNIT): 1}
+        for idx, e in enumerate(m):
+            if e:
+                out = self._tensor_mul(out, self._gen_power_coproduct(idx, e))
+        return out
 
     def reduced_coproduct(self, m):
         """Coproduct of m minus m (x) 1 and 1 (x) m; cached, so callers only read it."""
         out = self._reduced_cache.get(m)
         if out is None:
-            out = dict(self.coproduct(m))
+            out = self.coproduct(m)
             for key in ((m, UNIT), (UNIT, m)):
                 out[key] = out.get(key, 0) - 1
             out = {k: v % self.p for k, v in out.items() if v % self.p}
@@ -231,32 +232,12 @@ class TruncatedHopf(FpAlgebra):
 
 
 def b_class(hopf: TruncatedHopf, level: int, k: int) -> CobarElement:
-    """The standard 2-cochain b-classes.
-
-    level 1: sum_i (1/p) C(p^(k+1), i) [t1^i | t1^(p^(k+1)-i)].
-    level 2: sum over a+b+c = p^(k+1) (corners excluded) of
-             (1/p) (p^(k+1); a,b,c) [t2^a t1^b | t1^(pb) t2^c].
-    """
-    p = hopf.p
-    n = p ** (k + 1)
-    terms = {}
-    if level == 1:
-        for i in range(1, n):
-            c = binom_over_p(k, i, p)
-            if c:
-                key = (hopf.power_monomial(1, i), hopf.power_monomial(1, n - i))
-                terms[key] = c
-    elif level == 2:
-        for a, b, c, coeff in multinomials_over_p(n, p):
-            left = hopf.mon_mul(hopf.power_monomial(2, a), hopf.power_monomial(1, b))
-            right = hopf.mon_mul(hopf.power_monomial(1, p * b), hopf.power_monomial(2, c))
-            if left is None or right is None:
-                raise ValueError("b-class term leaves the truncated basis")
-            key = (left, right)
-            terms[key] = (terms.get(key, 0) + coeff) % p
-    else:
-        raise ValueError(f"unsupported level {level}")
-    return CobarElement(hopf, terms)
+    """The 2-cochain b_{level,k} mod p: c [left | right] for each term of
+    `fplinalg.b_class_terms`."""
+    return CobarElement(hopf, {
+        (hopf.t_monomial(left), hopf.t_monomial(right)): c
+        for left, right, c in b_class_terms(hopf.p, level, k) if c % hopf.p
+    })
 
 
 class CobarEngine(SectorEngine):
@@ -328,14 +309,15 @@ class CobarEngine(SectorEngine):
             raise ValueError(f"sector weight {w} exceeds bound {self.weight_bound}")
 
 
-def collapse_check(p: int = 7, smax: int = 2, wmax: int = 3, sector_cap: int = 20000):
-    """Compare cobar cohomology dims against the exterior model, s <= smax,
-    weight <= wmax.  In this range the polynomial b-classes (weight p) do not
-    contribute, so the prediction is exactly the exterior dimensions."""
-    cob = CobarEngine(p, weight_bound=wmax, sector_cap=sector_cap)
+def collapse_check(ext: SectorEngine, cob: CobarEngine, smax: int = 2):
+    """Compare the cobar engine's cohomology dims against the exterior
+    engine's, s <= smax, weight <= cob.weight_bound.  Below weight p the
+    polynomial b-classes (weight p) do not contribute, so the prediction is
+    exactly the exterior dimensions."""
+    wmax = cob.weight_bound
     ext_dims = {
         (s, t, w): dim_h
-        for (s, t, w, _, dim_h) in ExteriorCohomology(p).dims_table(smax)
+        for (s, t, w, _, dim_h) in ext.dims_table(smax)
         if w <= wmax and dim_h
     }
     rows = []

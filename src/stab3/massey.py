@@ -40,7 +40,8 @@ def massey_product(engine, reps):
     Returns a dict with the value's class data, the indeterminacy span
     (list of class-coordinate vectors in the value sector), the defining
     system, and the engine's model name.  Raises MasseyError when consecutive
-    products do not vanish or no defining system exists.
+    products do not vanish or no defining system exists, or when a solved
+    system fails an identity (checked by `massey_from_system`).
     """
     n = len(reps)
     if n not in (3, 4):
@@ -138,18 +139,8 @@ def massey_product(engine, reps):
 
     value_sector = engine.sector_sum([r.grade_of() for r in reps], n - 2)
 
-    def value_at(uvec):
-        a = entries_at(uvec)
-        val = engine.zero()
-        for m in range(1, n):
-            val = val + engine.bar(a[(0, m)]) * a[(m, n)]
-        return val
-
     def value_coords(uvec):
-        val = value_at(uvec)
-        if not val.d().is_zero():
-            raise MasseyError("value is not a cocycle (internal error)")
-        cc = engine.class_coords(val)
+        cc = engine.class_coords(massey_from_system(engine, entries_at(uvec), n))
         if cc is None:
             tower = engine.tower(value_sector.t, value_sector.w)
             return (0,) * tower.dim_h(value_sector.s)
@@ -205,19 +196,19 @@ def massey_from_system(engine, entries, n):
     """Validate an explicit defining system and return its value element.
 
     `entries` maps (i, j) for 0 <= i < j <= n, (i, j) != (0, n), to cochains.
-    Every identity d(a_ij) = sum bar(a_im) a_mj is checked exactly.
+    Every identity d(a_ij) = sum bar(a_im) a_mj is checked exactly; the
+    value is the same sum at (0, n).
     """
-    for (i, j), a in entries.items():
-        if j - i < 2:
-            continue
-        rhs = engine.zero()
+    def bar_sum(i, j):
+        out = engine.zero()
         for m in range(i + 1, j):
-            rhs = rhs + engine.bar(entries[(i, m)]) * entries[(m, j)]
-        if not (a.d() - rhs).is_zero():
+            out = out + engine.bar(entries[(i, m)]) * entries[(m, j)]
+        return out
+
+    for (i, j), a in entries.items():
+        if j - i >= 2 and not (a.d() - bar_sum(i, j)).is_zero():
             raise MasseyError(f"defining-system identity fails at entry {(i, j)}")
-    val = engine.zero()
-    for m in range(1, n):
-        val = val + engine.bar(entries[(0, m)]) * entries[(m, n)]
+    val = bar_sum(0, n)
     if not val.d().is_zero():
         raise MasseyError("value is not a cocycle")
     return val

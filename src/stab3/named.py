@@ -2,7 +2,8 @@
 
 The table collects the standard degree-1 generators together with the
 composite classes k0, k1, b0, b1, b2, zeta3, l, l' used throughout the
-product computations.  b1 is defined as the index-shift image of b0 (the
+product computations, and b20, the exterior image of the BP class b_{2,0}
+(not a cocycle here).  b1 is defined as the index-shift image of b0 (the
 shift j -> j+1 is a DGA automorphism, so this is automatically a cocycle);
 verify_b1_identity pins the choice down against an exact cochain identity.
 
@@ -48,6 +49,7 @@ class NamedClasses:
             "b0": b0,
             "b1": b0.shift(1),
             "b2": h0 * h31 + h20 * h22 + h30 * h0,
+            "b20": h21 * h30 + h31 * h21,
             "zeta3": h30 + h31 + h32,
             "l": h2 * h21 * h30,
             "lprime": h0 * h22 * h31,
@@ -57,7 +59,7 @@ class NamedClasses:
         return self.table[name]
 
     #: table entries that are cocycles (the degree-1 h_{2j}, h_{3j} symbols
-    #: are building blocks, not classes)
+    #: are building blocks and b20 a block image, not classes)
     CLASS_NAMES = ("h0", "h1", "h2", "k0", "k1", "b0", "b1", "b2", "zeta3", "l", "lprime")
 
     def all_cocycles(self) -> bool:
@@ -143,7 +145,7 @@ class NamedClasses:
         """Exact cochain identity fixing b1:
         -(h21*h30 + h31*h21)*h2 + h21*b1 = -3*l - k1*zeta3."""
         t = self.table
-        lhs = -1 * ((t["h21"] * t["h30"] + t["h31"] * t["h21"]) * t["h2"]) + t["h21"] * t["b1"]
+        lhs = -1 * (t["b20"] * t["h2"]) + t["h21"] * t["b1"]
         rhs = -3 * t["l"] - t["k1"] * t["zeta3"]
         if not (lhs - rhs).is_zero():
             raise AssertionError(f"b1 identity fails: {lhs!r} vs {rhs!r}")

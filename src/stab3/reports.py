@@ -37,7 +37,8 @@ def jsonable(x):
 
 
 class _Context:
-    """Shared lazily-built engines for one report run."""
+    """Shared lazily-built engines for one report run: one exterior engine,
+    one `NamedClasses` and one cobar engine per (p, weight bound)."""
 
     def __init__(self, p: int, t_range=None, sector_cap: int = 20000):
         self.p = p
@@ -45,6 +46,7 @@ class _Context:
         self.sector_cap = sector_cap
         self._engine = None
         self._named = None
+        self._cobar = {}
 
     @property
     def engine(self) -> ExteriorCohomology:
@@ -57,6 +59,11 @@ class _Context:
         if self._named is None:
             self._named = NamedClasses(self.engine)
         return self._named
+
+    def cobar(self, p: int, weight_bound: int) -> CobarEngine:
+        if (p, weight_bound) not in self._cobar:
+            self._cobar[p, weight_bound] = CobarEngine(p, weight_bound, self.sector_cap)
+        return self._cobar[p, weight_bound]
 
 
 # --------------------------------------------------------------------------
@@ -152,14 +159,14 @@ def suite_massey_fourfold(ctx: _Context):
 def suite_massey_p_fold(ctx: _Context):
     """p-fold bracket at p = 5 (the smallest tractable case), k = 0 and 1."""
     out = {}
-    engine = CobarEngine(5, weight_bound=5, sector_cap=ctx.sector_cap)
+    engine = ctx.cobar(5, 5)
     for k in (0, 1):
         out[f"k={k}"] = p_fold_massey_check(5, k, engine)
     return out
 
 
 def suite_cobar_collapse(ctx: _Context):
-    res = collapse_check(ctx.p, smax=2, wmax=3, sector_cap=ctx.sector_cap)
+    res = collapse_check(ctx.engine, ctx.cobar(ctx.p, 3), smax=2)
     if res["mismatches"]:
         raise AssertionError(f"collapse mismatches: {res['mismatches']}")
     return {"sectors": len(res["rows"]), "mismatches": []}
@@ -168,8 +175,7 @@ def suite_cobar_collapse(ctx: _Context):
 def suite_euler(ctx: _Context):
     ext = ctx.engine.euler_report()
     bad = [r for r in ext if not r["equal"]]
-    cob_engine = CobarEngine(ctx.p, weight_bound=3, sector_cap=ctx.sector_cap)
-    cob = cob_engine.euler_report()
+    cob = ctx.cobar(ctx.p, 3).euler_report()
     bad += [r for r in cob if not r["equal"]]
     if bad:
         raise AssertionError(f"Euler characteristic mismatch: {bad[:3]}")

@@ -97,7 +97,9 @@ def test_criterion_07_massey_products():
 
 
 def test_criterion_08_cobar_collapse():
-    res, dt = _timed(lambda: collapse_check(7, smax=2, wmax=3), 120.0)
+    res, dt = _timed(
+        lambda: collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3), smax=2),
+        120.0)
     assert res["mismatches"] == []
     _pass(8, f"cobar dims match the exterior model (s <= 2, w <= 3, p = 7) "
              f"across {len(res['rows'])} sectors in {dt:.1f}s")

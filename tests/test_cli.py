@@ -153,6 +153,30 @@ def test_greek_has_no_sector_cap_option(capsys):
     assert "unrecognized arguments: --sector-cap 5" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--model", "cobar", "--may-bound", "-1"], "--may-bound: must be an integer >= 0"),
+    (["table", "--model", "cobar", "--max-s", "-3"], "--max-s: must be an integer >= 0"),
+    (["table", "--sector-cap", "0"], "--sector-cap: must be an integer >= 1"),
+    (["table", "--sector-cap", "-5"], "--sector-cap: must be an integer >= 1"),
+    (["verify", "--suite", "euler", "--sector-cap", "0"], "--sector-cap: must be an integer >= 1"),
+], ids=["may-bound-negative", "max-s-negative", "sector-cap-zero", "sector-cap-negative",
+        "verify-sector-cap-zero"])
+def test_bad_numeric_bound_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "greek", "--bidegree", "1,1", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("bad", ["1,x", "0,1"])
 def test_bad_bidegree_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--bidegree", bad)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stab3.cohomology import ExteriorCohomology
 from stab3.hopf_cobar import (
     CobarEngine,
     TruncatedHopf,
@@ -53,14 +54,14 @@ def test_b_class_coefficient_oracle():
 
 
 def test_collapse_matches_exterior_low_weight():
-    res = collapse_check(7, smax=2, wmax=3)
+    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3), smax=2)
     assert res["mismatches"] == []
     assert res["rows"]
 
 
 def test_collapse_matches_exterior_up_to_weight_p_minus_1():
     # w <= p - 1 keeps the weight-p b-classes out of the range
-    res = collapse_check(7, smax=2, wmax=6)
+    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=6), smax=2)
     assert res["mismatches"] == []
     assert res["rows"]
 

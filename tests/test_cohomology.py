@@ -4,6 +4,7 @@ import pytest
 
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
 from stab3.exterior import FULL_MASK
+from stab3 import massey
 from stab3.massey import MasseyError, class_in_coset, massey_product
 from stab3.named import NamedClasses
 
@@ -107,6 +108,22 @@ def test_massey_coset_stable_under_system_perturbation():
     for vec in res["indeterminacy"]:
         shifted = tuple((a + b) % 7 for a, b in zip(res["value_coords"], vec))
         assert class_in_coset(shifted, res, 7)
+
+
+def test_massey_rejects_a_solve_that_is_not_a_solution(monkeypatch):
+    # each solved defining system is checked identity by identity, so a
+    # fault in the linear encoding or the solver cannot yield a class
+    real_solve = massey.solve
+
+    def off_by_one_column(rows, rhs, p):
+        x = real_solve(rows, rhs, p)
+        c = next(c for c in range(len(x)) if any(r[c] for r in rows))
+        x[c] = (x[c] + 1) % p  # M x now differs from rhs by column c
+        return x
+
+    monkeypatch.setattr(massey, "solve", off_by_one_column)
+    with pytest.raises(MasseyError, match="defining-system identity"):
+        massey_product(ENGINE, [NC["h0"], NC["h1"], NC["h2"], NC["h0"]])
 
 
 def test_massey_rejects_nonvanishing_consecutive_products():

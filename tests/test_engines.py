@@ -76,7 +76,7 @@ def test_sector_engine_contract(engine):
 
 def test_one_named_classes_per_report(monkeypatch):
     built = Counter()
-    for cls in (NamedClasses, ExteriorCohomology):
+    for cls in (NamedClasses, ExteriorCohomology, CobarEngine):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
@@ -85,7 +85,8 @@ def test_one_named_classes_per_report(monkeypatch):
     report = run_suites(P)
     assert all(rec["status"] == "pass" for rec in report["checks"])
     assert built["NamedClasses"] == 1
-    assert built["ExteriorCohomology"] <= 2
+    assert built["ExteriorCohomology"] == 1
+    assert built["CobarEngine"] == 2  # (5, 5) for the p-fold bracket, (7, 3) shared
 
 
 def test_elements_of_two_complexes_do_not_mix():

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import ExteriorAlgebra
 from stab3.fplinalg import (
-    binom_over_p,
+    b_class_terms,
     check_prime,
     coordinates,
     is_prime,
     kernel_basis,
-    multinomials_over_p,
     rank,
     rref,
     solve,
@@ -257,27 +256,32 @@ def test_solve_roundtrip_property(flat, xs):
         assert sum(a * c for a, c in zip(r, x)) % p == b
 
 
-def test_binom_over_p_oracle():
+def test_b_class_terms_level1_oracle():
     for p in (5, 7):
         for k in (0, 1):
             n = p ** (k + 1)
+            expected = []
             for i in range(1, n):
-                expected = Fraction(comb(n, i), p)
-                assert expected.denominator == 1
-                assert binom_over_p(k, i, p) == expected.numerator % p
+                q = Fraction(comb(n, i), p)
+                assert q.denominator == 1
+                expected.append(((i, 0, 0), (n - i, 0, 0), q.numerator))
+            assert b_class_terms(p, 1, k) == expected
 
 
-def test_binom_over_p_symmetry():
-    p = 7
-    n = p * p
-    for i in range(1, n):
-        assert binom_over_p(1, i, p) == binom_over_p(1, n - i, p)
-
-
-def test_multinomials_over_p_oracle():
+def test_b_class_terms_symmetry():
     for p in (5, 7):
-        for n in (p, p * p):
-            expected = {}
+        n = p * p
+        coeff = {left[0]: c for left, _, c in b_class_terms(p, 1, 1)}
+        assert sorted(coeff) == list(range(1, n))
+        for i in range(1, n):
+            assert coeff[i] == coeff[n - i]
+
+
+def test_b_class_terms_level2_oracle():
+    for p in (5, 7):
+        for k in (0, 1):
+            n = p ** (k + 1)
+            expected = []
             for a in range(n + 1):
                 for b in range(n + 1 - a):
                     c = n - a - b
@@ -285,7 +289,10 @@ def test_multinomials_over_p_oracle():
                         continue
                     q = Fraction(comb(n, a) * comb(n - a, b), p)
                     assert q.denominator == 1
-                    if q.numerator % p:
-                        expected[(a, b, c)] = q.numerator % p
-            got = {(a, b, c): coeff for a, b, c, coeff in multinomials_over_p(n, p)}
-            assert got == expected
+                    expected.append(((b, a, 0), (p * b, c, 0), q.numerator))
+            assert b_class_terms(p, 2, k) == expected
+
+
+def test_b_class_terms_rejects_other_levels():
+    with pytest.raises(ValueError, match="unsupported level"):
+        b_class_terms(7, 3, 0)
