@@ -404,6 +404,54 @@ def t3_mon(e):
     return (0, 0, e)
 
 
+def _compositions(n: int, parts: int):
+    """Tuples of `parts` nonnegative integers summing to n, lex-descending."""
+    if parts == 1:
+        yield (n,)
+        return
+    for e in range(n, -1, -1):
+        for rest in _compositions(n - e, parts - 1):
+            yield (e, *rest)
+
+
+def _multinomial_terms(n: int, parts: int, p: int, last_max: int | None = None):
+    """(e, (n; e), v_p (n; e)) over the compositions e of n (`_compositions`
+    order) whose last part is at most last_max.  The valuation is Kummer's:
+    (sum_i s(e_i) - s(n)) / (p - 1), s the base-p digit sum."""
+    fact, digits = [1], [0]
+    for x in range(1, n + 1):
+        fact.append(fact[-1] * x)
+        digits.append(digits[x // p] + x % p)
+    for e in _compositions(n, parts):
+        if last_max is not None and e[-1] > last_max:
+            continue
+        c = fact[n]
+        for x in e:
+            c //= fact[x]
+        yield e, c, (sum(digits[x] for x in e) - digits[n]) // (p - 1)
+
+
+def _p_floor(ctx: Ideal, v1e: int):
+    """Least a over the generators (a, b, 0) of ctx with b <= v1e: a v2-free
+    term with v1-exponent v1e lies in ctx iff its p-valuation reaches it.
+    None when no generator qualifies."""
+    return min((a for a, b, c in ctx.gens if b <= v1e and not c), default=None)
+
+
+def _b10_powers(p: int, mmax: int):
+    """[b10^m for m = 0..mmax], b10^m as {e: d} for its terms
+    d t1^e (x) t1^(mp - e), in the iterated product's order (e ascending)."""
+    b10 = [(left[0], c) for left, _, c in b_class_terms(p, 1, 0)]
+    powers = [{0: 1}]
+    for _ in range(mmax):
+        out = {}
+        for e, d in powers[-1].items():
+            for a, c in b10:
+                out[e + a] = out.get(e + a, 0) + d * c
+        powers.append(out)
+    return powers
+
+
 class BPStructure:
     """Right-unit and coproduct formulas with validity ideals, at a prime."""
 
@@ -507,51 +555,61 @@ class BPStructure:
         return _drop_terms(self.p, out, ctx)
 
     def delta_t2_power(self, b: int, ctx: Ideal):
-        """Delta(t2)^b with Delta(t2) = t2 (x) 1 + t1 (x) t1^p + 1 (x) t2 - v1 b10; exact."""
+        """Delta(t2)^b modulo ctx, in closed form.
+
+        Delta(t2) = t2 (x) 1 + t1 (x) t1^p + 1 (x) t2 - v1 b10 has four
+        commuting summands, so Delta(t2)^b is the sum over i + j + k + m = b of
+        (b; i, j, k, m) (-v1)^m b10^m [t2^i t1^j | t1^(pj) t2^k].  Terms come
+        in the order of the iterated product (i, j, k descending, then b10^m's
+        own order), which the audit trails of reduce_mod depend on.
+        """
         key = (b, ctx.gens)
         if key in self._delta_t2_cache:
             return self._delta_t2_cache[key]
-        base = {
-            (V_ZERO, t2_mon(1), MON_ONE): TPoly.const(1),
-            (V_ZERO, t1_mon(1), t1_mon(self.p)): TPoly.const(1),
-            (V_ZERO, MON_ONE, t2_mon(1)): TPoly.const(1),
-        }
-        v1 = ((1, 0), (0, 0), (0, 0))
-        for (_, (ml, mr)), c in b1k(self.p, 0).terms.items():
-            base[(v1, ml, mr)] = -c
-        out = {(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}
-        for _ in range(b):
-            out = self._mul(out, base, ctx)
+        p = self.p
+        floors = [_p_floor(ctx, m) for m in range(b + 1)]
+        mmax = floors.index(0) - 1 if 0 in floors else b
+        powers = _b10_powers(p, mmax)
+        out = {}
+        for (i, j, k, m), c, v in _multinomial_terms(b, 4, p, mmax):
+            floor = floors[m]
+            if floor is not None and v >= floor:
+                continue
+            vexp = ((m, 0), (0, 0), (0, 0))
+            sign = -1 if m % 2 else 1
+            for e, d in powers[m].items():
+                coeff = TPoly._exact({0: Fraction(sign * c * d)})
+                if floor is None or coeff.p_valuation(p) < floor:
+                    out[(vexp, (j + e, i, 0), (p * (j + m) - e, k, 0))] = coeff
         self._delta_t2_cache[key] = out
         return out
 
     DELTA_T3_VALIDITY = ideal((0, 1, 0), (0, 0, 1))
 
     def delta_t3_power(self, c: int, ctx: Ideal):
-        """Delta(t3)^c mod (v1, v2): (t3 (x) 1 + t2 (x) t1^(p^2) + t1 (x) t2^p + 1 (x) t3)^c."""
+        """Delta(t3)^c mod (v1, v2), in closed form: the sum over
+        i + j + k + l = c of (c; i, j, k, l) [t3^i t2^j t1^k | t1^(p^2 j) t2^(pk) t3^l],
+        in the iterated product's order (i, j, k descending)."""
         if not ctx.contains_ideal(self.DELTA_T3_VALIDITY):
             raise InsufficientPrecisionError(
                 f"Delta(t3) is only valid mod {self.DELTA_T3_VALIDITY}, context {ctx} is finer"
             )
         p = self.p
-        base = {
-            (V_ZERO, t3_mon(1), MON_ONE): TPoly.const(1),
-            (V_ZERO, t2_mon(1), t1_mon(p**2)): TPoly.const(1),
-            (V_ZERO, t1_mon(1), t2_mon(p)): TPoly.const(1),
-            (V_ZERO, MON_ONE, t3_mon(1)): TPoly.const(1),
+        floor = _p_floor(ctx, 0)
+        return {
+            (V_ZERO, (k, j, i), (p * p * j, p * k, l)): TPoly._exact({0: Fraction(m)})
+            for (i, j, k, l), m, v in _multinomial_terms(c, 4, p)
+            if floor is None or v < floor
         }
-        out = {(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}
-        for _ in range(c):
-            out = self._mul(out, base, ctx)
-        return out
 
     def delta_mon(self, mon, ctx: Ideal):
-        a, b, c = mon
-        out = self.delta_t1_power(a, ctx)
-        if b:
-            out = self._mul(out, self.delta_t2_power(b, ctx), ctx)
-        if c:
-            out = self._mul(out, self.delta_t3_power(c, ctx), ctx)
+        """Delta(t1^a t2^b t3^c) mod ctx: the product of the powers with a
+        nonzero exponent, so Delta(t2)^b alone is not multiplied by 1."""
+        powers = [power(e, ctx) for power, e in zip(
+            (self.delta_t1_power, self.delta_t2_power, self.delta_t3_power), mon) if e]
+        out = powers[0] if powers else self.delta_t1_power(0, ctx)
+        for x in powers[1:]:
+            out = self._mul(out, x, ctx)
         return out
 
     def delta_bar(self, mon, ctx: Ideal):

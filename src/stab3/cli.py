@@ -9,6 +9,7 @@ an explicit --prime flag always wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -41,15 +42,19 @@ def _at_least(low: int):
     return integer
 
 
+def _open_output(output):
+    """A context manager over the file `output` opened for writing, or stdout."""
+    if not output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {output}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, output):
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit2(f"cannot write {output}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _open_output(output) as fh:
+        fh.write(text)
 
 
 def _rows_to_csv(header, rows) -> str:
@@ -130,15 +135,14 @@ def cmd_verify(args) -> int:
                 f"unknown suite(s) {sorted(unknown)}; available: {', '.join(SUITE_NAMES)}"
             )
     t_range = _parse_t_range(args.t_range) if args.t_range else None
-    report = run_suites(args.prime, suites=suites, t_range=t_range, sector_cap=args.sector_cap)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.format == "human":
-        lines = [
-            f"{c['status'].upper():4s} {c['name']}: {c['ref']}" for c in report["checks"]
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(text, args.output)
+    with _open_output(args.output) as fh:  # an unwritable path fails before any suite runs
+        report = run_suites(args.prime, suites=suites, t_range=t_range,
+                            sector_cap=args.sector_cap)
+        if args.format == "human":
+            fh.write("".join(f"{c['status'].upper():4s} {c['name']}: {c['ref']}\n"
+                             for c in report["checks"]))
+        else:
+            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     failures = [c for c in report["checks"] if c["status"] != "pass"]
     if failures:
         first = failures[0]

@@ -16,7 +16,9 @@ from stab3 import bp_cobar, greek
 from stab3.bp_cobar import (
     BPElement,
     BPStructure,
+    Ideal,
     InsufficientPrecisionError,
+    MON_ONE,
     TPoly,
     V_ZERO,
     ZERO_IDEAL,
@@ -31,6 +33,7 @@ from stab3.bp_cobar import (
     project_to_exterior,
     t1_mon,
     t2_mon,
+    t3_mon,
     term_profile,
     tpoly_binom,
     verify_beta_chain,
@@ -226,6 +229,129 @@ def test_validity_guard_raises_on_fine_context():
     # eta_R(v3) is not granted exactly; a zero context must be rejected
     with pytest.raises(InsufficientPrecisionError):
         d_cobar(BPElement.v_power(P, e3=1), ZERO_IDEAL, BPStructure(P))
+
+
+# -- closed-form coproduct powers against the iterated product ---------------
+
+
+def _iterated_powers(st, base, ctx, n):
+    """The oracle: [base^0, ..., base^n] by repeated products of the
+    expansion `base`, each reduced mod ctx after every factor."""
+    out = [{(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}]
+    for _ in range(n):
+        out.append(st._mul(out[-1], base, ctx))
+    return out
+
+
+def _delta_t2_powers(st, ctx, n):
+    """Oracle Delta(t2)^b for b <= n, Delta(t2) = t2|1 + t1|t1^p + 1|t2 - v1 b10."""
+    p = st.p
+    base = {(V_ZERO, left, right): TPoly.const(1) for left, right in (
+        (t2_mon(1), MON_ONE), (t1_mon(1), t1_mon(p)), (MON_ONE, t2_mon(1)))}
+    v1 = ((1, 0), (0, 0), (0, 0))
+    for (_, (left, right)), c in b1k(p, 0).terms.items():
+        base[(v1, left, right)] = -c
+    return _iterated_powers(st, base, ctx, n)
+
+
+def _delta_t3_powers(st, ctx, n):
+    """Oracle Delta(t3)^c for c <= n, Delta(t3) = t3|1 + t2|t1^(p^2) + t1|t2^p + 1|t3."""
+    p = st.p
+    base = {(V_ZERO, left, right): TPoly.const(1) for left, right in (
+        (t3_mon(1), MON_ONE), (t2_mon(1), t1_mon(p * p)), (t1_mon(1), t2_mon(p)),
+        (MON_ONE, t3_mon(1)))}
+    return _iterated_powers(st, base, ctx, n)
+
+
+def _as_element(p, expansion):
+    return BPElement(p, {(vexp, tuple(slots)): c for (vexp, *slots), c in expansion.items()})
+
+
+def _suite_t2_keys(p):
+    """The (b, ctx.gens) on which the BP suites expand Delta(t2)^b."""
+    mod_p2_v1_v2 = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    quadratic = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    return {
+        (p, ()), (1, ((2, 0, 0), (1, 1, 0))), (1, ((1, 0, 0), (0, 1, 0))),
+        (p, ((1, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2))), (p, quadratic), (2 * p, quadratic),
+        *((b, mod_p2_v1_v2) for b in range(1, p + 1)),
+    }
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_suites_expand_delta_t2_on_the_listed_keys(monkeypatch, p):
+    seen = set()
+    power = BPStructure.delta_t2_power
+
+    def recorded(self, b, ctx):
+        seen.add((b, ctx.gens))
+        return power(self, b, ctx)
+
+    monkeypatch.setattr(BPStructure, "delta_t2_power", recorded)
+    report = run_suites(p, suites=list(BP_RECORD_SHA256))
+    assert all(rec["status"] == "pass" for rec in report["checks"])
+    assert seen == _suite_t2_keys(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_delta_t2_power_matches_the_iterated_product(p):
+    # same terms, same values, same order: reduce_mod audits in dict order
+    st = BPStructure(p)
+    by_ctx = {}
+    for b, gens in _suite_t2_keys(p):
+        by_ctx.setdefault(gens, []).append(b)
+    for gens, bs in by_ctx.items():
+        ctx = Ideal(gens)
+        oracle = _delta_t2_powers(st, ctx, max(bs))
+        for b in bs:
+            assert list(st.delta_t2_power(b, ctx).items()) == list(oracle[b].items()), (b, ctx)
+
+
+@pytest.mark.parametrize("gens", [
+    ((2, 0, 0), (1, 1, 0)), ((1, 0, 0), (0, 2, 0)), ((3, 0, 0), (1, 2, 0), (0, 3, 0)), ((0, 0, 0),),
+], ids=["p2-pv1", "p-v1^2", "p3-pv1^2-v1^3", "unit"])
+def test_delta_t2_power_off_the_suites_path_agrees_mod_ctx(gens):
+    # with a p-power generator the iterated product's representative depends
+    # on where it truncated, so only the class mod ctx is fixed
+    p = 5
+    st = BPStructure(p)
+    ctx = Ideal(gens)
+    for b, expected in enumerate(_delta_t2_powers(st, ctx, 2 * p)):
+        got = _as_element(p, st.delta_t2_power(b, ctx))
+        assert (got - _as_element(p, expected)).reduce_mod(ctx).is_zero(), b
+        assert got.reduce_mod(ctx) == got, b
+
+
+def test_closed_forms_multiply_no_expansions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("BPStructure._mul called")
+
+    st = BPStructure(P)
+    monkeypatch.setattr(BPStructure, "_mul", refuse)
+    assert st.delta_t2_power(2 * P, ZERO_IDEAL)
+    assert st.delta_t3_power(2 * P, st.DELTA_T3_VALIDITY)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_multinomial_valuations_follow_kummer(p):
+    for n in range(3 * p):
+        terms = list(bp_cobar._multinomial_terms(n, 3, p))
+        assert len(terms) == comb(n + 2, 2)
+        for e, c, v in terms:
+            assert sum(e) == n and c == comb(n, e[0]) * comb(n - e[0], e[1])
+            assert c % p**v == 0 and c % p ** (v + 1) != 0, (e, c, v)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_delta_t3_power_matches_the_iterated_product(p):
+    st = BPStructure(p)
+    ctx = st.DELTA_T3_VALIDITY
+    for c, expected in enumerate(_delta_t3_powers(st, ctx, 2 * p)):
+        assert list(st.delta_t3_power(c, ctx).items()) == list(expected.items()), c
+    ctx = ideal((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for c, expected in enumerate(_delta_t3_powers(st, ctx, 2 * p)):
+        got = _as_element(p, st.delta_t3_power(c, ctx))
+        assert (got - _as_element(p, expected)).reduce_mod(ctx).is_zero(), c
 
 
 # -- projection to the exterior model ----------------------------------------

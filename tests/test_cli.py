@@ -177,6 +177,20 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_verify_unwritable_output_fails_before_any_suite(capsys, monkeypatch, tmp_path):
+    from stab3 import reports
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_suites called")
+
+    monkeypatch.setattr(reports, "run_suites", refuse)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "--prime", "11", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 @pytest.mark.parametrize("bad", ["1,x", "0,1"])
 def test_bad_bidegree_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--bidegree", bad)
@@ -226,8 +240,19 @@ def test_crashed_suite_is_recorded_and_the_rest_still_run(capsys, monkeypatch):
 #: record, the suite order and `meta`.
 VERIFY_P7_SHA256 = "c83492158915d1d7c171d92057becf5a12f45fc00803bdefbfa01b9efc78bce7"
 
+#: the same for `stab3 verify --prime 11`.
+VERIFY_P11_SHA256 = "8b82130c9965ac23b2052d8f301fa6d260c107a98ee697473b8b228cb772914b"
+
+
+def _verify_digest(tmp_path, prime):
+    path = tmp_path / "report.json"
+    assert main(["verify", "--prime", str(prime), "--output", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 def test_verify_p7_report_is_pinned(tmp_path):
-    path = tmp_path / "report.json"
-    assert main(["verify", "--prime", "7", "--output", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == VERIFY_P7_SHA256
+    assert _verify_digest(tmp_path, 7) == VERIFY_P7_SHA256
+
+
+def test_verify_p11_report_is_pinned(tmp_path):
+    assert _verify_digest(tmp_path, 11) == VERIFY_P11_SHA256

@@ -5,8 +5,10 @@ in its module's or class's `__dict__`; the benchmark's own tests also check
 that named aliases (`massey.rref`, `cohomology.kernel_basis`, ...) are
 wrapped.  These tests check that every target resolves, that the traced
 `fplinalg.rref` takes dense list rows (its counter calls `row.count(0)`),
-and run the benchmark's alias test, so a refactor that breaks any of these
-fails in the tier-1 suite and not only in `python3 -m pytest perfbench`.
+that a traced BP suite feeds every counter without an error (the
+`delta_t2_power` counter reads its positional arguments), and run the
+benchmark's alias test, so a refactor that breaks any of these fails in
+the tier-1 suite and not only in `python3 -m pytest perfbench`.
 """
 
 import importlib
@@ -67,3 +69,20 @@ def test_benchmark_alias_test_passes(monkeypatch):
         for name in set(sys.modules) - before:
             if name in ("child", "tracer", "workloads"):
                 del sys.modules[name]
+
+
+def test_traced_bp_suite_feeds_every_counter():
+    # `_delta_t2_stat` reads BPStructure.delta_t2_power's positional
+    # (b, ctx); a keyword call would land in stat_errors
+    tracer = _tracer_module()
+    reports = importlib.import_module("stab3.reports")
+    bp_cobar = importlib.import_module("stab3.bp_cobar")
+    tr = tracer.Tracer().install()
+    try:
+        assert hasattr(bp_cobar.BPStructure.delta_t2_power, "__wrapped__")
+        report = reports.run_suites(5, suites=["bp-basics"])
+        assert tr.stat_errors == {}
+    finally:
+        tr.uninstall()
+    assert [rec["status"] for rec in report["checks"]] == ["pass"]
+    assert tr.metrics()["bp_cobar.BPStructure.delta_t2_power.calls"] > 0
