@@ -157,13 +157,16 @@ def cmd_greek(args) -> int:
     _check_prime(args.prime)
     from . import greek
 
+    meta = {"prime": args.prime, "version": __version__, "command": "greek"}
     if args.bidegree:
         try:
             spec = greek.GreekSpec(tuple(int(x) for x in args.bidegree.split(",")), "custom")
         except ValueError as exc:
             raise SystemExit2(f"--bidegree {args.bidegree!r}: {exc}") from None
         n, tA = greek.bidegree(spec, args.prime)
-        _emit(f"({n}, {tA})\n", args.output)
+        header = ("bidegree_n", "bidegree_tA")
+        _emit(f"({n}, {tA})\n" if args.format == "human"
+              else _format_rows(header, [(n, tA)], args.format, meta), args.output)
         return 0
     if args.prime == 5:
         sys.stderr.write(
@@ -195,7 +198,6 @@ def cmd_greek(args) -> int:
                 "agree" if row["agree"] else "DISAGREE",
             )
         )
-    meta = {"prime": args.prime, "version": __version__, "command": "greek"}
     _emit(_format_rows(header, rows, args.format, meta), args.output)
     return 0 if all(r["agree"] for r in rows_raw) else 1
 

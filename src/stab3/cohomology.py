@@ -5,8 +5,8 @@ each sector is a finite tower of F_p vector spaces graded by cohomological
 degree s.  `SectorTower` holds the generic linear algebra (cocycles,
 coboundaries, echelon cohomology representatives, reduction to class
 coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
-sector from a basis and a differential; `ExteriorCohomology` here and the
-cobar engine in `hopf_cobar` are its two subclasses.
+sector from its graded basis keys and a differential; `ExteriorCohomology`
+here and the cobar engine in `hopf_cobar` are its two subclasses.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -175,13 +175,24 @@ class SectorEngine:
     """Sector towers of a (t, w)-graded complex: the contract shared by the
     exterior model and the cobar complex.
 
-    A subclass sets `name` (the model label in Massey results), `p`, `alg`
-    (an `exterior.FpAlgebra`, whose `element` class builds the complex's
-    elements; an element's term keys are its basis keys), `_sector_bases`
-    ((t, w) -> {s: sorted basis keys}) and `_towers = {}`.  The base derives
-    the towers, element <-> vector conversion, dimension reports, and the
-    queries the Massey routines make.
+    `alg` is an `exterior.FpAlgebra` whose `element` class builds the
+    complex's elements, keyed by basis key; `graded_keys` yields (basis key,
+    (s, t, w)) pairs, bucketed into `_sector_bases` ((t, w) -> {s: sorted
+    keys}, sectors in order of first appearance).  A subclass sets `name`,
+    the model label in Massey results.  The base derives the towers, element
+    <-> vector conversion, dimension reports, and the Massey queries.
     """
+
+    def __init__(self, alg, graded_keys):
+        self.alg = alg
+        self.p = alg.p
+        self._towers = {}
+        self._sector_bases = sectors = {}
+        for key, (s, t, w) in graded_keys:
+            sectors.setdefault((t, w), {}).setdefault(s, []).append(key)
+        for bases in sectors.values():
+            for keys in bases.values():
+                keys.sort()
 
     def sector_keys(self):
         return sorted(self._sector_bases)
@@ -238,10 +249,6 @@ class SectorEngine:
     def dim(self, sector: Trigrade) -> int:
         return self.tower(sector.t, sector.w).dim(sector.s)
 
-    def basis_elements(self, sector: Trigrade):
-        basis = self.tower(sector.t, sector.w).bases.get(sector.s, [])
-        return [self._element({k: 1}) for k in basis]
-
     def class_coords(self, x):
         """(sector, class coordinate tuple) of a cocycle; None for zero element."""
         if x.is_zero():
@@ -282,17 +289,8 @@ class ExteriorCohomology(SectorEngine):
     name = "exterior"
 
     def __init__(self, p: int = 7):
-        self.alg = ExteriorAlgebra(p)
-        self.p = p
-        self._sector_bases = {}
-        for mask in range(1 << 9):
-            g = self.alg.key_grade((mask, 0))
-            bucket = self._sector_bases.setdefault((g.t, g.w), {})
-            bucket.setdefault(g.s, []).append((mask, 0))
-        for bases in self._sector_bases.values():
-            for lst in bases.values():
-                lst.sort()
-        self._towers = {}
+        alg = ExteriorAlgebra(p)
+        super().__init__(alg, (((mask, 0), alg.key_grade((mask, 0))) for mask in range(1 << 9)))
 
     def _check_plain(self, x: ExteriorElement):
         if any(v2 for (_, v2) in x.terms):

@@ -246,26 +246,30 @@ class CobarEngine(SectorEngine):
     name = "cobar"
 
     def __init__(self, p: int = 7, weight_bound: int = 6, sector_cap: int = 20000):
-        self.p = p
-        self.alg = TruncatedHopf(p)
         self.weight_bound = weight_bound
         self.sector_cap = sector_cap
-        self._sector_bases = {}
-        self._towers = {}
-        self._enumerate()
+        hopf = TruncatedHopf(p)
+        super().__init__(hopf, self._graded_tensors(hopf))
+        for key, bucket in self._sector_bases.items():
+            for s, basis in bucket.items():
+                if len(basis) > sector_cap:
+                    raise SectorCapError(
+                        f"sector {key} degree {s} has {len(basis)} basis tensors "
+                        f"(cap {sector_cap})"
+                    )
 
-    def _monomials_by_weight(self):
-        """All reduced monomials of weight <= bound, grouped by weight."""
+    def _monomials_by_weight(self, hopf):
+        """(monomial, internal degree) for every reduced monomial of weight
+        <= bound, grouped by weight."""
         out = {}
-        hopf = self.alg
 
         def rec(idx, m, w):
             if idx == 9:
                 if w:
-                    out.setdefault(w, []).append(tuple(m))
+                    out.setdefault(w, []).append((tuple(m), hopf.mon_tdeg(m)))
                 return
             row = hopf.gen_weight[idx]
-            for e in range(min(self.p - 1, (self.weight_bound - w) // row) + 1):
+            for e in range(min(hopf.p - 1, (self.weight_bound - w) // row) + 1):
                 m[idx] = e
                 rec(idx + 1, m, w + e * row)
             m[idx] = 0
@@ -273,36 +277,21 @@ class CobarEngine(SectorEngine):
         rec(0, [0] * 9, 0)
         return out
 
-    def _enumerate(self):
-        hopf = self.alg
-        monw = self._monomials_by_weight()
-        self._sector_bases[(0, 0)] = {0: [()]}
-        tensors = [((), 0, 0)]  # (slots, tdeg, weight)
-        frontier = [((), 0, 0)]
+    def _graded_tensors(self, hopf):
+        """Every tensor of total weight <= bound with its (s, t, w), by
+        increasing length."""
+        monw = self._monomials_by_weight(hopf)
+        frontier = [((), 0, 0)]  # (slots, tdeg, weight)
         while frontier:
             nxt = []
             for slots, t, w in frontier:
+                yield slots, (len(slots), t, w)
                 for dw, mons in monw.items():
                     if w + dw > self.weight_bound:
                         continue
-                    for m in mons:
-                        item = (slots + (m,), (t + hopf.mon_tdeg(m)) % hopf.tmod, w + dw)
-                        nxt.append(item)
-            tensors.extend(nxt)
+                    for m, dt in mons:
+                        nxt.append((slots + (m,), (t + dt) % hopf.tmod, w + dw))
             frontier = nxt
-        for slots, t, w in tensors:
-            if (t, w) == (0, 0):
-                continue
-            bucket = self._sector_bases.setdefault((t, w), {})
-            bucket.setdefault(len(slots), []).append(slots)
-        for key, bucket in self._sector_bases.items():
-            for s, basis in bucket.items():
-                if len(basis) > self.sector_cap:
-                    raise SectorCapError(
-                        f"sector {key} degree {s} has {len(basis)} basis tensors "
-                        f"(cap {self.sector_cap})"
-                    )
-                basis.sort()
 
     def _check_sector(self, w: int):
         if w > self.weight_bound:

@@ -2,16 +2,21 @@
 
 Works over any `cohomology.SectorEngine` (the exterior cohomology engine and
 the cobar engine): the engine supplies the per-(t, w) `SectorTower`s,
-element <-> vector conversion, `bar`, `sector_sum`, `dim`, `basis_elements`
-and `class_coords`.  Conventions: x-bar = (-1)^(1 + deg x) * x; the product
-representative is sum_{0<m<n} a-bar_{0,m} a_{m,n}.
+element <-> vector conversion, `bar`, `sector_sum`, `dim` and
+`class_coords`.  Conventions: x-bar = (-1)^(1 + deg x) * x, the engine's
+`bar`; the identity at (i, j) is d(a_ij) = sum_{i<m<j} a-bar_{i,m} a_{m,j}
+(`_bar_sum`), and the product representative is the same sum at (0, n).
 
-For n in {3, 4} the defining-system constraints are jointly *linear* in the
-interior entries, so a single F_p solve finds a defining system or proves
-none exists.  The value map is quadratic on the affine solution space; the
-reported indeterminacy subspace is the span of its first- and second-order
-differences along a kernel basis, which contains every attainable value
-difference.
+For n in {3, 4} no identity multiplies two interior entries, so the
+residuals r(u) = [d(a_ij) - sum a-bar_{i,m} a_{m,j}] over the interior
+entries are affine in their joint coordinate vector u.  `massey_product`
+builds its F_p system by evaluating them: column c is r(e_c) - r(0), the
+right-hand side -r(0).  A single solve finds a defining system or proves
+none exists, and `massey_from_system` checks the same identities on every
+system it evaluates.  The value map is quadratic on the affine solution
+space; the reported indeterminacy subspace is the span of its first- and
+second-order differences along a kernel basis, which contains every
+attainable value difference.
 """
 
 from __future__ import annotations
@@ -22,6 +27,14 @@ from .fplinalg import coordinates, kernel_basis, rref, solve
 
 class MasseyError(ValueError):
     pass
+
+
+def _bar_sum(engine, entries, i, j):
+    """sum_{i<m<j} bar(a_im) a_mj: the right side of the identity at (i, j)."""
+    out = engine.zero()
+    for m in range(i + 1, j):
+        out = out + engine.bar(entries[(i, m)]) * entries[(m, j)]
+    return out
 
 
 def _massey_layout(engine, reps, n):
@@ -65,69 +78,11 @@ def massey_product(engine, reps):
         if cc is not None and any(cc[1]):
             raise MasseyError(f"product of inputs {i},{i+1} does not vanish")
 
-    # --- joint linear system for the interior entries ---------------------
     offsets = {}
     total = 0
     for u in unknowns:
         offsets[u] = total
         total += engine.dim(sectors[u])
-
-    rows = []
-    rhs = []
-    for (i, j) in unknowns:
-        tgt = sectors[(i, j)]
-        tgt_up = Trigrade(tgt.s + 1, tgt.t, tgt.w)
-        m_up = engine.dim(tgt_up)
-        block_rows = [[0] * total for _ in range(m_up)]
-        block_rhs = [0] * m_up
-
-        def add_vec(vec, col=None, sign=1):
-            for r in range(m_up):
-                if vec[r]:
-                    if col is None:
-                        block_rhs[r] = (block_rhs[r] + sign * vec[r]) % p
-                    else:
-                        block_rows[r][col] = (block_rows[r][col] + sign * vec[r]) % p
-
-        # d(u_ij) columns
-        off = offsets[(i, j)]
-        for c, e in enumerate(engine.basis_elements(sectors[(i, j)])):
-            de = e.d()
-            if not de.is_zero():
-                add_vec(engine.to_vec(de, tgt_up), col=off + c)
-
-        # minus sum over middles of bar(a_im) * a_mj
-        for m in range(i + 1, j):
-            left_unknown = (i, m) in offsets
-            right_unknown = (m, j) in offsets
-            if left_unknown and right_unknown:
-                raise MasseyError("nonlinear constraint (n too large)")
-            if left_unknown:
-                sgn = 1 if (1 + sectors[(i, m)].s) % 2 == 0 else -1
-                off_l = offsets[(i, m)]
-                for c, e in enumerate(engine.basis_elements(sectors[(i, m)])):
-                    prod = e * fixed[(m, j)]
-                    if not prod.is_zero():
-                        add_vec(engine.to_vec(prod, tgt_up), col=off_l + c, sign=-sgn)
-            elif right_unknown:
-                left = engine.bar(fixed[(i, m)])
-                off_r = offsets[(m, j)]
-                for c, e in enumerate(engine.basis_elements(sectors[(m, j)])):
-                    prod = left * e
-                    if not prod.is_zero():
-                        add_vec(engine.to_vec(prod, tgt_up), col=off_r + c, sign=-1)
-            else:
-                prod = engine.bar(fixed[(i, m)]) * fixed[(m, j)]
-                if not prod.is_zero():
-                    add_vec(engine.to_vec(prod, tgt_up), sign=1)
-
-        rows.extend(block_rows)
-        rhs.extend(block_rhs)
-
-    part = solve(rows, rhs, p) if rows else []
-    if part is None:
-        raise MasseyError("no defining system (linear system inconsistent)")
-    null = kernel_basis(rows, total, p) if total else []
 
     def entries_at(uvec):
         out = dict(fixed)
@@ -136,6 +91,27 @@ def massey_product(engine, reps):
             d = engine.dim(sectors[(i, j)])
             out[(i, j)] = engine.from_vec(uvec[off : off + d], sectors[(i, j)])
         return out
+
+    def residual(uvec):
+        """[d(a_ij) - sum bar(a_im) a_mj] over the unknowns, as one vector."""
+        entries = entries_at(uvec)
+        out = []
+        for (i, j) in unknowns:
+            s, t, w = sectors[(i, j)]
+            r = entries[(i, j)].d() - _bar_sum(engine, entries, i, j)
+            out += engine.to_vec(r, Trigrade(s + 1, t, w))
+        return out
+
+    # --- joint linear system: the residual is affine in the unknowns -------
+    r0 = residual([0] * total)
+    cols = [residual([int(c == k) for k in range(total)]) for c in range(total)]
+    rows = [[(col[r] - x) % p for col in cols] for r, x in enumerate(r0)]
+    rhs = [-x % p for x in r0]
+
+    part = solve(rows, rhs, p) if rows else []
+    if part is None:
+        raise MasseyError("no defining system (linear system inconsistent)")
+    null = kernel_basis(rows, total, p) if total else []
 
     value_sector = engine.sector_sum([r.grade_of() for r in reps], n - 2)
 
@@ -199,16 +175,10 @@ def massey_from_system(engine, entries, n):
     Every identity d(a_ij) = sum bar(a_im) a_mj is checked exactly; the
     value is the same sum at (0, n).
     """
-    def bar_sum(i, j):
-        out = engine.zero()
-        for m in range(i + 1, j):
-            out = out + engine.bar(entries[(i, m)]) * entries[(m, j)]
-        return out
-
     for (i, j), a in entries.items():
-        if j - i >= 2 and not (a.d() - bar_sum(i, j)).is_zero():
+        if j - i >= 2 and not (a.d() - _bar_sum(engine, entries, i, j)).is_zero():
             raise MasseyError(f"defining-system identity fails at entry {(i, j)}")
-    val = bar_sum(0, n)
+    val = _bar_sum(engine, entries, 0, n)
     if not val.d().is_zero():
         raise MasseyError("value is not a cocycle")
     return val

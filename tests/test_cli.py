@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stab3 import __version__
 from stab3.cli import main
 
 
@@ -82,6 +83,37 @@ def test_greek_bidegree(capsys):
     code, out, _ = run(capsys, "greek", "--prime", "7", "--bidegree", "1,1,1,2")
     assert code == 0
     assert out.strip() == "(3, 1260)"
+    code, out, _ = run(capsys, "greek", "--prime", "7", "--bidegree", "1,1,1,2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "meta": {"prime": 7, "version": __version__, "command": "greek"},
+        "header": ["bidegree_n", "bidegree_tA"],
+        "rows": [[3, 1260]],
+    }
+    code, out, _ = run(capsys, "greek", "--prime", "7", "--bidegree", "1,1,1,2",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["bidegree_n,bidegree_tA", "3,1260"]
+
+
+COBAR_CAP_ARGS = ("table", "--model", "cobar", "--prime", "5", "--may-bound", "3")
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("5", "internal error: SectorCapError: sector (0, 3) degree 1 has 7 basis tensors (cap 5)\n"),
+    ("11", "internal error: SectorCapError: sector (0, 3) degree 2 has 12 basis tensors (cap 11)\n"),
+])
+def test_cobar_sector_cap_exceeded(capsys, cap, message):
+    # the cap names the first oversize sector in enumeration order
+    code, out, err = run(capsys, *COBAR_CAP_ARGS, "--sector-cap", cap)
+    assert (code, out, err) == (1, "", message)
+
+
+def test_cobar_sector_cap_at_largest_sector(capsys):
+    code, out, err = run(capsys, *COBAR_CAP_ARGS, "--sector-cap", "12")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *COBAR_CAP_ARGS)[1]
 
 
 def test_greek_p5_warning(capsys):

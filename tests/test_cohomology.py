@@ -1,9 +1,11 @@
 """Cohomology engine: dimension oracles, reductions, pairings, Massey."""
 
+import itertools
+
 import pytest
 
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
-from stab3.exterior import FULL_MASK
+from stab3.exterior import FULL_MASK, Trigrade
 from stab3 import massey
 from stab3.massey import MasseyError, class_in_coset, massey_product
 from stab3.named import NamedClasses
@@ -129,3 +131,112 @@ def test_massey_rejects_a_solve_that_is_not_a_solution(monkeypatch):
 def test_massey_rejects_nonvanishing_consecutive_products():
     with pytest.raises(MasseyError):
         massey_product(ENGINE, [NC["b0"], NC["b0"], NC["b0"]])
+
+
+# -- oracle for the Massey linear system -------------------------------------
+
+
+def _assembled_system(engine, reps):
+    """The Massey system (rows, rhs) assembled block by block: d of each
+    interior basis element, and each product with a fixed neighbour, with the
+    bar sign written out.  `massey_product` instead evaluates the identity."""
+    n = len(reps)
+    p = engine.p
+    sectors = massey._massey_layout(engine, reps, n)
+    fixed = {(i, i + 1): reps[i] for i in range(n)}
+    unknowns = [(i, j) for i in range(n) for j in range(i + 2, n + 1) if (i, j) != (0, n)]
+
+    def basis_elements(sector):
+        return [engine.from_vec([int(c == k) for k in range(engine.dim(sector))], sector)
+                for c in range(engine.dim(sector))]
+
+    offsets = {}
+    total = 0
+    for u in unknowns:
+        offsets[u] = total
+        total += engine.dim(sectors[u])
+
+    rows = []
+    rhs = []
+    for (i, j) in unknowns:
+        tgt = sectors[(i, j)]
+        tgt_up = Trigrade(tgt.s + 1, tgt.t, tgt.w)
+        m_up = engine.dim(tgt_up)
+        block_rows = [[0] * total for _ in range(m_up)]
+        block_rhs = [0] * m_up
+
+        def add_vec(vec, col=None, sign=1):
+            for r in range(m_up):
+                if vec[r]:
+                    if col is None:
+                        block_rhs[r] = (block_rhs[r] + sign * vec[r]) % p
+                    else:
+                        block_rows[r][col] = (block_rows[r][col] + sign * vec[r]) % p
+
+        # d(u_ij) columns
+        off = offsets[(i, j)]
+        for c, e in enumerate(basis_elements(sectors[(i, j)])):
+            de = e.d()
+            if not de.is_zero():
+                add_vec(engine.to_vec(de, tgt_up), col=off + c)
+
+        # minus sum over middles of bar(a_im) * a_mj
+        for m in range(i + 1, j):
+            left_unknown = (i, m) in offsets
+            right_unknown = (m, j) in offsets
+            if left_unknown and right_unknown:
+                raise MasseyError("nonlinear constraint (n too large)")
+            if left_unknown:
+                sgn = 1 if (1 + sectors[(i, m)].s) % 2 == 0 else -1
+                off_l = offsets[(i, m)]
+                for c, e in enumerate(basis_elements(sectors[(i, m)])):
+                    prod = e * fixed[(m, j)]
+                    if not prod.is_zero():
+                        add_vec(engine.to_vec(prod, tgt_up), col=off_l + c, sign=-sgn)
+            elif right_unknown:
+                left = engine.bar(fixed[(i, m)])
+                off_r = offsets[(m, j)]
+                for c, e in enumerate(basis_elements(sectors[(m, j)])):
+                    prod = left * e
+                    if not prod.is_zero():
+                        add_vec(engine.to_vec(prod, tgt_up), col=off_r + c, sign=-1)
+            else:
+                prod = engine.bar(fixed[(i, m)]) * fixed[(m, j)]
+                if not prod.is_zero():
+                    add_vec(engine.to_vec(prod, tgt_up), sign=1)
+
+        rows.extend(block_rows)
+        rhs.extend(block_rhs)
+
+    return rows, rhs
+
+
+def test_massey_system_matches_block_assembly(monkeypatch):
+    captured = []
+    real_solve = massey.solve
+
+    def capture(rows, rhs, p):
+        captured.append((rows, rhs))
+        return real_solve(rows, rhs, p)
+
+    monkeypatch.setattr(massey, "solve", capture)
+    solved = 0
+    for n in (3, 4):
+        for names in itertools.product(("h0", "h1", "h2", "k0", "k1"), repeat=n):
+            reps = [NC[name] for name in names]
+            captured.clear()
+            try:
+                massey_product(ENGINE, reps)
+            except MasseyError as exc:
+                if "does not vanish" in str(exc):
+                    assert not captured
+                    continue
+            rows, rhs = _assembled_system(ENGINE, reps)
+            assert captured == ([(rows, rhs)] if rows else []), names
+            solved += bool(captured)
+    assert solved == 416  # the other inputs have a nonvanishing consecutive product
+
+
+def test_massey_inconsistent_system():
+    with pytest.raises(MasseyError, match="no defining system"):
+        massey_product(ENGINE, [NC["h0"], NC["h0"], NC["h0"], NC["h1"]])

@@ -71,10 +71,25 @@ def test_sector_engine_contract(engine):
             assert engine.to_vec(x, sector) == vec
             if not x.is_zero():
                 assert x.grade_of() == sector
-            for i, e in enumerate(engine.basis_elements(sector)):
-                assert engine.to_vec(e, sector) == [int(i == j) for j in range(n)]
+            for i in range(n):
+                unit = [int(i == j) for j in range(n)]
+                e = engine.from_vec(unit, sector)
+                assert len(e.terms) == 1
+                assert engine.to_vec(e, sector) == unit
     report = engine.euler_report()
     assert report and all(row["equal"] for row in report)
+
+
+def test_sector_engine_buckets_graded_keys():
+    # sectors in first-appearance order, keys sorted within each degree
+    alg = ExteriorAlgebra(5)
+    graded = [("b", (1, 4, 2)), ("c", (0, 0, 0)), ("a", (1, 4, 2)), ("d", (2, 4, 2))]
+    engine = SectorEngine(alg, iter(graded))
+    assert (engine.alg, engine.p, engine._towers) == (alg, 5, {})
+    assert list(engine._sector_bases.items()) == [
+        ((4, 2), {1: ["a", "b"], 2: ["d"]}),
+        ((0, 0), {0: ["c"]}),
+    ]
 
 
 def test_one_named_classes_per_report(monkeypatch):
