@@ -290,7 +290,7 @@ class ExteriorCohomology(SectorEngine):
 
     def __init__(self, p: int = 7):
         alg = ExteriorAlgebra(p)
-        super().__init__(alg, (((mask, 0), alg.key_grade((mask, 0))) for mask in range(1 << 9)))
+        super().__init__(alg, (((mask, 0), grade) for mask, grade in enumerate(alg.mask_grade)))
 
     def _check_plain(self, x: ExteriorElement):
         if any(v2 for (_, v2) in x.terms):

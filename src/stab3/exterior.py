@@ -1,13 +1,17 @@
 """Exterior complex on the nine odd generators h_{i,j}, i in {1,2,3}, j in Z/3.
 
 Monomials are 9-bit masks over the canonical order
-h_{1,0} < h_{1,1} < h_{1,2} < h_{2,0} < ... < h_{3,2}; the Koszul sign of a
-product is the parity of the merge permutation, computed from inversion
-counts.  The differential is
+h_{1,0} < h_{1,1} < h_{1,2} < h_{2,0} < ... < h_{3,2}.  The Koszul sign of
+a product a * b is the parity of the bits of b that lie below an odd number
+of bits of a: `_odd_above(a)` marks those positions by a prefix xor, so
+each pair costs one `bit_count`.  The differential is
 
     d(h_{i,j}) = sum_{s=1}^{i-1} h_{s,j} h_{i-s, s+j}
 
-extended as a derivation (d(ab) = d(a)b + (-1)^{deg a} a d(b)).
+extended as a derivation (d(ab) = d(a)b + (-1)^{deg a} a d(b)).  Its value
+on each monomial is memoised in `_D` on first use, with integer
+coefficients, so one memo serves every prime; `d` is one lookup per term,
+reduced mod p once.
 
 Gradings: cohomological degree s = word length; internal degree
 2(p^i - 1)p^j summed and reduced mod 2(p^3 - 1); weight i summed.
@@ -48,17 +52,44 @@ class InhomogeneousError(ValueError):
         super().__init__(f"inhomogeneous element with trigrades {self.grades}")
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Parity sign of merging two disjoint sorted generator words a, b."""
-    sign = 1
-    rest = b
-    while rest:
-        low = rest & -rest
-        pos = low.bit_length() - 1
-        if bin(a >> (pos + 1)).count("1") % 2:
-            sign = -sign
-        rest ^= low
-    return sign
+def _odd_above(a: int) -> int:
+    """Bit k is set iff the 9-bit mask a has an odd number of bits above k."""
+    x = a >> 1
+    x ^= x >> 1
+    x ^= x >> 2
+    x ^= x >> 4
+    return x
+
+
+def _sign(a: int, b: int) -> int:
+    """Koszul sign of the product of disjoint monomials a * b."""
+    return -1 if (b & _odd_above(a)).bit_count() & 1 else 1
+
+
+class _DMemo(dict):
+    """mask -> integer d of the monomial as ((mask', coeff), ...), filled on
+    first use by d(g * rest) = d(g) rest - g d(rest), g the lowest generator.
+    The coefficients are integers, so one memo serves every prime; a key
+    whose coefficients cancel stays in its entry, so output key order does
+    not depend on p."""
+
+    def __missing__(self, mask):
+        low = mask & -mask
+        rest = mask ^ low
+        i, j = GENERATORS[low.bit_length() - 1]
+        out = {}
+        for s in range(1, i):
+            a, b = 1 << gen_index(s, j), 1 << gen_index(i - s, s + j)
+            if not (a | b) & rest:
+                out[a | b | rest] = _sign(a, b) * _sign(a | b, rest)
+        for m, c in self[rest]:
+            if not m & low:
+                out[low | m] = out.get(low | m, 0) - c * _sign(low, m)
+        self[mask] = entry = tuple(out.items())
+        return entry
+
+
+_D = _DMemo({0: ()})
 
 
 class FpAlgebra:
@@ -89,18 +120,22 @@ class FpElement:
 
     def __init__(self, alg: FpAlgebra, terms):
         self.alg = alg
-        self.terms = {k: v % alg.p for k, v in terms.items() if v % alg.p}
+        p = alg.p
+        self.terms = {k: r for k, v in terms.items() if (r := v % p)}
 
-    def __add__(self, other):
+    def _plus(self, other, scale):
         if type(other) is not type(self):
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = (out.get(k, 0) + v) % self.alg.p
+            out[k] = out.get(k, 0) + scale * v
         return type(self)(self.alg, out)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
         return type(self)(self.alg, {k: -v for k, v in self.terms.items()})
@@ -144,40 +179,26 @@ class ExteriorElement(FpElement):
             return self.__rmul__(other)
         if not isinstance(other, ExteriorElement):
             return NotImplemented
-        p = self.alg.p
         out = {}
         for (ma, va), ca in self.terms.items():
+            odd = _odd_above(ma)
             for (mb, vb), cb in other.terms.items():
                 if ma & mb:
                     continue
-                sign = _merge_sign(ma, mb)
                 key = (ma | mb, va + vb)
-                out[key] = (out.get(key, 0) + sign * ca * cb) % p
+                c = ca * cb
+                out[key] = out.get(key, 0) + (-c if (mb & odd).bit_count() & 1 else c)
         return ExteriorElement(self.alg, out)
 
     # -- differential -------------------------------------------------------
 
     def d(self) -> "ExteriorElement":
-        alg = self.alg
-        p = alg.p
         out = {}
         for (mask, v2exp), coeff in self.terms.items():
-            rest = mask
-            sign = 1  # (-1)^(number of generators to the left)
-            while rest:
-                low = rest & -rest
-                pos = low.bit_length() - 1
-                lower = mask & (low - 1)
-                upper = mask & ~((low << 1) - 1)
-                for dmask, dcoeff in alg._dgen[pos].items():
-                    if dmask & (mask ^ low):
-                        continue
-                    s = sign * _merge_sign(lower, dmask) * _merge_sign(lower | dmask, upper)
-                    key = ((mask ^ low) | dmask, v2exp)
-                    out[key] = (out.get(key, 0) + s * coeff * dcoeff) % p
-                sign = -sign
-                rest ^= low
-        return ExteriorElement(alg, out)
+            for m, c in _D[mask]:
+                key = (m, v2exp)
+                out[key] = out.get(key, 0) + c * coeff
+        return ExteriorElement(self.alg, out)
 
     # -- misc ---------------------------------------------------------------
 
@@ -220,29 +241,20 @@ class ExteriorElement(FpElement):
 
 
 class ExteriorAlgebra(FpAlgebra):
-    """Shared immutable data (degrees, differential table) at a fixed prime."""
+    """Shared immutable data at a fixed prime: degrees and the trigrade of
+    every v2-free monomial, `mask_grade[mask]`."""
 
     element = ExteriorElement
 
     def __init__(self, p: int = 7):
         super().__init__(p)
         self.v2_tdeg = (2 * (p**2 - 1)) % self.tmod
-        self._dgen = self._build_differential_table()
-
-    def _build_differential_table(self):
-        table = []
-        for (i, j) in GENERATORS:
-            terms = {}
-            for s in range(1, i):
-                a = gen_index(s, j)
-                b = gen_index(i - s, s + j)
-                if a == b:
-                    continue
-                sign = 1 if a < b else -1
-                key = (1 << a) | (1 << b)
-                terms[key] = (terms.get(key, 0) + sign) % self.p
-            table.append({k: v for k, v in terms.items() if v})
-        return tuple(table)
+        grade = [Trigrade(0, 0, 0)]
+        for mask in range(1, FULL_MASK + 1):
+            s, t, w = grade[mask & (mask - 1)]
+            g = (mask & -mask).bit_length() - 1
+            grade.append(Trigrade(s + 1, (t + self.gen_tdeg[g]) % self.tmod, w + self.gen_weight[g]))
+        self.mask_grade = tuple(grade)
 
     # -- constructors -------------------------------------------------------
 
@@ -264,29 +276,12 @@ class ExteriorAlgebra(FpAlgebra):
             out = out * self.gen(*GENERATORS[GEN_NAMES.index(n)])
         return out
 
-    # -- grading helpers ----------------------------------------------------
-
-    def mask_tdeg(self, mask: int, v2exp: int = 0) -> int:
-        t = v2exp * self.v2_tdeg
-        rest = mask
-        while rest:
-            low = rest & -rest
-            t += self.gen_tdeg[low.bit_length() - 1]
-            rest ^= low
-        return t % self.tmod
-
-    def mask_weight(self, mask: int) -> int:
-        w = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            w += self.gen_weight[low.bit_length() - 1]
-            rest ^= low
-        return w
+    # -- grading -----------------------------------------------------------
 
     def key_grade(self, key) -> Trigrade:
         """Trigrade of the basis key (mask, v2exp)."""
         mask, v2exp = key
-        return Trigrade(
-            bin(mask).count("1"), self.mask_tdeg(mask, v2exp), self.mask_weight(mask)
-        )
+        g = self.mask_grade[mask]
+        if v2exp:
+            return g._replace(t=(g.t + v2exp * self.v2_tdeg) % self.tmod)
+        return g

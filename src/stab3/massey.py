@@ -11,12 +11,13 @@ For n in {3, 4} no identity multiplies two interior entries, so the
 residuals r(u) = [d(a_ij) - sum a-bar_{i,m} a_{m,j}] over the interior
 entries are affine in their joint coordinate vector u.  `massey_product`
 builds its F_p system by evaluating them: column c is r(e_c) - r(0), the
-right-hand side -r(0).  A single solve finds a defining system or proves
-none exists, and `massey_from_system` checks the same identities on every
-system it evaluates.  The value map is quadratic on the affine solution
-space; the reported indeterminacy subspace is the span of its first- and
-second-order differences along a kernel basis, which contains every
-attainable value difference.
+right-hand side -r(0).  Only the identities that read column c's entry are
+evaluated for it; its other rows are zero.  A single solve finds a defining
+system or proves none exists, and `massey_from_system` checks the same
+identities on every system it evaluates.  The value map is quadratic on
+the affine solution space; the reported indeterminacy subspace is the span
+of its first- and second-order differences along a kernel basis, which
+contains every attainable value difference.
 """
 
 from __future__ import annotations
@@ -92,21 +93,32 @@ def massey_product(engine, reps):
             out[(i, j)] = engine.from_vec(uvec[off : off + d], sectors[(i, j)])
         return out
 
-    def residual(uvec):
-        """[d(a_ij) - sum bar(a_im) a_mj] over the unknowns, as one vector."""
-        entries = entries_at(uvec)
-        out = []
-        for (i, j) in unknowns:
-            s, t, w = sectors[(i, j)]
-            r = entries[(i, j)].d() - _bar_sum(engine, entries, i, j)
-            out += engine.to_vec(r, Trigrade(s + 1, t, w))
-        return out
+    def residual(entries, i, j):
+        """d(a_ij) - sum bar(a_im) a_mj as a vector in the sector above a_ij."""
+        s, t, w = sectors[(i, j)]
+        r = entries[(i, j)].d() - _bar_sum(engine, entries, i, j)
+        return engine.to_vec(r, Trigrade(s + 1, t, w))
 
     # --- joint linear system: the residual is affine in the unknowns -------
-    r0 = residual([0] * total)
-    cols = [residual([int(c == k) for k in range(total)]) for c in range(total)]
-    rows = [[(col[r] - x) % p for col in cols] for r, x in enumerate(r0)]
-    rhs = [-x % p for x in r0]
+    # Entry (a, b) occurs only in the identities at (a, b), at (a, j) for
+    # j > b and at (i, b) for i < a; its columns are zero in every other row.
+    base = entries_at([0] * total)
+    r0 = {u: residual(base, *u) for u in unknowns}
+    cols = []
+    for (a, b) in unknowns:
+        dim = engine.dim(sectors[(a, b)])
+        for k in range(dim):
+            entries = dict(base)
+            entries[(a, b)] = engine.from_vec([int(x == k) for x in range(dim)], sectors[(a, b)])
+            col = []
+            for (i, j) in unknowns:
+                if (i, j) == (a, b) or (i == a and j > b) or (j == b and i < a):
+                    col += [(x - y) % p for x, y in zip(residual(entries, i, j), r0[(i, j)])]
+                else:
+                    col += [0] * len(r0[(i, j)])
+            cols.append(col)
+    rhs = [-x % p for u in unknowns for x in r0[u]]
+    rows = [[col[r] for col in cols] for r in range(len(rhs))]
 
     part = solve(rows, rhs, p) if rows else []
     if part is None:

@@ -1,5 +1,7 @@
 """Exterior DGA: exhaustive differential checks, signs, grading, shift."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,132 @@ from stab3.exterior import (
 )
 
 ALG = ExteriorAlgebra(7)
+
+
+# -- oracles: the bit-loop kernel the tabulated one replaced -----------------
+
+
+def _merge_sign(a: int, b: int) -> int:
+    """Parity sign of merging two disjoint sorted generator words a, b."""
+    sign = 1
+    rest = b
+    while rest:
+        low = rest & -rest
+        pos = low.bit_length() - 1
+        if bin(a >> (pos + 1)).count("1") % 2:
+            sign = -sign
+        rest ^= low
+    return sign
+
+
+def _build_differential_table(p):
+    table = []
+    for (i, j) in GENERATORS:
+        terms = {}
+        for s in range(1, i):
+            a = gen_index(s, j)
+            b = gen_index(i - s, s + j)
+            if a == b:
+                continue
+            sign = 1 if a < b else -1
+            key = (1 << a) | (1 << b)
+            terms[key] = (terms.get(key, 0) + sign) % p
+        table.append({k: v for k, v in terms.items() if v})
+    return tuple(table)
+
+
+def _oracle_d(x):
+    """d as a derivation, re-derived bit by bit for every monomial."""
+    p = x.alg.p
+    dgen = _build_differential_table(p)
+    out = {}
+    for (mask, v2exp), coeff in x.terms.items():
+        rest = mask
+        sign = 1  # (-1)^(number of generators to the left)
+        while rest:
+            low = rest & -rest
+            pos = low.bit_length() - 1
+            lower = mask & (low - 1)
+            upper = mask & ~((low << 1) - 1)
+            for dmask, dcoeff in dgen[pos].items():
+                if dmask & (mask ^ low):
+                    continue
+                s = sign * _merge_sign(lower, dmask) * _merge_sign(lower | dmask, upper)
+                key = ((mask ^ low) | dmask, v2exp)
+                out[key] = (out.get(key, 0) + s * coeff * dcoeff) % p
+            sign = -sign
+            rest ^= low
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_mul(x, y):
+    p = x.alg.p
+    out = {}
+    for (ma, va), ca in x.terms.items():
+        for (mb, vb), cb in y.terms.items():
+            if ma & mb:
+                continue
+            sign = _merge_sign(ma, mb)
+            key = (ma | mb, va + vb)
+            out[key] = (out.get(key, 0) + sign * ca * cb) % p
+    return {k: v for k, v in out.items() if v}
+
+
+def _oracle_grade(alg, mask, v2exp):
+    t = v2exp * alg.v2_tdeg
+    w = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        t += alg.gen_tdeg[low.bit_length() - 1]
+        w += alg.gen_weight[low.bit_length() - 1]
+        rest ^= low
+    return Trigrade(bin(mask).count("1"), t % alg.tmod, w)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 31])
+def test_d_matches_bit_loop_oracle(p):
+    alg = ExteriorAlgebra(p)
+    for v2exp in (0, 2):
+        for mask in range(FULL_MASK + 1):
+            got = alg.monomial(mask, v2exp).d().terms
+            want = _oracle_d(alg.monomial(mask, v2exp))
+            assert list(got.items()) == list(want.items()), (p, mask, v2exp)
+
+
+def test_product_sign_matches_merge_sign():
+    pairs = 0
+    for a in range(FULL_MASK + 1):
+        for b in range(FULL_MASK + 1):
+            if a & b:
+                continue
+            prod = ALG.monomial(a) * ALG.monomial(b)
+            assert prod.terms == {(a | b, 0): _merge_sign(a, b) % 7}, (a, b)
+            pairs += 1
+    assert pairs == 3**9
+
+
+def test_multiterm_products_match_oracle():
+    rng = random.Random(2012)
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            terms[(rng.randrange(FULL_MASK + 1), rng.randrange(3))] = rng.randrange(1, 7)
+        return ALG.element(ALG, terms)
+
+    for _ in range(300):
+        x, y = element(), element()
+        assert list((x * y).terms.items()) == list(_oracle_mul(x, y).items())
+        assert list((x * y).d().terms.items()) == list(_oracle_d(x * y).items())
+
+
+@pytest.mark.parametrize("p", [5, 7, 31])
+def test_key_grade_matches_bit_loop_grade(p):
+    alg = ExteriorAlgebra(p)
+    for v2exp in (0, 1, p):
+        for mask in range(FULL_MASK + 1):
+            assert alg.key_grade((mask, v2exp)) == _oracle_grade(alg, mask, v2exp)
 
 
 def test_gen_index_layout():
