@@ -179,6 +179,8 @@ class ExteriorElement(FpElement):
             return self.__rmul__(other)
         if not isinstance(other, ExteriorElement):
             return NotImplemented
+        if not (self.terms and other.terms):
+            return self.alg.zero()
         out = {}
         for (ma, va), ca in self.terms.items():
             odd = _odd_above(ma)

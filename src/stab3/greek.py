@@ -14,6 +14,7 @@ theoretic predicates p | t(t^2-1) and p | t(t-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .named import NamedClasses
 
@@ -61,6 +62,11 @@ class UnsupportedGreekError(ValueError):
     pass
 
 
+def gamma_coeffs(t: int, p: int):
+    """(c_l, c_k) with r(gamma_t) = c_l * l + c_k * k1*zeta3."""
+    return (-t * (t**2 - 1)) % p, (-t * (t - 1)) % p
+
+
 def r_image(spec: GreekSpec, nc: NamedClasses) -> RImage:
     """Table of r-images; gamma_t coefficients reduced mod p."""
     p = nc.p
@@ -75,9 +81,7 @@ def r_image(spec: GreekSpec, nc: NamedClasses) -> RImage:
     elif A == (1, p, p):
         img = -1 * t["b1"]
     elif len(A) == 4 and A[:3] == (1, 1, 1):
-        tt = A[3]
-        c_l = (-tt * (tt**2 - 1)) % p
-        c_k = (-tt * (tt - 1)) % p
+        c_l, c_k = gamma_coeffs(A[3], p)
         img = c_l * t["l"] + c_k * (t["k1"] * t["zeta3"])
     else:
         raise UnsupportedGreekError(f"no r-image on record for {spec.name} with A={A}")
@@ -123,6 +127,13 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
     Each row reports, per product, the class verdict with its certificate,
     plus the predicate cross-check columns.  The verdicts come from the
     cohomology engine; the predicates are only compared afterwards.
+
+    The table is linear in r(gamma_t) = c_l * l + c_k * k1*zeta3 (see
+    `gamma_coeffs`): for each product F the cochains X = F*l and
+    Y = F*k1*zeta3 are formed and reduced once (`eng.reduce` checks that
+    both are cocycles, hence so is every combination), and the row of t is
+    the cochain c_l X + c_k Y with class c_l [X] + c_k [Y] mod p.  Rows
+    depend only on (c_l, c_k), so each distinct pair is classified once.
     """
     if nc is None:
         nc = NamedClasses(p=p)
@@ -138,25 +149,51 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
         "alpha1*b2*beta1*gamma_t": [alpha1, tbl["b2"], beta1],
         "h1*gamma_t": [tbl["h1"]],
     }
-    rows = []
-    for t in t_range:
-        rgamma = r_image(gamma(t), nc).image
-        row = {"t": t, "products": {}, "agree": True}
-        verdicts = {}
-        for name in PRODUCT_NAMES:
-            x = rgamma
+    # name -> [(X, [X]), (Y, [Y])] with X = F*l, Y = F*k1*zeta3
+    reduced = {}
+    for name in PRODUCT_NAMES:
+        reduced[name] = []
+        for x in (tbl["l"], tbl["k1"] * tbl["zeta3"]):
             for f in factors[name]:
                 x = f * x
+            reduced[name].append((x, eng.reduce(x)))
+
+    def entries(coeffs):
+        """name -> (sector, class coordinates) of the cochain, or None if it is 0."""
+        out = {}
+        for name, pieces in reduced.items():
+            live = [(c, y, cls) for c, (y, cls) in zip(coeffs, pieces) if c]
+            x = sum((c * y for c, y, _ in live), eng.zero())
             if x.is_zero():
+                out[name] = None
+                continue
+            # every nonzero c*x here lies in the sector of the homogeneous sum
+            coords = ()
+            for c, _, cls in live:
+                coords = [(a + c * b) % p for a, b in zip_longest(coords, cls.coords, fillvalue=0)]
+            out[name] = (tuple(x.grade_of()), coords)
+        return out
+
+    by_coeffs = {}
+    rows = []
+    for t in t_range:
+        gamma(t)  # the spec check rejects t <= 0
+        coeffs = gamma_coeffs(t, p)
+        if coeffs not in by_coeffs:
+            by_coeffs[coeffs] = entries(coeffs)
+        row = {"t": t, "products": {}, "agree": True}
+        verdicts = {}
+        for name, entry in by_coeffs[coeffs].items():
+            if entry is None:
                 verdicts[name] = False
                 row["products"][name] = {"nonzero": False, "certificate": "zero cochain"}
                 continue
-            cls = eng.reduce(x)
-            verdicts[name] = not cls.is_zero()
+            sector, coords = entry
+            verdicts[name] = any(coords)
             row["products"][name] = {
-                "nonzero": not cls.is_zero(),
-                "sector": tuple(cls.sector),
-                "certificate": list(cls.coords),
+                "nonzero": verdicts[name],
+                "sector": sector,
+                "certificate": list(coords),
             }
         full_pred = (t * (t**2 - 1)) % p != 0
         pair_pred = (t * (t - 1)) % p != 0

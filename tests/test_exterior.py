@@ -136,6 +136,23 @@ def test_multiterm_products_match_oracle():
         assert list((x * y).d().terms.items()) == list(_oracle_d(x * y).items())
 
 
+def test_products_with_zero_and_scalars():
+    from stab3.hopf_cobar import TruncatedHopf
+
+    x = ALG.gen(1, 0) * ALG.gen(2, 1) + 3 * (ALG.v2(2) * ALG.gen(3, 2))
+    zero = ALG.zero()
+    for prod in (x * zero, zero * x, zero * zero, x * ALG.monomial(1, coeff=7)):
+        assert prod.is_zero() and type(prod) is type(x) and prod.alg is ALG
+    assert (x * 3).terms == (3 * x).terms == {k: 3 * v % 7 for k, v in x.terms.items()}
+    assert (x * 0).is_zero()
+    cobar_zero = TruncatedHopf(7).gen_slot(1, 0) * 0
+    for other in (cobar_zero, 2.5, "h0", None):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            zero * other
+
+
 @pytest.mark.parametrize("p", [5, 7, 31])
 def test_key_grade_matches_bit_loop_grade(p):
     alg = ExteriorAlgebra(p)
