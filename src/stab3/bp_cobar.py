@@ -905,8 +905,8 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
 
 def _add_ext(out, elem, coeff, v2e=0):
     """out += coeff * v2^v2e * elem on a {(mask, v2exp): TPoly} table; returns out."""
-    for (mask, ev), c in elem.terms.items():
-        _acc(out, (mask, v2e + ev), coeff * c)
+    for mask, c in elem.terms.items():
+        _acc(out, (mask, v2e), coeff * c)
     return out
 
 

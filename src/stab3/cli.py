@@ -52,11 +52,6 @@ def _open_output(output):
         raise SystemExit2(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
-def _emit(text: str, output):
-    with _open_output(output) as fh:
-        fh.write(text)
-
-
 def _rows_to_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -100,26 +95,27 @@ def cmd_table(args) -> int:
     _check_prime(args.prime)
     meta = {"prime": args.prime, "version": __version__, "command": "table",
             "model": args.model}
-    if args.model == "exterior":
-        from .cohomology import ExteriorCohomology
+    with _open_output(args.output) as fh:  # an unwritable path fails before any engine is built
+        if args.model == "exterior":
+            from .cohomology import ExteriorCohomology
 
-        eng = ExteriorCohomology(args.prime)
-        per_s = {}
-        for (s, t, w, dim_c, dim_h) in eng.dims_table():
-            tot_c, tot_h, secs = per_s.get(s, (0, 0, 0))
-            per_s[s] = (tot_c + dim_c, tot_h + dim_h, secs + (1 if dim_h else 0))
-        rows = [
-            (s, per_s[s][0], per_s[s][1], per_s[s][2]) for s in sorted(per_s)
-        ]
-        header = ("s", "dim_cochains", "dim_cohomology", "nonzero_sectors")
-    else:
-        from .hopf_cobar import CobarEngine
+            eng = ExteriorCohomology(args.prime)
+            per_s = {}
+            for (s, t, w, dim_c, dim_h) in eng.dims_table():
+                tot_c, tot_h, secs = per_s.get(s, (0, 0, 0))
+                per_s[s] = (tot_c + dim_c, tot_h + dim_h, secs + (1 if dim_h else 0))
+            rows = [
+                (s, per_s[s][0], per_s[s][1], per_s[s][2]) for s in sorted(per_s)
+            ]
+            header = ("s", "dim_cochains", "dim_cohomology", "nonzero_sectors")
+        else:
+            from .hopf_cobar import CobarEngine
 
-        eng = CobarEngine(args.prime, weight_bound=args.may_bound,
-                          sector_cap=args.sector_cap)
-        rows = eng.dims_table(args.max_s)
-        header = ("s", "t", "w", "dim_cochains", "dim_cohomology")
-    _emit(_format_rows(header, rows, args.format, meta), args.output)
+            eng = CobarEngine(args.prime, weight_bound=args.may_bound,
+                              sector_cap=args.sector_cap)
+            rows = eng.dims_table(args.max_s)
+            header = ("s", "t", "w", "dim_cochains", "dim_cohomology")
+        fh.write(_format_rows(header, rows, args.format, meta))
     return 0
 
 
@@ -136,8 +132,7 @@ def cmd_verify(args) -> int:
             )
     t_range = _parse_t_range(args.t_range) if args.t_range else None
     with _open_output(args.output) as fh:  # an unwritable path fails before any suite runs
-        report = run_suites(args.prime, suites=suites, t_range=t_range,
-                            sector_cap=args.sector_cap)
+        report = run_suites(args.prime, suites=suites, t_range=t_range)
         if args.format == "human":
             fh.write("".join(f"{c['status'].upper():4s} {c['name']}: {c['ref']}\n"
                              for c in report["checks"]))
@@ -165,8 +160,9 @@ def cmd_greek(args) -> int:
             raise SystemExit2(f"--bidegree {args.bidegree!r}: {exc}") from None
         n, tA = greek.bidegree(spec, args.prime)
         header = ("bidegree_n", "bidegree_tA")
-        _emit(f"({n}, {tA})\n" if args.format == "human"
-              else _format_rows(header, [(n, tA)], args.format, meta), args.output)
+        with _open_output(args.output) as fh:
+            fh.write(f"({n}, {tA})\n" if args.format == "human"
+                     else _format_rows(header, [(n, tA)], args.format, meta))
         return 0
     if args.prime == 5:
         sys.stderr.write(
@@ -174,7 +170,6 @@ def cmd_greek(args) -> int:
             "predicate agreement at p = 5 is not guaranteed\n"
         )
     t_range = _parse_t_range(args.t_range) if args.t_range else None
-    rows_raw = greek.classify_products(args.prime, t_range)
     header = (
         "t",
         "bidegree_n",
@@ -184,21 +179,23 @@ def cmd_greek(args) -> int:
         "predicate_pair",
         "agree",
     )
-    rows = []
-    for row in rows_raw:
-        n, tA = greek.bidegree(greek.gamma(row["t"]), args.prime)
-        rows.append(
-            (
-                row["t"],
-                n,
-                tA,
-                *(int(row["products"][name]["nonzero"]) for name in greek.PRODUCT_NAMES),
-                int(row["predicate_full"]),
-                int(row["predicate_pair"]),
-                "agree" if row["agree"] else "DISAGREE",
+    with _open_output(args.output) as fh:  # an unwritable path fails before any engine is built
+        rows_raw = greek.classify_products(args.prime, t_range)
+        rows = []
+        for row in rows_raw:
+            n, tA = greek.bidegree(greek.gamma(row["t"]), args.prime)
+            rows.append(
+                (
+                    row["t"],
+                    n,
+                    tA,
+                    *(int(row["products"][name]["nonzero"]) for name in greek.PRODUCT_NAMES),
+                    int(row["predicate_full"]),
+                    int(row["predicate_pair"]),
+                    "agree" if row["agree"] else "DISAGREE",
+                )
             )
-        )
-    _emit(_format_rows(header, rows, args.format, meta), args.output)
+        fh.write(_format_rows(header, rows, args.format, meta))
     return 0 if all(r["agree"] for r in rows_raw) else 1
 
 
@@ -230,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run verification suites, emit a JSON report")
     common(sp, formats=("json", "human"))
-    sp.add_argument("--sector-cap", type=_at_least(1), default=20000,
-                    help="abort if a cobar sector exceeds this dimension")
     sp.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     sp.add_argument("--t-range", help="range of t values, e.g. 1..49")
     sp.set_defaults(fn=cmd_verify)

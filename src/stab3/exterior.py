@@ -15,9 +15,6 @@ reduced mod p once.
 
 Gradings: cohomological degree s = word length; internal degree
 2(p^i - 1)p^j summed and reduced mod 2(p^3 - 1); weight i summed.
-Elements may optionally carry powers of a central, even polynomial
-coefficient v2 of internal degree 2(p^2 - 1) and weight 0, with d(v2) = 0;
-this is used for formal product expansions only.
 """
 
 from __future__ import annotations
@@ -168,9 +165,22 @@ class FpElement:
         return next(iter(gs))
 
 
+def term_repr(coeff: int, mask: int, prefix=()) -> str:
+    """'coeff*prefix*h..' for one term; a coefficient 1 is dropped unless
+    nothing else is printed."""
+    names = list(prefix)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        names.append(GEN_NAMES[low.bit_length() - 1])
+        rest ^= low
+    if coeff != 1 or not names:
+        names.insert(0, str(coeff))
+    return "*".join(names)
+
+
 class ExteriorElement(FpElement):
-    """F_p-linear combination of sorted exterior monomials (times v2 powers),
-    keyed by (mask, v2exp)."""
+    """F_p-linear combination of sorted exterior monomials, keyed by mask."""
 
     __slots__ = ()
 
@@ -182,12 +192,12 @@ class ExteriorElement(FpElement):
         if not (self.terms and other.terms):
             return self.alg.zero()
         out = {}
-        for (ma, va), ca in self.terms.items():
+        for ma, ca in self.terms.items():
             odd = _odd_above(ma)
-            for (mb, vb), cb in other.terms.items():
+            for mb, cb in other.terms.items():
                 if ma & mb:
                     continue
-                key = (ma | mb, va + vb)
+                key = ma | mb
                 c = ca * cb
                 out[key] = out.get(key, 0) + (-c if (mb & odd).bit_count() & 1 else c)
         return ExteriorElement(self.alg, out)
@@ -196,10 +206,9 @@ class ExteriorElement(FpElement):
 
     def d(self) -> "ExteriorElement":
         out = {}
-        for (mask, v2exp), coeff in self.terms.items():
+        for mask, coeff in self.terms.items():
             for m, c in _D[mask]:
-                key = (m, v2exp)
-                out[key] = out.get(key, 0) + c * coeff
+                out[m] = out.get(m, 0) + c * coeff
         return ExteriorElement(self.alg, out)
 
     # -- misc ---------------------------------------------------------------
@@ -207,8 +216,8 @@ class ExteriorElement(FpElement):
     def shift(self, delta: int = 1) -> "ExteriorElement":
         """Index-shift automorphism h_{i,j} -> h_{i,j+delta} (a DGA map)."""
         out = self.alg.zero()
-        for (mask, v2exp), coeff in sorted(self.terms.items()):
-            piece = self.alg.v2(v2exp) if v2exp else self.alg.one()
+        for mask, coeff in sorted(self.terms.items()):
+            piece = self.alg.one()
             rest = mask
             while rest:
                 low = rest & -rest
@@ -218,39 +227,23 @@ class ExteriorElement(FpElement):
             out = out + coeff * piece
         return out
 
-    def coefficient(self, mask: int, v2exp: int = 0) -> int:
-        return self.terms.get((mask, v2exp), 0)
+    def coefficient(self, mask: int) -> int:
+        return self.terms.get(mask, 0)
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for (mask, v2exp), coeff in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            names = []
-            if coeff != 1 or (mask == 0 and v2exp == 0):
-                names.append(str(coeff))
-            if v2exp == 1:
-                names.append("v2")
-            elif v2exp > 1:
-                names.append(f"v2^{v2exp}")
-            rest = mask
-            while rest:
-                low = rest & -rest
-                names.append(GEN_NAMES[low.bit_length() - 1])
-                rest ^= low
-            parts.append("*".join(names))
-        return " + ".join(parts)
+        return " + ".join(term_repr(c, mask) for mask, c in sorted(self.terms.items()))
 
 
 class ExteriorAlgebra(FpAlgebra):
     """Shared immutable data at a fixed prime: degrees and the trigrade of
-    every v2-free monomial, `mask_grade[mask]`."""
+    every monomial, `mask_grade[mask]`."""
 
     element = ExteriorElement
 
     def __init__(self, p: int = 7):
         super().__init__(p)
-        self.v2_tdeg = (2 * (p**2 - 1)) % self.tmod
         grade = [Trigrade(0, 0, 0)]
         for mask in range(1, FULL_MASK + 1):
             s, t, w = grade[mask & (mask - 1)]
@@ -261,16 +254,13 @@ class ExteriorAlgebra(FpAlgebra):
     # -- constructors -------------------------------------------------------
 
     def one(self) -> ExteriorElement:
-        return ExteriorElement(self, {(0, 0): 1})
+        return ExteriorElement(self, {0: 1})
 
     def gen(self, i: int, j: int) -> ExteriorElement:
-        return ExteriorElement(self, {(1 << gen_index(i, j), 0): 1})
+        return ExteriorElement(self, {1 << gen_index(i, j): 1})
 
-    def v2(self, exp: int = 1) -> ExteriorElement:
-        return ExteriorElement(self, {(0, exp): 1})
-
-    def monomial(self, mask: int, v2exp: int = 0, coeff: int = 1) -> ExteriorElement:
-        return ExteriorElement(self, {(mask, v2exp): coeff % self.p})
+    def monomial(self, mask: int, coeff: int = 1) -> ExteriorElement:
+        return ExteriorElement(self, {mask: coeff % self.p})
 
     def from_gen_names(self, *names) -> ExteriorElement:
         out = self.one()
@@ -280,10 +270,5 @@ class ExteriorAlgebra(FpAlgebra):
 
     # -- grading -----------------------------------------------------------
 
-    def key_grade(self, key) -> Trigrade:
-        """Trigrade of the basis key (mask, v2exp)."""
-        mask, v2exp = key
-        g = self.mask_grade[mask]
-        if v2exp:
-            return g._replace(t=(g.t + v2exp * self.v2_tdeg) % self.tmod)
-        return g
+    def key_grade(self, mask: int) -> Trigrade:
+        return self.mask_grade[mask]

@@ -4,7 +4,7 @@ Internally rows are sparse dicts {col: value} of the nonzero entries: one
 elimination kernel, `sparse_rref`, with `sparse_kernel` and `sparse_solve`
 on top and `sub_multiple` as the one row update; `SectorTower` keeps its
 matrices in this form.  The public API
-(`rref`, `rank`, `kernel_basis`, `solve`, `coordinates`) takes and returns
+(`rref`, `kernel_basis`, `solve`, `coordinates`) takes and returns
 dense lists of ints mod p.  Reduced row echelon forms are unique, so every
 computed basis is reproducible byte-for-byte.  No floating point anywhere.
 `b_class_terms` is the one table of the b-classes b_{1,k}, b_{2,k} that the
@@ -132,10 +132,6 @@ def rref(rows, ncols, p):
     """
     ech, pivots = sparse_rref(_sparse(rows), p)
     return [to_dense(r, ncols) for r in ech], pivots
-
-
-def rank(rows, ncols, p) -> int:
-    return len(sparse_rref(_sparse(rows), p)[1])
 
 
 def kernel_basis(rows, ncols, p):

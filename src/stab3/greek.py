@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
+from .exterior import term_repr
 from .named import NamedClasses
 
 
@@ -210,27 +211,42 @@ def classification_disagreements(rows):
     return [row["t"] for row in rows if not row["agree"]]
 
 
+def _v2_times(a, b):
+    """Product in Lambda[v2] of {v2 exponent: ExteriorElement} dicts (v2 is
+    central and even); zero coefficients are dropped."""
+    out = {}
+    for ea, xa in a.items():
+        for eb, xb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, xa.alg.zero()) + xa * xb
+    return {e: x for e, x in out.items() if not x.is_zero()}
+
+
+def _v2_repr(x) -> str:
+    terms = []
+    for e, elem in sorted(x.items()):
+        v2 = () if e == 0 else ("v2" if e == 1 else f"v2^{e}",)
+        terms += [term_repr(c, mask, v2) for mask, c in sorted(elem.terms.items())]
+    return " + ".join(terms) or "0"
+
+
 def gamma1_expansion_check(nc: NamedClasses):
     """Exact expansion in the v2-coefficient ring:
     h0*(2k0 - 2 v2 b0)*(2 v2^(p-3) k0 + v2^(p-2) b0)
       = -2 v2^(p-2) h0 k0 b0 - 2 v2^(p-1) h0 b0^2."""
     p = nc.p
-    alg = nc.engine.alg
     t = nc.table
-    v2 = alg.v2
-    lhs = t["h0"] * (2 * t["k0"] - 2 * (v2(1) * t["b0"])) * (
-        2 * (v2(p - 3) * t["k0"]) + v2(p - 2) * t["b0"]
-    )
-    rhs = -2 * (v2(p - 2) * (t["h0"] * t["k0"] * t["b0"])) - 2 * (
-        v2(p - 1) * (t["h0"] * t["b0"] * t["b0"])
-    )
-    if not (lhs - rhs).is_zero():
-        raise AssertionError(f"expansion mismatch: {lhs!r} vs {rhs!r}")
+    lhs = _v2_times(_v2_times({0: t["h0"]}, {0: 2 * t["k0"], 1: -2 * t["b0"]}),
+                    {p - 3: 2 * t["k0"], p - 2: t["b0"]})
+    rhs = _v2_times({0: t["h0"]}, {p - 2: -2 * (t["k0"] * t["b0"]),
+                                   p - 1: -2 * (t["b0"] * t["b0"])})
+    if lhs != rhs:
+        raise AssertionError(f"expansion mismatch: {_v2_repr(lhs)} vs {_v2_repr(rhs)}")
     k0sq = t["k0"] * t["k0"]
     if not k0sq.is_zero():
         raise AssertionError("k0^2 should vanish monomial-wise")
     return {
         "name": "gamma1-expansion",
         "status": "exact",
-        "normal_form": repr(lhs),
+        "normal_form": _v2_repr(lhs),
     }

@@ -185,14 +185,20 @@ def test_greek_has_no_sector_cap_option(capsys):
     assert "unrecognized arguments: --sector-cap 5" in err
 
 
+def test_verify_has_no_sector_cap_option(capsys):
+    # verify's cobar engines have fixed weight bounds, whose sectors stay far below any cap
+    code, out, err = run(capsys, "verify", "--suite", "euler", "--sector-cap", "0")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --sector-cap 0" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["table", "--model", "cobar", "--may-bound", "-1"], "--may-bound: must be an integer >= 0"),
     (["table", "--model", "cobar", "--max-s", "-3"], "--max-s: must be an integer >= 0"),
     (["table", "--sector-cap", "0"], "--sector-cap: must be an integer >= 1"),
     (["table", "--sector-cap", "-5"], "--sector-cap: must be an integer >= 1"),
-    (["verify", "--suite", "euler", "--sector-cap", "0"], "--sector-cap: must be an integer >= 1"),
-], ids=["may-bound-negative", "max-s-negative", "sector-cap-zero", "sector-cap-negative",
-        "verify-sector-cap-zero"])
+], ids=["may-bound-negative", "max-s-negative", "sector-cap-zero", "sector-cap-negative"])
 def test_bad_numeric_bound_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -218,6 +224,23 @@ def test_verify_unwritable_output_fails_before_any_suite(capsys, monkeypatch, tm
     monkeypatch.setattr(reports, "run_suites", refuse)
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "verify", "--prime", "11", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (["table"], "stab3.cohomology.ExteriorCohomology"),
+    (["table", "--model", "cobar"], "stab3.hopf_cobar.CobarEngine"),
+    (["greek", "--t-range", "1..3"], "stab3.named.ExteriorCohomology"),
+], ids=["table-exterior", "table-cobar", "greek"])
+def test_unwritable_output_fails_before_any_engine(capsys, monkeypatch, tmp_path, argv, engine):
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(engine, refuse)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--output", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")

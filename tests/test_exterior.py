@@ -55,7 +55,7 @@ def _oracle_d(x):
     p = x.alg.p
     dgen = _build_differential_table(p)
     out = {}
-    for (mask, v2exp), coeff in x.terms.items():
+    for mask, coeff in x.terms.items():
         rest = mask
         sign = 1  # (-1)^(number of generators to the left)
         while rest:
@@ -67,7 +67,7 @@ def _oracle_d(x):
                 if dmask & (mask ^ low):
                     continue
                 s = sign * _merge_sign(lower, dmask) * _merge_sign(lower | dmask, upper)
-                key = ((mask ^ low) | dmask, v2exp)
+                key = (mask ^ low) | dmask
                 out[key] = (out.get(key, 0) + s * coeff * dcoeff) % p
             sign = -sign
             rest ^= low
@@ -77,19 +77,17 @@ def _oracle_d(x):
 def _oracle_mul(x, y):
     p = x.alg.p
     out = {}
-    for (ma, va), ca in x.terms.items():
-        for (mb, vb), cb in y.terms.items():
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
             if ma & mb:
                 continue
-            sign = _merge_sign(ma, mb)
-            key = (ma | mb, va + vb)
-            out[key] = (out.get(key, 0) + sign * ca * cb) % p
+            key = ma | mb
+            out[key] = (out.get(key, 0) + _merge_sign(ma, mb) * ca * cb) % p
     return {k: v for k, v in out.items() if v}
 
 
-def _oracle_grade(alg, mask, v2exp):
-    t = v2exp * alg.v2_tdeg
-    w = 0
+def _oracle_grade(alg, mask):
+    t = w = 0
     rest = mask
     while rest:
         low = rest & -rest
@@ -102,11 +100,10 @@ def _oracle_grade(alg, mask, v2exp):
 @pytest.mark.parametrize("p", [5, 7, 11, 31])
 def test_d_matches_bit_loop_oracle(p):
     alg = ExteriorAlgebra(p)
-    for v2exp in (0, 2):
-        for mask in range(FULL_MASK + 1):
-            got = alg.monomial(mask, v2exp).d().terms
-            want = _oracle_d(alg.monomial(mask, v2exp))
-            assert list(got.items()) == list(want.items()), (p, mask, v2exp)
+    for mask in range(FULL_MASK + 1):
+        got = alg.monomial(mask).d().terms
+        want = _oracle_d(alg.monomial(mask))
+        assert list(got.items()) == list(want.items()), (p, mask)
 
 
 def test_product_sign_matches_merge_sign():
@@ -116,7 +113,7 @@ def test_product_sign_matches_merge_sign():
             if a & b:
                 continue
             prod = ALG.monomial(a) * ALG.monomial(b)
-            assert prod.terms == {(a | b, 0): _merge_sign(a, b) % 7}, (a, b)
+            assert prod.terms == {a | b: _merge_sign(a, b) % 7}, (a, b)
             pairs += 1
     assert pairs == 3**9
 
@@ -127,7 +124,7 @@ def test_multiterm_products_match_oracle():
     def element():
         terms = {}
         for _ in range(rng.randint(1, 8)):
-            terms[(rng.randrange(FULL_MASK + 1), rng.randrange(3))] = rng.randrange(1, 7)
+            terms[rng.randrange(FULL_MASK + 1)] = rng.randrange(1, 7)
         return ALG.element(ALG, terms)
 
     for _ in range(300):
@@ -139,7 +136,7 @@ def test_multiterm_products_match_oracle():
 def test_products_with_zero_and_scalars():
     from stab3.hopf_cobar import TruncatedHopf
 
-    x = ALG.gen(1, 0) * ALG.gen(2, 1) + 3 * (ALG.v2(2) * ALG.gen(3, 2))
+    x = ALG.gen(1, 0) * ALG.gen(2, 1) + 3 * ALG.gen(3, 2)
     zero = ALG.zero()
     for prod in (x * zero, zero * x, zero * zero, x * ALG.monomial(1, coeff=7)):
         assert prod.is_zero() and type(prod) is type(x) and prod.alg is ALG
@@ -156,9 +153,8 @@ def test_products_with_zero_and_scalars():
 @pytest.mark.parametrize("p", [5, 7, 31])
 def test_key_grade_matches_bit_loop_grade(p):
     alg = ExteriorAlgebra(p)
-    for v2exp in (0, 1, p):
-        for mask in range(FULL_MASK + 1):
-            assert alg.key_grade((mask, v2exp)) == _oracle_grade(alg, mask, v2exp)
+    for mask in range(FULL_MASK + 1):
+        assert alg.key_grade(mask) == _oracle_grade(alg, mask)
 
 
 def test_gen_index_layout():
@@ -227,13 +223,6 @@ def test_inhomogeneous_grade_raises():
     x = ALG.gen(1, 0) + ALG.gen(2, 0)
     with pytest.raises(InhomogeneousError):
         x.grade_of()
-
-
-def test_v2_is_central_and_graded():
-    v2 = ALG.v2(1)
-    h = ALG.gen(2, 1)
-    assert ((v2 * h) - (h * v2)).is_zero()
-    assert (v2 * v2).coefficient(0, 2) == 1
 
 
 def test_top_monomial_unique():
