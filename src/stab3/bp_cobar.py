@@ -3,9 +3,10 @@
 Terms are exact-rational multiples of v1^e1 v2^e2 v3^e3 [m1 | ... | ms],
 where each slot m is a monomial t1^a t2^b t3^c with plain integer exponents
 and the v-exponents may be symbolic of the form c + m*t (m in {0,1}) for the
-family computations.  Coefficients are polynomials in the formal parameter t
-with Fraction coefficients, so localization at p is tracked exactly through
-p-adic valuations.
+family computations.  A coefficient is an int or a Fraction, and a TPoly (a
+polynomial in the formal parameter t with Fraction coefficients) only where t
+occurs; an operation with a TPoly operand gives a TPoly.  Localization at p
+is tracked exactly through p-adic valuations (`_pval`, `_modp`).
 
 Right-unit and coproduct formulas are stored with validity ideals; every use
 inside a context checks that the formula's validity ideal is contained in
@@ -33,7 +34,9 @@ from .named import NamedClasses
 
 
 class TPoly:
-    """Polynomial in t with Fraction coefficients."""
+    """Polynomial in t with Fraction coefficients: the coefficient of a term
+    in which t occurs.  Numbers mix on either side and promote to TPoly, and
+    TPoly.const(c) == c."""
 
     __slots__ = ("coeffs",)
 
@@ -62,7 +65,7 @@ class TPoly:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
+        for d, c in _tcoeffs(other).items():
             s = out.get(d)
             if s is None:
                 out[d] = c
@@ -74,8 +77,13 @@ class TPoly:
                     del out[d]
         return TPoly._exact(out)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return TPoly._exact({d: -c for d, c in self.coeffs.items()})
@@ -92,42 +100,23 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def p_valuation(self, p):
         """min_d val_p(coefficient); None for the zero polynomial."""
-        if not self.coeffs:
-            return None
-        vals = []
-        for c in self.coeffs.values():
-            n, d = c.numerator, c.denominator
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            while d % p == 0:
-                d //= p
-                v -= 1
-            vals.append(v)
-        return min(vals)
+        return min((_pval(c, p) for c in self.coeffs.values()), default=None)
 
     def mod_p(self, p):
         """Dict degree -> residue in [0, p); requires p-integrality."""
-        out = {}
-        for d, c in self.coeffs.items():
-            if c.denominator % p == 0:
-                raise InsufficientPrecisionError(f"coefficient {c} not p-integral")
-            r = c.numerator * pow(c.denominator, p - 2, p) % p
-            if r:
-                out[d] = r
-        return out
+        residues = ((d, _modp(c, p)) for d, c in self.coeffs.items())
+        return {d: r for d, r in residues if r}
 
     def eval_at(self, t):
         return sum((c * t**d for d, c in self.coeffs.items()), Fraction(0))
 
     def __eq__(self, other):
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
+        return isinstance(other, (TPoly, int, Fraction)) and self.coeffs == _tcoeffs(other)
 
     def __repr__(self):
         if not self.coeffs:
@@ -135,13 +124,55 @@ class TPoly:
         return " + ".join(f"{c}*t^{d}" if d else f"{c}" for d, c in sorted(self.coeffs.items()))
 
 
-def tpoly_binom(exp, k: int) -> TPoly:
-    """C(exp, k) where exp = (c, m) means c + m*t; an exact polynomial in t."""
+def _tcoeffs(x):
+    """{degree: Fraction} of a TPoly or a number."""
+    return x.coeffs if type(x) is TPoly else ({0: Fraction(x)} if x else {})
+
+
+def _pval(c, p):
+    """p-adic valuation of an int or Fraction, the least over the
+    coefficients of a TPoly; None for zero."""
+    if type(c) is TPoly:
+        return c.p_valuation(p)
+    if not c:
+        return None
+    n, d = c.numerator, c.denominator
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def _modp(c, p):
+    """Residue in [0, p) of an int or Fraction, {degree: residue} of a TPoly;
+    requires p-integrality."""
+    if type(c) is TPoly:
+        return c.mod_p(p)
+    if c.denominator % p == 0:
+        raise InsufficientPrecisionError(f"coefficient {c} not p-integral")
+    return c.numerator * pow(c.denominator, p - 2, p) % p
+
+
+def _over(c, q):
+    """c / q for a coefficient c: an int when the quotient is one."""
+    if type(c) is TPoly:
+        return c * Fraction(1, q)
+    c = Fraction(c, q)
+    return c.numerator if c.denominator == 1 else c
+
+
+def tpoly_binom(exp, k: int):
+    """C(exp, k) where exp = (c, m) means c + m*t: an int when m = 0,
+    otherwise an exact polynomial in t."""
     c, m = exp
-    out = TPoly.const(1)
+    out = 1
     for r in range(k):
-        out = out * TPoly({0: Fraction(c - r), 1: Fraction(m)})
-    return out * Fraction(1, factorial(k))
+        out = out * (TPoly({0: c - r, 1: m}) if m else c - r)
+    return _over(out, factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +224,12 @@ V_ZERO = ((0, 0), (0, 0), (0, 0))
 
 
 def _vexp_add(a, b):
+    """a + b; a zero summand returns the other one itself, so the many keys
+    with an unchanged v-part share one tuple."""
+    if b == V_ZERO:
+        return a
+    if a == V_ZERO:
+        return b
     return tuple((ca + cb, ma + mb) for (ca, ma), (cb, mb) in zip(a, b))
 
 
@@ -205,11 +242,11 @@ def _vexp_concrete(vexp, which):
 
 
 def _mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _acc(out, key, c):
-    """out[key] += c on a {key: TPoly} table; a new key stores c itself."""
+    """out[key] += c on a {key: coefficient} table; a new key stores c itself."""
     s = out.get(key)
     out[key] = c if s is None else s + c
 
@@ -218,16 +255,16 @@ def term_profile(p, vexp, coeff):
     """(p-valuation, v1-exponent, v2-exponent) of a term; a symbolic
     exponent reads as 0, so membership in an ideal claims nothing from it."""
     (c1, m1), (c2, m2) = vexp[0], vexp[1]
-    return coeff.p_valuation(p), 0 if m1 else c1, 0 if m2 else c2
+    return _pval(coeff, p), 0 if m1 else c1, 0 if m2 else c2
 
 
 def _drop_terms(p, terms, ctx):
-    """The nonzero terms of {(vexp, ...): TPoly} that lie outside ctx."""
+    """The nonzero terms of {(vexp, ...): coefficient} that lie outside ctx."""
     if not ctx.gens:
-        return {k: c for k, c in terms.items() if c.coeffs}
+        return {k: c for k, c in terms.items() if c}
     return {
         k: c for k, c in terms.items()
-        if c.coeffs and not ctx.contains_profile(*term_profile(p, k[0], c))
+        if c and not ctx.contains_profile(*term_profile(p, k[0], c))
     }
 
 
@@ -235,19 +272,13 @@ MON_ONE = (0, 0, 0)
 
 
 class BPElement:
-    """terms: {(vexp, slots): TPoly}; slots a tuple of t-monomials."""
+    """terms: {(vexp, slots): coefficient}; slots a tuple of t-monomials."""
 
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms=None):
         self.p = p
-        out = {}
-        for k, c in (terms or {}).items():
-            if type(c) is not TPoly:
-                c = TPoly.const(c)
-            if c.coeffs:
-                out[k] = c
-        self.terms = out
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     # -- constructors --------------------------------------------------------
 
@@ -256,7 +287,7 @@ class BPElement:
         e1 = e1 if isinstance(e1, tuple) else (e1, 0)
         e2 = e2 if isinstance(e2, tuple) else (e2, 0)
         e3 = e3 if isinstance(e3, tuple) else (e3, 0)
-        return cls(p, {((e1, e2, e3), ()): TPoly.const(coeff)})
+        return cls(p, {((e1, e2, e3), ()): coeff})
 
     @classmethod
     def cochain(cls, p, *slot_mons, vexp=V_ZERO, coeff=1):
@@ -277,8 +308,6 @@ class BPElement:
         return BPElement(self.p, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        if type(c) is not TPoly:
-            c = TPoly.const(c)
         return BPElement(self.p, {k: v * c for k, v in self.terms.items()})
 
     def concat(self, other):
@@ -310,12 +339,12 @@ class BPElement:
         """(1/p) * (terms with valuation >= 1); raises if a term mixes."""
         out = {}
         for key, coeff in self.terms.items():
-            if coeff.p_valuation(self.p) >= 1:
-                out[key] = coeff * Fraction(1, self.p)
+            if _pval(coeff, self.p) >= 1:
+                out[key] = _over(coeff, self.p)
         return BPElement(self.p, out)
 
     def divide_p(self, a=1):
-        return BPElement(self.p, {k: c * Fraction(1, self.p**a) for k, c in self.terms.items()})
+        return BPElement(self.p, {k: _over(c, self.p**a) for k, c in self.terms.items()})
 
     def divide_v(self, which, a=1):
         out = {}
@@ -336,31 +365,6 @@ class BPElement:
             _acc(out, ((vexp[0], vexp[1], (0, 0)), slots), c)
         return BPElement(self.p, out)
 
-    def eval_t(self, t):
-        out = {}
-        for (vexp, slots), c in self.terms.items():
-            new = tuple((cc + mm * t, 0) for (cc, mm) in vexp)
-            _acc(out, (new, slots), TPoly.const(c.eval_at(t)))
-        return BPElement(self.p, out)
-
-    # -- grading -------------------------------------------------------------
-
-    def degrees(self):
-        """Set of (constant, t-coefficient) internal degrees of the terms."""
-        p = self.p
-        dv = [2 * (p**i - 1) for i in (1, 2, 3)]
-        out = set()
-        for (vexp, slots) in self.terms:
-            const = sum(dv[i] * c for i, (c, _) in enumerate(vexp))
-            tco = sum(dv[i] * m for i, (_, m) in enumerate(vexp))
-            for mon in slots:
-                const += sum(d * a for d, a in zip(dv, mon))
-            out.add((const, tco))
-        return out
-
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def __eq__(self, other):
         return isinstance(other, BPElement) and self.p == other.p and self.terms == other.terms
 
@@ -377,7 +381,7 @@ def _mon_repr(mon):
 
 def _term_repr(key, coeff):
     vexp, slots = key
-    bits = [f"({coeff!r})"]
+    bits = [f"({coeff})"]
     for i, (c, m) in enumerate(vexp):
         if c or m:
             e = f"{c}+{m}t" if m else f"{c}"
@@ -457,24 +461,24 @@ class BPStructure:
 
     def __init__(self, p: int = 7):
         self.p = p
-        # eta_R(v_i) - v_i as {(vexp, mon): TPoly}, plus validity ideal
+        # eta_R(v_i) - v_i as {(vexp, mon): int}, plus validity ideal
         self.D = {
-            1: ({(V_ZERO, t1_mon(1)): TPoly.const(p)}, ZERO_IDEAL),
+            1: ({(V_ZERO, t1_mon(1)): p}, ZERO_IDEAL),
             2: (
                 {
-                    (((1, 0), (0, 0), (0, 0)), t1_mon(p)): TPoly.const(1),
-                    (V_ZERO, t2_mon(1)): TPoly.const(p),
-                    (((p, 0), (0, 0), (0, 0)), t1_mon(1)): TPoly.const(-1),
+                    (((1, 0), (0, 0), (0, 0)), t1_mon(p)): 1,
+                    (V_ZERO, t2_mon(1)): p,
+                    (((p, 0), (0, 0), (0, 0)), t1_mon(1)): -1,
                 },
                 ideal((2, 0, 0), (1, 1, 0)),
             ),
             3: (
                 {
-                    (((0, 0), (1, 0), (0, 0)), t1_mon(p**2)): TPoly.const(1),
-                    (((1, 0), (0, 0), (0, 0)), t2_mon(p)): TPoly.const(1),
-                    (V_ZERO, t3_mon(1)): TPoly.const(p),
-                    (((1, 0), (p - 1, 0), (0, 0)), t2_mon(1)): TPoly.const(-p),
-                    (((1, 0), (p - 1, 0), (0, 0)), t1_mon(p + 1)): TPoly.const(-p),
+                    (((0, 0), (1, 0), (0, 0)), t1_mon(p**2)): 1,
+                    (((1, 0), (0, 0), (0, 0)), t2_mon(p)): 1,
+                    (V_ZERO, t3_mon(1)): p,
+                    (((1, 0), (p - 1, 0), (0, 0)), t2_mon(1)): -p,
+                    (((1, 0), (p - 1, 0), (0, 0)), t1_mon(p + 1)): -p,
                 },
                 # The table is granted mod (p^2, v1^2, v2^p); the v2-free part
                 # extends further for free: a correction v1^2*F mod (p, v2)
@@ -489,7 +493,7 @@ class BPStructure:
     # -- products of expansions ---------------------------------------------
 
     def _mul(self, A, B, ctx):
-        """Product of two expansions {(vexp, mon, ...): TPoly}, one monomial
+        """Product of two expansions {(vexp, mon, ...): coefficient}, one monomial
         per tensor factor (multiplied slot by slot), modulo ctx."""
         out = {}
         for ka, ca in A.items():
@@ -503,7 +507,7 @@ class BPStructure:
     # -- coefficient (eta) expansions ---------------------------------------
 
     def eta_power(self, which: int, exp, ctx: Ideal):
-        """eta_R(v_which)^(c+mt) as {(vexp, mon): TPoly} modulo ctx."""
+        """eta_R(v_which)^(c+mt) as {(vexp, mon): coefficient} modulo ctx."""
         D, validity = self.D[which]
         if not ctx.contains_ideal(validity):
             raise InsufficientPrecisionError(
@@ -512,7 +516,7 @@ class BPStructure:
         c, m = exp if isinstance(exp, tuple) else (exp, 0)
         base = [(c, m) if i == which - 1 else (0, 0) for i in range(3)]
         out = {}
-        Dk = {(V_ZERO, MON_ONE): TPoly.const(1)}
+        Dk = {(V_ZERO, MON_ONE): 1}
         k = 0
         while True:
             Dk = _drop_terms(self.p, Dk, ctx)
@@ -521,7 +525,7 @@ class BPStructure:
             if m == 0 and k > max(c, 0):
                 break
             binom = tpoly_binom((c, m), k)
-            if not binom.is_zero():
+            if binom:
                 vk = [(cc - k, mm) if i == which - 1 else (cc, mm)
                       for i, (cc, mm) in enumerate(base)]
                 for (vexp, mon), coeff in Dk.items():
@@ -536,7 +540,7 @@ class BPStructure:
 
     def eta_v(self, vexp, ctx: Ideal):
         """eta_R applied to v1^e1 v2^e2 v3^e3, modulo ctx."""
-        out = {(V_ZERO, MON_ONE): TPoly.const(1)}
+        out = {(V_ZERO, MON_ONE): 1}
         for which in (1, 2, 3):
             if vexp[which - 1] != (0, 0):
                 out = self._mul(out, self.eta_power(which, vexp[which - 1], ctx), ctx)
@@ -548,10 +552,7 @@ class BPStructure:
         """Delta(t1)^a = sum C(a,i) t1^i (x) t1^(a-i); exact."""
         out = {}
         for i in range(a + 1):
-            c = comb(a, i)
-            term = (V_ZERO, t1_mon(i), t1_mon(a - i))
-            coeff = TPoly.const(c)
-            out[term] = coeff
+            out[(V_ZERO, t1_mon(i), t1_mon(a - i))] = comb(a, i)
         return _drop_terms(self.p, out, ctx)
 
     def delta_t2_power(self, b: int, ctx: Ideal):
@@ -575,11 +576,11 @@ class BPStructure:
             floor = floors[m]
             if floor is not None and v >= floor:
                 continue
-            vexp = ((m, 0), (0, 0), (0, 0))
+            vexp = ((m, 0), (0, 0), (0, 0)) if m else V_ZERO
             sign = -1 if m % 2 else 1
             for e, d in powers[m].items():
-                coeff = TPoly._exact({0: Fraction(sign * c * d)})
-                if floor is None or coeff.p_valuation(p) < floor:
+                coeff = sign * c * d
+                if floor is None or _pval(coeff, p) < floor:
                     out[(vexp, (j + e, i, 0), (p * (j + m) - e, k, 0))] = coeff
         self._delta_t2_cache[key] = out
         return out
@@ -597,7 +598,7 @@ class BPStructure:
         p = self.p
         floor = _p_floor(ctx, 0)
         return {
-            (V_ZERO, (k, j, i), (p * p * j, p * k, l)): TPoly._exact({0: Fraction(m)})
+            (V_ZERO, (k, j, i), (p * p * j, p * k, l)): m
             for (i, j, k, l), m, v in _multinomial_terms(c, 4, p)
             if floor is None or v < floor
         }
@@ -615,7 +616,7 @@ class BPStructure:
     def delta_bar(self, mon, ctx: Ideal):
         out = dict(self.delta_mon(mon, ctx))
         for key in ((V_ZERO, mon, MON_ONE), (V_ZERO, MON_ONE, mon)):
-            _acc(out, key, TPoly.const(-1))
+            _acc(out, key, -1)
         return _drop_terms(self.p, out, ctx)
 
 
@@ -639,8 +640,8 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
         eta = st.eta_v(vexp, ctx)
         for (v2exp, mon), c in eta.items():
             if (v2exp, mon) == (vexp, MON_ONE):
-                c = c - TPoly.const(1)
-            if c.is_zero():
+                c = c - 1
+            if not c:
                 continue
             if mon == MON_ONE:
                 continue  # pure-v corrections vanish only mod ctx; none occur exactly
@@ -668,7 +669,7 @@ def b1k(p: int, k: int) -> BPElement:
 def _corner_v1p_b11(p: int) -> BPElement:
     """-t1^p (x) t1^(p^2) + v1^p b_{1,1}: the part of d(t2^p) besides -p b20."""
     v1p = ((p, 0), (0, 0), (0, 0))
-    terms = {(V_ZERO, (t1_mon(p), t1_mon(p**2))): TPoly.const(-1)}
+    terms = {(V_ZERO, (t1_mon(p), t1_mon(p**2))): -1}
     terms.update(((v1p, slots), c) for (_, slots), c in b1k(p, 1).terms.items())
     return BPElement(p, terms)
 
@@ -681,14 +682,17 @@ def b20(p: int, structure: BPStructure | None = None) -> BPElement:
     """
     st = structure if structure is not None else BPStructure(p)
     dbar = st.delta_bar(t2_mon(p), ZERO_IDEAL)
-    x = BPElement(p, {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()})
-    out = (x + _corner_v1p_b11(p)).divide_p()
-    for key, c in out.terms.items():
-        if c.p_valuation(p) < 0:
-            raise InsufficientPrecisionError(
-                f"b20 coefficient not p-integral at {_term_repr(key, c)}"
-            )
-    return out
+    out = {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()}
+    for key, c in _corner_v1p_b11(p).terms.items():
+        _acc(out, key, c)
+    for key, c in out.items():
+        if c:
+            out[key] = c = _over(c, p)
+            if _pval(c, p) < 0:
+                raise InsufficientPrecisionError(
+                    f"b20 coefficient not p-integral at {_term_repr(key, c)}"
+                )
+    return BPElement(p, out)
 
 
 def b20_mod_p_v1(p: int) -> BPElement:
@@ -736,8 +740,7 @@ def verify_d_basics(p: int = 7):
 
     bmod = b.reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
     diff = bmod - b20_mod_p_v1(p)
-    ok = all(not v for v in (c.mod_p(p) for c in diff.terms.values()))
-    if not ok:
+    if any(_modp(c, p) for c in diff.terms.values()):
         raise AssertionError("b20 mod (p, v1) multinomial normal form")
     report.append({"name": "b20 mod (p,v1) multinomial form", "status": "exact"})
 
@@ -763,7 +766,6 @@ def verify_d_basics(p: int = 7):
 def verify_dd(p: int = 7):
     """d(d(x)) = 0 modulo each context for the whitelisted input family."""
     st = BPStructure(p)
-    t = TPoly.t()
     cases = [
         ("v1", BPElement.v_power(p, e1=1), ZERO_IDEAL),
         ("v2", BPElement.v_power(p, e2=1), ideal((2, 0, 0), (1, 1, 0))),
@@ -835,7 +837,7 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
 
     Input terms must be free of v1 and v3 (concrete v2 powers are carried
     through).  The block images are read from `nc` (b0 = b10, b1 = b11).
-    Returns {(mask, v2exp): TPoly}.
+    Returns {(mask, v2exp): coefficient}.
     """
     p = nc.p
     alg = nc.engine.alg
@@ -871,7 +873,7 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
             if placed:
                 break
         if not placed:
-            if coeff.p_valuation(p) < 1:
+            if _pval(coeff, p) < 1:
                 if audit is None:
                     raise InsufficientPrecisionError(
                         f"unclassified term {_term_repr((vexp, slots), coeff)}"
@@ -886,10 +888,10 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
         supp = tables[bname]
         anchor = anchors[bname]
         inv = pow(supp[anchor], p - 2, p)
-        lam = pairs.get(anchor, TPoly()) * inv
+        lam = pairs.get(anchor, 0) * inv
         for pr, c in supp.items():
-            diff = pairs.get(pr, TPoly()) - lam * c
-            if not diff.is_zero() and diff.p_valuation(p) < 1:
+            diff = pairs.get(pr, 0) - lam * c
+            if diff and _pval(diff, p) < 1:
                 raise InsufficientPrecisionError(
                     f"{bname} block at slot {pos} is not proportional to the "
                     f"block pattern (pair {pr})"
@@ -900,28 +902,28 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
         for m in right:
             elem = elem * alg.gen(*_single_gen(m, p))
         _add_ext(out, elem, lam, v2e)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 def _add_ext(out, elem, coeff, v2e=0):
-    """out += coeff * v2^v2e * elem on a {(mask, v2exp): TPoly} table; returns out."""
+    """out += coeff * v2^v2e * elem on a {(mask, v2exp): coefficient} table; returns out."""
     for mask, c in elem.terms.items():
         _acc(out, (mask, v2e), coeff * c)
     return out
 
 
-def ext_masks_mod_p(elem, tpoly=None):
-    """{(mask, v2exp): TPoly} view of an exterior element, optionally scaled."""
-    return _add_ext({}, elem, tpoly if tpoly is not None else TPoly.const(1))
+def ext_masks_mod_p(elem, coeff=1):
+    """{(mask, v2exp): coefficient} view of an exterior element, optionally scaled."""
+    return _add_ext({}, elem, coeff)
 
 
 def masks_diff_mod_p(a, b, p):
-    """Keys where the two {(mask, v2exp): TPoly} tables differ mod p."""
+    """Keys where the two {(mask, v2exp): coefficient} tables differ mod p."""
     bad = []
     for key in set(a) | set(b):
-        d = a.get(key, TPoly()) - b.get(key, TPoly())
-        if not d.is_zero() and d.p_valuation(p) < 1:
-            bad.append((key, repr(d)))
+        d = a.get(key, 0) - b.get(key, 0)
+        if d and _pval(d, p) < 1:
+            bad.append((key, str(d)))
     return bad
 
 # ---------------------------------------------------------------------------
@@ -977,7 +979,7 @@ class _Chain:
 
     def lands_on(self, x, expected, label, audit=None):
         """Last step: x projects to the exterior image `expected` (a
-        {(mask, v2exp): TPoly} table) mod p; returns the chain's record."""
+        {(mask, v2exp): coefficient} table) mod p; returns the chain's record."""
         p = self.st.p
         if masks_diff_mod_p(project_to_exterior(x, self.nc, audit), expected, p):
             raise AssertionError(f"{self.name} exterior image is not {label}")
@@ -1057,7 +1059,7 @@ def delta_chain_displays(nc: NamedClasses):
     beta_2 = _Chain("beta_2", st, nc)
     R = _v2_power_zigzag(beta_2, (2, 0), "v2^2")
     image = _add_ext(ext_masks_mod_p(r_image(beta(2), nc).image),
-                     nc["b0"], TPoly.const(-2), v2e=1)
+                     nc["b0"], -2, v2e=1)
     chains.append(beta_2.lands_on(R, image, "2*k0 - 2*v2*b0", audit=[]))
 
     chains.append(_beta_1k_chain(nc, st, 1))

@@ -60,7 +60,7 @@ def test_tpoly_arithmetic_and_valuation():
     assert TPoly.const(Fraction(49, 3)).p_valuation(7) == 2
     assert TPoly.const(Fraction(3, 7)).p_valuation(7) == -1
     assert TPoly().p_valuation(7) is None
-    assert (q - q).is_zero()
+    assert not (q - q) and q
 
 
 def test_tpoly_mod_p():
@@ -101,12 +101,50 @@ def test_tpoly_exact_arithmetic_matches_coercing_constructor(a, b, negate):
 
 
 def test_tpoly_binom_matches_binomials():
-    # concrete exponent: C(10, 3)
-    assert tpoly_binom((10, 0), 3).eval_at(0) == comb(10, 3)
+    # concrete exponent: C(10, 3) as an int; also C(-2, 3) = -4 and C(5, 0)
+    for c, k, value in ((10, 3, comb(10, 3)), (-2, 3, -4), (5, 0, 1)):
+        got = tpoly_binom((c, 0), k)
+        assert type(got) is int and got == value
     # symbolic exponent t: evaluate C(t, 2) at several integers
     c = tpoly_binom((0, 1), 2)
+    assert type(c) is TPoly
     for t in range(2, 9):
         assert c.eval_at(t) == comb(t, 2)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-60, 60), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+_OPERANDS = st.one_of(_NUMBERS, _COEFFS.map(TPoly))
+
+
+def _lift(x):
+    return x if type(x) is TPoly else TPoly.const(x)
+
+
+def _residues(c, p):
+    """_modp(c, p) as {degree: residue}, or "raises" when c is not p-integral."""
+    try:
+        r = bp_cobar._modp(c, p)
+    except InsufficientPrecisionError:
+        return "raises"
+    return r if type(c) is TPoly else ({0: r} if r else {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERANDS, _OPERANDS, st.sampled_from([2, 3, 7]))
+def test_mixed_coefficients_match_the_all_tpoly_ring(a, b, p):
+    # numbers and TPolys mix on either side; a TPoly operand promotes
+    x, y = _lift(a), _lift(b)
+    promoted = TPoly in (type(a), type(b))
+    for got, ref in ((a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x)):
+        assert _lift(got).coeffs == ref.coeffs and bool(got) == bool(ref)
+        assert got == ref and ref == got
+    for got in (a + b, a - b, a * b):
+        assert (type(got) is TPoly) == promoted
+    for c, ref in ((a, x), (b, y)):
+        assert bp_cobar._pval(c, p) == ref.p_valuation(p)
+        assert _residues(c, p) == _residues(ref, p)
 
 
 # -- Ideals ------------------------------------------------------------------
@@ -126,21 +164,41 @@ def test_ideal_membership_and_containment():
 # -- BPElement ---------------------------------------------------------------
 
 
+def _degrees(x):
+    """Set of (constant, t-coefficient) internal degrees of the terms of x."""
+    dv = [2 * (x.p**i - 1) for i in (1, 2, 3)]
+    out = set()
+    for vexp, slots in x.terms:
+        const = sum(dv[i] * c for i, (c, _) in enumerate(vexp))
+        tco = sum(dv[i] * m for i, (_, m) in enumerate(vexp))
+        for mon in slots:
+            const += sum(d * a for d, a in zip(dv, mon))
+        out.add((const, tco))
+    return out
+
+
+def _is_homogeneous(x):
+    return len(_degrees(x)) <= 1
+
+
 def test_element_ring_ops_and_homogeneity():
     x = BPElement.cochain(P, t1_mon(1))
     y = BPElement.cochain(P, t1_mon(P))
     z = x.concat(y)
     assert list(z.terms) == [(V_ZERO, (t1_mon(1), t1_mon(P)))]
     assert (x + y - x - y).is_zero()
-    assert x.is_homogeneous() and not (x + y).is_homogeneous()
+    assert _is_homogeneous(x) and not _is_homogeneous(x + y)
 
 
-def test_element_coefficients_become_tpolys():
+def test_element_coefficients_stay_numbers():
     keys = [(V_ZERO, (t1_mon(i),)) for i in range(1, 5)]
     x = BPElement(P, dict(zip(keys, (2, Fraction(1, 2), TPoly.const(3), 0))))
+    assert x.terms == {keys[0]: 2, keys[1]: Fraction(1, 2), keys[2]: 3}
     assert x.terms == {
         keys[0]: TPoly.const(2), keys[1]: TPoly.const(Fraction(1, 2)), keys[2]: TPoly.const(3)
     }
+    assert [type(c) for c in x.terms.values()] == [int, Fraction, TPoly]
+    assert [type(c) for c in x.scale(2).terms.values()] == [int, Fraction, TPoly]
     assert x.scale(2) == x.scale(TPoly.const(2)) == x + x
     assert x.scale(0).is_zero()
 
@@ -166,6 +224,15 @@ def test_reduce_mod_records_audit():
     assert audit[0]["reason"] == "test"
 
 
+def _eval_t(x, t):
+    """x with the formal parameter specialised to the integer t."""
+    out = {}
+    for (vexp, slots), c in x.terms.items():
+        key = (tuple((cc + mm * t, 0) for cc, mm in vexp), slots)
+        out[key] = out.get(key, 0) + (c.eval_at(t) if type(c) is TPoly else c)
+    return BPElement(x.p, out)
+
+
 def test_symbolic_v_exponent_binomials():
     # d(v2^t) mod (p, v1^3) has coefficients t and C(t, 2)
     st = BPStructure(P)
@@ -174,11 +241,36 @@ def test_symbolic_v_exponent_binomials():
     assert "1*t^1" in coeffs
     # specialize at t = 3 and compare with d(v2^3)
     concrete = d_cobar(BPElement.v_power(P, e2=3), ideal((1, 0, 0), (0, 3, 0)), st)
-    diff = dx.eval_t(3) - concrete
+    diff = _eval_t(dx, 3) - concrete
     assert diff.reduce_mod(ideal((1, 0, 0), (0, 3, 0))).is_zero()
 
 
+def test_symbolic_exponents_promote_to_tpoly():
+    dx = d_cobar(BPElement.v_power(P, e2=(0, 1)), ideal((1, 0, 0), (0, 3, 0)), BPStructure(P))
+    assert dx.terms and all(type(c) is TPoly for c in dx.terms.values())
+    assert TPoly.t() in dx.terms.values()
+
+
+def test_term_repr_prints_coefficients_with_str():
+    # repr(Fraction(1, 2)) is "Fraction(1, 2)"; certificates print "1/2"
+    key = (V_ZERO, (t1_mon(1), t1_mon(2 * P)))
+    assert bp_cobar._term_repr(key, Fraction(1, 2)) == "(1/2)*[t1|t1^14]"
+    assert bp_cobar._term_repr(key, TPoly.const(Fraction(1, 2))) == "(1/2)*[t1|t1^14]"
+    assert repr(BPElement(P, {key: Fraction(-1, 2), (V_ZERO, ()): 3})) == "(3) + (-1/2)*[t1|t1^14]"
+
+
 # -- b-classes ---------------------------------------------------------------
+
+
+def test_bp_tables_hold_no_tpolys():
+    st = BPStructure(P)
+    tables = [table for table, _ in st.D.values()] + [
+        st.delta_t1_power(P, ZERO_IDEAL), st.delta_t2_power(P, ZERO_IDEAL),
+        st.delta_t3_power(P, st.DELTA_T3_VALIDITY),
+        b1k(P, 0).terms, b1k(P, 1).terms, b20(P, st).terms,
+    ]
+    for table in tables:
+        assert table and all(type(c) is int for c in table.values())
 
 
 def test_b1k_coefficients_and_cocycle():
@@ -193,9 +285,9 @@ def test_b1k_coefficients_and_cocycle():
 def test_b20_is_p_integral_and_matches_multinomial_form():
     x = b20(P)
     for c in x.terms.values():
-        assert c.p_valuation(P) >= 0
+        assert bp_cobar._pval(c, P) >= 0
     diff = x.reduce_mod(ideal((1, 0, 0), (0, 1, 0))) - b20_mod_p_v1(P)
-    assert all(not c.mod_p(P) for c in diff.terms.values())
+    assert all(not bp_cobar._modp(c, P) for c in diff.terms.values())
 
 
 # -- differential identities -------------------------------------------------

@@ -298,6 +298,9 @@ VERIFY_P7_SHA256 = "c83492158915d1d7c171d92057becf5a12f45fc00803bdefbfa01b9efc78
 #: the same for `stab3 verify --prime 11`.
 VERIFY_P11_SHA256 = "8b82130c9965ac23b2052d8f301fa6d260c107a98ee697473b8b228cb772914b"
 
+#: the same for `stab3 verify --prime 13`.
+VERIFY_P13_SHA256 = "cad6bd90e0cc97777be75a8758dead5fbe3224c4f5028b2ac8418c3e40dc9c2b"
+
 
 def _verify_digest(tmp_path, prime):
     path = tmp_path / "report.json"
@@ -311,3 +314,7 @@ def test_verify_p7_report_is_pinned(tmp_path):
 
 def test_verify_p11_report_is_pinned(tmp_path):
     assert _verify_digest(tmp_path, 11) == VERIFY_P11_SHA256
+
+
+def test_verify_p13_report_is_pinned(tmp_path):
+    assert _verify_digest(tmp_path, 13) == VERIFY_P13_SHA256
