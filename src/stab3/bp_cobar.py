@@ -11,8 +11,9 @@ is tracked exactly through p-adic valuations (`_pval`, `_modp`).
 Right-unit and coproduct formulas are stored with validity ideals; every use
 inside a context checks that the formula's validity ideal is contained in
 the context, otherwise an InsufficientPrecisionError names the entry.
-Context ideals are monomial in (p, v1, v2), so membership is decided by
-inspection of each term.
+Context ideals are monomial in (p, v1, v2), so a term's membership depends
+only on its v-part and its p-valuation; `Ideal.floor` is the one membership
+rule, and `_drop_terms` the one routine that drops (and audits) terms.
 
 The delta chains divide cobar differentials by the exact invariant factors
 (powers of p, v1, v2) and record an audit trail: every dropped term is
@@ -187,9 +188,9 @@ class InsufficientPrecisionError(ArithmeticError):
 class Ideal:
     """Monomial ideal generated by terms p^a v1^b v2^c."""
 
-    def __init__(self, gens, name=""):
+    def __init__(self, gens):
         self.gens = tuple(gens)
-        self.name = name or "(" + ", ".join(
+        self.name = "(" + (", ".join(
             "*".join(
                 ([f"p^{a}" if a > 1 else "p"] if a else [])
                 + ([f"v1^{b}" if b > 1 else "v1"] if b else [])
@@ -197,23 +198,39 @@ class Ideal:
             )
             or "1"
             for (a, b, c) in gens
-        ) + ")"
+        ) or "0") + ")"
+        self._floors = {}
 
-    def contains_profile(self, pval, v1e, v2e) -> bool:
-        return any(pval >= a and v1e >= b and v2e >= c for (a, b, c) in self.gens)
+    def floor(self, v1e, v2e):
+        """Least a with p^a v1^v1e v2^v2e in the ideal, None when no generator
+        divides v1^v1e v2^v2e: the one membership rule, memoised per ideal."""
+        key = (v1e, v2e)
+        try:
+            return self._floors[key]
+        except KeyError:
+            f = self._floors[key] = min(
+                (a for a, b, c in self.gens if b <= v1e and c <= v2e), default=None)
+            return f
+
+    def contains(self, p, vexp, coeff) -> bool:
+        """Whether the term coeff * v^vexp (coeff nonzero) lies in the ideal;
+        a symbolic exponent reads as 0, so membership claims nothing from it."""
+        (c1, m1), (c2, m2) = vexp[0], vexp[1]
+        f = self.floor(0 if m1 else c1, 0 if m2 else c2)
+        return f is not None and _pval(coeff, p) >= f
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains_profile(a, b, c) for (a, b, c) in other.gens)
+        return all((f := self.floor(b, c)) is not None and f <= a for a, b, c in other.gens)
 
     def __repr__(self):
         return self.name
 
 
-ZERO_IDEAL = Ideal((), name="(0)")
+ZERO_IDEAL = Ideal(())
 
 
-def ideal(*gens, name=""):
-    return Ideal(gens, name=name)
+def ideal(*gens):
+    return Ideal(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +268,20 @@ def _acc(out, key, c):
     out[key] = c if s is None else s + c
 
 
-def term_profile(p, vexp, coeff):
-    """(p-valuation, v1-exponent, v2-exponent) of a term; a symbolic
-    exponent reads as 0, so membership in an ideal claims nothing from it."""
-    (c1, m1), (c2, m2) = vexp[0], vexp[1]
-    return _pval(coeff, p), 0 if m1 else c1, 0 if m2 else c2
-
-
-def _drop_terms(p, terms, ctx):
-    """The nonzero terms of {(vexp, ...): coefficient} that lie outside ctx."""
+def _drop_terms(p, terms, ctx, audit=None, reason=""):
+    """The nonzero terms of {(vexp, ...): coefficient} that lie outside ctx;
+    the ones inside are appended to `audit`, in input order, when it is given."""
     if not ctx.gens:
         return {k: c for k, c in terms.items() if c}
-    return {
-        k: c for k, c in terms.items()
-        if c and not ctx.contains_profile(*term_profile(p, k[0], c))
-    }
+    out = {}
+    for key, c in terms.items():
+        if not c:
+            continue
+        if not ctx.contains(p, key[0], c):
+            out[key] = c
+        elif audit is not None:
+            audit.append({"dropped": _term_repr(key, c), "ideal": repr(ctx), "reason": reason})
+    return out
 
 
 MON_ONE = (0, 0, 0)
@@ -324,16 +340,7 @@ class BPElement:
 
     def reduce_mod(self, ctx: Ideal, audit=None, reason=""):
         """Drop terms lying in ctx; optionally record them in the audit list."""
-        out = {}
-        for key, coeff in self.terms.items():
-            if ctx.contains_profile(*term_profile(self.p, key[0], coeff)):
-                if audit is not None:
-                    audit.append(
-                        {"dropped": _term_repr(key, coeff), "ideal": repr(ctx), "reason": reason}
-                    )
-                continue
-            out[key] = coeff
-        return BPElement(self.p, out)
+        return BPElement(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
 
     def p_part(self):
         """(1/p) * (terms with valuation >= 1); raises if a term mixes."""
@@ -435,13 +442,6 @@ def _multinomial_terms(n: int, parts: int, p: int, last_max: int | None = None):
         yield e, c, (sum(digits[x] for x in e) - digits[n]) // (p - 1)
 
 
-def _p_floor(ctx: Ideal, v1e: int):
-    """Least a over the generators (a, b, 0) of ctx with b <= v1e: a v2-free
-    term with v1-exponent v1e lies in ctx iff its p-valuation reaches it.
-    None when no generator qualifies."""
-    return min((a for a, b, c in ctx.gens if b <= v1e and not c), default=None)
-
-
 def _b10_powers(p: int, mmax: int):
     """[b10^m for m = 0..mmax], b10^m as {e: d} for its terms
     d t1^e (x) t1^(mp - e), in the iterated product's order (e ascending)."""
@@ -507,13 +507,14 @@ class BPStructure:
     # -- coefficient (eta) expansions ---------------------------------------
 
     def eta_power(self, which: int, exp, ctx: Ideal):
-        """eta_R(v_which)^(c+mt) as {(vexp, mon): coefficient} modulo ctx."""
+        """eta_R(v_which)^(c+mt), exp = (c, m), as {(vexp, mon): coefficient}
+        modulo ctx."""
         D, validity = self.D[which]
         if not ctx.contains_ideal(validity):
             raise InsufficientPrecisionError(
                 f"eta_R(v{which}) is only valid mod {validity}, context {ctx} is finer"
             )
-        c, m = exp if isinstance(exp, tuple) else (exp, 0)
+        c, m = exp
         base = [(c, m) if i == which - 1 else (0, 0) for i in range(3)]
         out = {}
         Dk = {(V_ZERO, MON_ONE): 1}
@@ -568,7 +569,7 @@ class BPStructure:
         if key in self._delta_t2_cache:
             return self._delta_t2_cache[key]
         p = self.p
-        floors = [_p_floor(ctx, m) for m in range(b + 1)]
+        floors = [ctx.floor(m, 0) for m in range(b + 1)]
         mmax = floors.index(0) - 1 if 0 in floors else b
         powers = _b10_powers(p, mmax)
         out = {}
@@ -596,7 +597,7 @@ class BPStructure:
                 f"Delta(t3) is only valid mod {self.DELTA_T3_VALIDITY}, context {ctx} is finer"
             )
         p = self.p
-        floor = _p_floor(ctx, 0)
+        floor = ctx.floor(0, 0)
         return {
             (V_ZERO, (k, j, i), (p * p * j, p * k, l)): m
             for (i, j, k, l), m, v in _multinomial_terms(c, 4, p)
@@ -625,19 +626,17 @@ class BPStructure:
 # ---------------------------------------------------------------------------
 
 
-def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
-            audit=None) -> BPElement:
+def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPElement:
     """Cobar differential modulo ctx.
 
     d(c [m1|...|ms]) = (eta_R(c) - c) spliced in as a new first slot, plus
     sum_i (-1)^i [... reduced-coproduct(m_i) ...], Leibniz-compatible with
     concatenation.
     """
-    st = structure if structure is not None else BPStructure(x.p)
     out = {}
     for (vexp, slots), coeff in x.terms.items():
         # coefficient differential
-        eta = st.eta_v(vexp, ctx)
+        eta = structure.eta_v(vexp, ctx)
         for (v2exp, mon), c in eta.items():
             if (v2exp, mon) == (vexp, MON_ONE):
                 c = c - 1
@@ -649,12 +648,12 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure | None = None,
         # slot insertions
         for i, mon in enumerate(slots):
             sign = -1 if i % 2 == 0 else 1
-            for (dv, ml, mr), c in st.delta_bar(mon, ctx).items():
+            for (dv, ml, mr), c in structure.delta_bar(mon, ctx).items():
                 if ml == MON_ONE or mr == MON_ONE:
                     continue
                 key = (_vexp_add(vexp, dv), slots[:i] + (ml, mr) + slots[i + 1:])
                 _acc(out, key, sign * coeff * c)
-    return BPElement(x.p, out).reduce_mod(ctx, audit=audit, reason="d_cobar context")
+    return BPElement(x.p, _drop_terms(x.p, out, ctx, audit, "d_cobar context"))
 
 # ---------------------------------------------------------------------------
 # b-classes at the BP level
@@ -674,14 +673,13 @@ def _corner_v1p_b11(p: int) -> BPElement:
     return BPElement(p, terms)
 
 
-def b20(p: int, structure: BPStructure | None = None) -> BPElement:
+def b20(p: int, structure: BPStructure) -> BPElement:
     """b_{2,0} = (1/p)(Delta-bar(t2^p) - t1^p (x) t1^(p^2) + v1^p b_{1,1}).
 
     Computed from the exact expansion of Delta(t2)^p; the p-integrality of
     every coefficient is asserted (this is the content of the construction).
     """
-    st = structure if structure is not None else BPStructure(p)
-    dbar = st.delta_bar(t2_mon(p), ZERO_IDEAL)
+    dbar = structure.delta_bar(t2_mon(p), ZERO_IDEAL)
     out = {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()}
     for key, c in _corner_v1p_b11(p).terms.items():
         _acc(out, key, c)

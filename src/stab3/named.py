@@ -81,8 +81,8 @@ class NamedClasses:
             "h1*l": t["h1"] * t["l"],
         }
         pairings = {
-            "h0*b0*b2*l": ("zeta3", -2),
-            "k0*l": ("lprime*zeta3", 1),
+            "h0*b0*b2*l": ("zeta3", t["zeta3"], -2),
+            "k0*l": ("lprime*zeta3", t["lprime"] * t["zeta3"], 1),
         }
         report = []
         for name, x in elements.items():
@@ -99,8 +99,7 @@ class NamedClasses:
                 "status": "nonzero",
             }
             if name in pairings:
-                partner, expected = pairings[name]
-                comp = t["lprime"] * t["zeta3"] if partner == "lprime*zeta3" else t[partner]
+                partner, comp, expected = pairings[name]
                 val = _signed(eng.pair_top(x * comp), p)
                 if val != expected:
                     raise AssertionError(

@@ -34,7 +34,6 @@ from stab3.bp_cobar import (
     t1_mon,
     t2_mon,
     t3_mon,
-    term_profile,
     tpoly_binom,
     verify_beta_chain,
     verify_d_basics,
@@ -150,15 +149,88 @@ def test_mixed_coefficients_match_the_all_tpoly_ring(a, b, p):
 # -- Ideals ------------------------------------------------------------------
 
 
+def _v(e1=0, e2=0):
+    return ((e1, 0), (e2, 0), (0, 0))
+
+
 def test_ideal_membership_and_containment():
     i1 = ideal((1, 0, 0), (0, 2, 0))
-    assert i1.contains_profile(1, 0, 0)
-    assert i1.contains_profile(0, 3, 0)
-    assert not i1.contains_profile(0, 1, 5)
+    assert i1.contains(P, _v(), P)
+    assert i1.contains(P, _v(3), 1)
+    assert not i1.contains(P, _v(1, 5), 1)
+    assert (i1.floor(0, 0), i1.floor(3, 0), i1.floor(1, 5)) == (1, 0, 1)
     i2 = ideal((2, 0, 0), (0, 2, 1))
     assert i1.contains_ideal(i2)
     assert not i2.contains_ideal(i1)
-    assert not ZERO_IDEAL.contains_profile(9, 9, 9)
+    assert not ZERO_IDEAL.contains(P, _v(9, 9), P**9)
+    assert ZERO_IDEAL.floor(9, 9) is None and repr(ZERO_IDEAL) == "(0)"
+
+
+# The generator-by-generator rule that `Ideal.floor` replaced, kept as the
+# oracle: a term's (p-valuation, v1, v2) profile, a symbolic exponent read as
+# 0, lies above some generator.
+def _term_profile(p, vexp, coeff):
+    (c1, m1), (c2, m2) = vexp[0], vexp[1]
+    return bp_cobar._pval(coeff, p), 0 if m1 else c1, 0 if m2 else c2
+
+
+def _contains_profile(gens, pval, v1e, v2e):
+    return any(pval >= a and v1e >= b and v2e >= c for (a, b, c) in gens)
+
+
+_GENS = st.one_of(
+    st.just(()),
+    st.just(((0, 0, 0),)),
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=5).map(tuple),
+)
+_EXP = st.tuples(st.integers(-2, 5), st.sampled_from([0, 1]))
+_VEXP = st.tuples(_EXP, _EXP, _EXP)
+# numerators and denominators carrying powers of 7: valuations -3..3
+_PADIC = st.builds(
+    lambda u, a, b: u * Fraction(7**a, 7**b),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+    st.integers(0, 3), st.integers(0, 3),
+)
+_MEMBER_COEFFS = st.one_of(
+    _PADIC.map(lambda c: c.numerator if c.denominator == 1 else c),
+    st.dictionaries(st.integers(0, 3), _PADIC, min_size=1, max_size=3).map(TPoly),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GENS, _GENS, st.lists(st.tuples(_VEXP, _MEMBER_COEFFS), min_size=1, max_size=6))
+def test_floor_agrees_with_the_generator_by_generator_rule(gens, other, terms):
+    # several terms per ideal, so the memoised floors are read back too
+    ctx = Ideal(gens)
+    for vexp, coeff in terms + terms:
+        assert ctx.contains(P, vexp, coeff) == _contains_profile(
+            gens, *_term_profile(P, vexp, coeff))
+    assert ctx.contains_ideal(Ideal(other)) == all(
+        _contains_profile(gens, *g) for g in other)
+
+
+def test_drop_terms_skips_zeros_and_audits_in_input_order():
+    ctx = ideal((1, 0, 0), (0, 2, 0))
+    terms = {
+        (_v(3), (t1_mon(1),)): 0,  # cancelled: _pval(0) is None, never tested
+        (_v(2), (t1_mon(2),)): 5,
+        (_v(), (t1_mon(3),)): 3,
+        (_v(), (t1_mon(4),)): Fraction(P, 2),
+        (_v(1), (t1_mon(5),)): 0,
+        (_v(1), (t1_mon(6),)): TPoly({0: 1, 1: P}),
+    }
+    audit = []
+    kept = bp_cobar._drop_terms(P, terms, ctx, audit, "why")
+    assert kept == {(_v(), (t1_mon(3),)): 3, (_v(1), (t1_mon(6),)): TPoly({0: 1, 1: P})}
+    assert audit == [
+        {"dropped": "(5)*v1^(2)*[t1^2]", "ideal": "(p, v1^2)", "reason": "why"},
+        {"dropped": "(7/2)*[t1^4]", "ideal": "(p, v1^2)", "reason": "why"},
+    ]
+    assert [list(e) for e in audit] == [["dropped", "ideal", "reason"]] * 2
+    assert bp_cobar._drop_terms(P, terms, ZERO_IDEAL, audit) == {
+        k: c for k, c in terms.items() if c
+    }
+    assert len(audit) == 2
 
 
 # -- BPElement ---------------------------------------------------------------
@@ -203,10 +275,22 @@ def test_element_coefficients_stay_numbers():
     assert x.scale(0).is_zero()
 
 
-def test_term_profile_reads_symbolic_exponents_as_zero():
+def _profile(vexp, coeff, a, b, c):
+    """Whether membership reads the term's (p-valuation, v1, v2) profile as
+    exactly (a, b, c): it lies in (p^a v1^b v2^c) and in no ideal one step
+    smaller."""
+    inside = ideal((a, b, c)).contains(P, vexp, coeff)
+    finer = ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
+    return inside and not any(ideal(g).contains(P, vexp, coeff) for g in finer)
+
+
+def test_membership_reads_symbolic_exponents_as_zero():
     vexp = ((2, 0), (-1, 1), (0, 0))  # v1^2 v2^(t-1)
-    assert term_profile(P, vexp, TPoly.const(P * P)) == (2, 2, 0)
-    assert term_profile(P, ((0, 1), (3, 0), (0, 0)), TPoly.const(Fraction(1, P))) == (-1, 0, 3)
+    assert _profile(vexp, TPoly.const(P * P), 2, 2, 0)
+    assert _profile(((0, 1), (3, 0), (0, 0)), TPoly.const(Fraction(1, P)), -1, 0, 3)
+    ctx = ideal((2, 2, 0), (0, 0, 1))
+    assert ctx.floor(2, 0) == 2 and ctx.floor(2, 1) == 0
+    assert ctx.contains(P, vexp, P * P) and not ctx.contains(P, vexp, P)
 
 
 def test_divide_v_requires_exponent():
@@ -283,7 +367,7 @@ def test_b1k_coefficients_and_cocycle():
 
 
 def test_b20_is_p_integral_and_matches_multinomial_form():
-    x = b20(P)
+    x = b20(P, BPStructure(P))
     for c in x.terms.values():
         assert bp_cobar._pval(c, P) >= 0
     diff = x.reduce_mod(ideal((1, 0, 0), (0, 1, 0))) - b20_mod_p_v1(P)
