@@ -615,10 +615,17 @@ class BPStructure:
         return out
 
     def delta_bar(self, mon, ctx: Ideal):
+        """Delta(mon) - mon (x) 1 - 1 (x) mon mod ctx.  `delta_mon` keeps no
+        zero and no term in ctx, so only the two decremented keys are
+        checked; one that drops is popped in place, keeping the order."""
         out = dict(self.delta_mon(mon, ctx))
         for key in ((V_ZERO, mon, MON_ONE), (V_ZERO, MON_ONE, mon)):
-            _acc(out, key, -1)
-        return _drop_terms(self.p, out, ctx)
+            c = out.get(key, 0) - 1
+            if c and not ctx.contains(self.p, V_ZERO, c):
+                out[key] = c
+            else:
+                out.pop(key, None)
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="per-sector dimension tables")
     common(sp)
     sp.add_argument("--sector-cap", type=_at_least(1), default=20000,
-                    help="abort if a cobar sector exceeds this dimension")
+                    help="cobar: abort if a sector basis that is built exceeds this "
+                    "dimension; bases are built for degrees <= max-s + 1 only")
     sp.add_argument("--model", choices=("exterior", "cobar"), default="exterior")
     sp.add_argument("--max-s", type=_at_least(0), default=2,
                     help="cobar: bound on cohomological degree")

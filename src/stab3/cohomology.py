@@ -5,8 +5,9 @@ each sector is a finite tower of F_p vector spaces graded by cohomological
 degree s.  `SectorTower` holds the generic linear algebra (cocycles,
 coboundaries, echelon cohomology representatives, reduction to class
 coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
-sector from its graded basis keys and a differential; `ExteriorCohomology`
-here and the cobar engine in `hopf_cobar` are its two subclasses.
+sector, which asks the engine for one degree's basis keys at a time;
+`ExteriorCohomology` here and the cobar engine in `hopf_cobar` are its two
+subclasses.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -29,37 +30,68 @@ class NotCocycleError(ValueError):
         super().__init__(f"not a cocycle; d(x) = {dx!r}")
 
 
+class Memo(dict):
+    """A dict that fills a missing key k with fill(*args, k) on first use;
+    an empty fill is returned but not kept.  Only `[]` fills: `get`, `in`
+    and iteration see the keys filled so far."""
+
+    __slots__ = ("_fill", "_args")
+
+    def __init__(self, fill, *args):
+        super().__init__()
+        self._fill = fill
+        self._args = args
+
+    def __missing__(self, key):
+        value = self._fill(*self._args, key)
+        if value:
+            self[key] = value
+        return value
+
+
+def _index_of(bases, s):
+    return {k: i for i, k in enumerate(bases[s])}
+
+
+def _no_keys(s):
+    return ()
+
+
 class SectorTower:
     """Cochain complex of one sector, graded by s, over F_p.
 
-    Parameters: p; bases, a dict s -> sorted list of basis keys; d_of, a
-    function (s, key) -> dict key -> coeff giving the differential of a
-    basis element in the s+1 basis.  Degrees outside `bases` are zero.
+    Parameters: p; bases, a `Memo` s -> sorted list of basis keys that
+    answers every degree (empty outside the tower), filled on first use;
+    d_of, a function (s, key) -> dict key -> coeff giving the differential
+    of a basis element in the s+1 basis; degrees, the degrees with a
+    nonempty basis, ascending.  `index` maps s -> {key: position}, also
+    filled on first use.
 
     Matrices, cocycles and representatives are sparse rows {basis index:
     coeff} (see `fplinalg`); `coboundary_vectors`, `reduce_vec` and
     `bound_vec` take and return dense vectors.
     """
 
-    def __init__(self, p, bases, d_of):
+    def __init__(self, p, bases, d_of, degrees):
         self.p = p
-        self.bases = {s: list(b) for s, b in bases.items() if b}
-        self.index = {s: {k: i for i, k in enumerate(b)} for s, b in self.bases.items()}
+        self.bases = bases
+        self.index = Memo(_index_of, bases)
+        self.degrees = tuple(degrees)
         self._d_of = d_of
         self._dmat = {}
         self._coboundaries = {}
         self._h_reps = {}
 
     def dim(self, s: int) -> int:
-        return len(self.bases.get(s, ()))
+        return len(self.bases[s])
 
     def dmat(self, s: int):
         """Sparse rows: d-image of each s-basis vector in s+1 coordinates."""
         if s not in self._dmat:
             p = self.p
-            tgt_index = self.index.get(s + 1, {})
+            tgt_index = self.index[s + 1]
             rows = []
-            for key in self.bases.get(s, []):
+            for key in self.bases[s]:
                 row = {}
                 for k2, c in self._d_of(s, key).items():
                     c %= p
@@ -181,6 +213,11 @@ class SectorEngine:
     keys}, sectors in order of first appearance).  A subclass sets `name`,
     the model label in Massey results.  The base derives the towers, element
     <-> vector conversion, dimension reports, and the Massey queries.
+
+    Towers read their bases through three hooks, which by default look in
+    `_sector_bases`: `sector_keys`, `_sector(t, w)` and `_degrees(t, w)`.
+    A subclass that builds a basis on demand overrides them and passes no
+    graded keys.
     """
 
     def __init__(self, alg, graded_keys):
@@ -195,7 +232,18 @@ class SectorEngine:
                 keys.sort()
 
     def sector_keys(self):
+        """The (t, w) sectors with a nonempty basis in some degree, sorted."""
         return sorted(self._sector_bases)
+
+    def _sector(self, t, w):
+        """Hook: the `Memo` s -> sorted basis keys of sector (t, w)."""
+        bases = Memo(_no_keys)
+        bases.update(self._sector_bases.get((t, w), ()))
+        return bases
+
+    def _degrees(self, t, w):
+        """Hook: the degrees in which sector (t, w) has basis keys, ascending."""
+        return sorted(self._sector_bases.get((t, w), ()))
 
     def _check_sector(self, w: int):
         """Hook: reject a sector weight the engine cannot represent."""
@@ -208,24 +256,24 @@ class SectorEngine:
         return self._element({key: 1}).d().terms
 
     def tower(self, t: int, w: int) -> SectorTower:
-        key = (t % self.alg.tmod, w)
+        key = t, w = (t % self.alg.tmod, w)
         if key not in self._towers:
             self._check_sector(w)
-            bases = self._sector_bases.get(key, {})
-            self._towers[key] = SectorTower(self.p, bases, self._d_of)
+            self._towers[key] = SectorTower(self.p, self._sector(t, w), self._d_of,
+                                            self._degrees(t, w))
         return self._towers[key]
 
     # -- element <-> vector -------------------------------------------------
 
     def to_vec(self, x, sector: Trigrade):
-        idx = self.tower(sector.t, sector.w).index.get(sector.s, {})
+        idx = self.tower(sector.t, sector.w).index[sector.s]
         vec = [0] * len(idx)
         for key, c in x.terms.items():
             vec[idx[key]] = c
         return vec
 
     def from_vec(self, vec, sector: Trigrade):
-        basis = self.tower(sector.t, sector.w).bases.get(sector.s, [])
+        basis = self.tower(sector.t, sector.w).bases[sector.s]
         return self._element({k: c for k, c in zip(basis, vec) if c})
 
     # -- queries of the Massey routines --------------------------------------
@@ -261,11 +309,12 @@ class SectorEngine:
 
     def dims_table(self, max_s=None):
         """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
-        the degrees s <= max_s (all degrees when max_s is None)."""
+        the degrees s <= max_s (all degrees when max_s is None); only the
+        bases of degrees <= max_s + 1 are built."""
         rows = []
         for (t, w) in self.sector_keys():
             tower = self.tower(t, w)
-            for s in sorted(tower.bases):
+            for s in tower.degrees:
                 if max_s is None or s <= max_s:
                     rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
         rows.sort()
@@ -276,8 +325,8 @@ class SectorEngine:
         out = []
         for (t, w) in self.sector_keys():
             tower = self.tower(t, w)
-            chi_c = sum((-1) ** s * tower.dim(s) for s in tower.bases)
-            chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.bases)
+            chi_c = sum((-1) ** s * tower.dim(s) for s in tower.degrees)
+            chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.degrees)
             out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
                         "equal": chi_c == chi_h})
         return out
@@ -322,7 +371,7 @@ class ExteriorCohomology(SectorEngine):
             if w is not None and sw != w:
                 continue
             tower = self.tower(st, sw)
-            if s not in tower.bases:
+            if s not in tower.degrees:
                 continue
             sector = Trigrade(s, st, sw)
             for rep in tower.h_reps(s):

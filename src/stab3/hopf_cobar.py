@@ -11,16 +11,18 @@ The cobar differential is the alternating sum of reduced-coproduct slot
 insertions; the concatenation product satisfies the graded Leibniz rule.
 
 Sectors are keyed by (internal degree mod 2(p^3-1), weight); both are
-preserved by the differential, and every tensor in a sector of weight w has
-at most w slots, so enumerating tensors of total weight <= W yields complete
-towers for all sectors with w <= W.
+preserved by the differential, and every slot has weight >= 1, so a tensor
+in a sector of weight w has at most w slots.  `CobarEngine` with weight
+bound W holds the complete towers of every sector with w <= W, and builds
+the basis of one (t, w, s) only when a tower first asks for it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import factorial
 
-from .cohomology import SectorEngine
+from .cohomology import Memo, SectorEngine
 from .exterior import GENERATORS, FpAlgebra, FpElement, Trigrade, gen_index
 from .fplinalg import b_class_terms
 from .massey import massey_from_system
@@ -241,57 +243,107 @@ def b_class(hopf: TruncatedHopf, level: int, k: int) -> CobarElement:
 
 
 class CobarEngine(SectorEngine):
-    """Sector towers of the cobar complex, truncated by total weight."""
+    """Sector towers of the cobar complex, truncated by total weight.
+
+    Construction tabulates the reduced monomials of weight <= bound by
+    (internal degree, weight).  The basis of sector (t, w) in degree s is
+    enumerated when a tower first asks for it, and kept in `_sector_bases`.
+    The search goes slot by slot: a prefix is extended by a monomial only
+    when the remaining (t, w) is reachable with the remaining slots, so no
+    dead prefix is tried, and the last slot is one lookup.  The counts of
+    tensors per (slots, t, w) behind that test are built on first use, and
+    give the sectors, their degrees and each basis size before it is built;
+    a basis larger than `sector_cap` raises `SectorCapError`.
+    """
 
     name = "cobar"
 
     def __init__(self, p: int = 7, weight_bound: int = 6, sector_cap: int = 20000):
         self.weight_bound = weight_bound
         self.sector_cap = sector_cap
-        hopf = TruncatedHopf(p)
-        super().__init__(hopf, self._graded_tensors(hopf))
-        for key, bucket in self._sector_bases.items():
-            for s, basis in bucket.items():
-                if len(basis) > sector_cap:
-                    raise SectorCapError(
-                        f"sector {key} degree {s} has {len(basis)} basis tensors "
-                        f"(cap {sector_cap})"
-                    )
+        super().__init__(TruncatedHopf(p), ())
+        self._monomials = self._monomials_by_grade()
 
-    def _monomials_by_weight(self, hopf):
-        """(monomial, internal degree) for every reduced monomial of weight
-        <= bound, grouped by weight."""
+    def _monomials_by_grade(self):
+        """(internal degree, weight) -> the reduced monomials of weight <=
+        bound with that grade."""
+        hopf = self.alg
         out = {}
 
-        def rec(idx, m, w):
+        def rec(idx, m, t, w):
             if idx == 9:
                 if w:
-                    out.setdefault(w, []).append((tuple(m), hopf.mon_tdeg(m)))
+                    out.setdefault((t % hopf.tmod, w), []).append(tuple(m))
                 return
             row = hopf.gen_weight[idx]
             for e in range(min(hopf.p - 1, (self.weight_bound - w) // row) + 1):
                 m[idx] = e
-                rec(idx + 1, m, w + e * row)
+                rec(idx + 1, m, t + e * hopf.gen_tdeg[idx], w + e * row)
             m[idx] = 0
 
-        rec(0, [0] * 9, 0)
+        rec(0, [0] * 9, 0, 0)
         return out
 
-    def _graded_tensors(self, hopf):
-        """Every tensor of total weight <= bound with its (s, t, w), by
-        increasing length."""
-        monw = self._monomials_by_weight(hopf)
-        frontier = [((), 0, 0)]  # (slots, tdeg, weight)
-        while frontier:
-            nxt = []
-            for slots, t, w in frontier:
-                yield slots, (len(slots), t, w)
-                for dw, mons in monw.items():
-                    if w + dw > self.weight_bound:
-                        continue
-                    for m, dt in mons:
-                        nxt.append((slots + (m,), (t + dt) % hopf.tmod, w + dw))
-            frontier = nxt
+    @cached_property
+    def _counts(self):
+        """[{(t, w): number of tensors with k slots of that grade}] for
+        k = 0..bound, built on first use."""
+        tmod, bound = self.alg.tmod, self.weight_bound
+        by_weight = {}
+        for (dt, dw), mons in self._monomials.items():
+            by_weight.setdefault(dw, []).append((dt, len(mons)))
+        counts = [{(0, 0): 1}]
+        for _ in range(bound):
+            nxt = {}
+            for (t, w), n in counts[-1].items():
+                for dw in range(1, bound - w + 1):
+                    for dt, m in by_weight.get(dw, ()):
+                        key = ((t + dt) % tmod, w + dw)
+                        nxt[key] = nxt.get(key, 0) + n * m
+            counts.append(nxt)
+        return counts
+
+    def sector_keys(self):
+        return sorted({key for level in self._counts for key in level})
+
+    def _degrees(self, t, w):
+        return [s for s, level in enumerate(self._counts) if (t, w) in level]
+
+    def _sector(self, t, w):
+        bases = self._sector_bases.get((t, w))
+        if bases is None:
+            bases = self._sector_bases[t, w] = Memo(self._sector_basis, t, w)
+        return bases
+
+    def _sector_basis(self, t, w, s):
+        """The sorted tensors of sector (t, w) with s slots."""
+        counts = self._counts
+        n = counts[s].get((t, w), 0) if 0 <= s < len(counts) else 0
+        if n > self.sector_cap:
+            raise SectorCapError(
+                f"sector {(t, w)} degree {s} has {n} basis tensors (cap {self.sector_cap})"
+            )
+        if not n:
+            return []
+        if not s:
+            return [()]
+        tmod, monomials = self.alg.tmod, self._monomials
+        out = []
+
+        def extend(prefix, t, w, slots):
+            if slots == 1:
+                out.extend(prefix + (m,) for m in monomials[t, w])
+                return
+            rest = counts[slots - 1]
+            for (dt, dw), mons in monomials.items():
+                key = ((t - dt) % tmod, w - dw)
+                if key in rest:
+                    for m in mons:
+                        extend(prefix + (m,), *key, slots - 1)
+
+        extend((), t, w, s)
+        out.sort()
+        return out
 
     def _check_sector(self, w: int):
         if w > self.weight_bound:

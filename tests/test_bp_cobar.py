@@ -469,6 +469,25 @@ def test_suites_expand_delta_t2_on_the_listed_keys(monkeypatch, p):
     assert seen == _suite_t2_keys(p)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_delta_mon_output_is_reduced_on_every_verify_call(monkeypatch, p):
+    # delta_bar leans on this: it re-checks only the two keys it decrements
+    calls = []
+    delta_mon = BPStructure.delta_mon
+
+    def checked(self, mon, ctx):
+        out = delta_mon(self, mon, ctx)
+        bad = [(key, c) for key, c in out.items() if not c or ctx.contains(self.p, key[0], c)]
+        calls.append((mon, ctx.gens, bad))
+        return out
+
+    monkeypatch.setattr(BPStructure, "delta_mon", checked)
+    report = run_suites(p)
+    assert all(rec["status"] == "pass" for rec in report["checks"])
+    assert calls
+    assert [call for call in calls if call[2]] == []
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_delta_t2_power_matches_the_iterated_product(p):
     # same terms, same values, same order: reduce_mod audits in dict order

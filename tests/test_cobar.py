@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -99,3 +100,91 @@ def test_p_fold_bracket_at_p7_is_pinned(cobar_p7, k):
     assert any(rep["coords"])
     text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=repr)
     assert hashlib.sha256(text.encode()).hexdigest() == P7_BRACKET_SHA256[k]
+
+
+#: sha256 of p_fold_massey_check(11, k, CobarEngine(11, weight_bound=11)),
+#: serialized as for P7_BRACKET_SHA256
+P11_BRACKET_SHA256 = {
+    0: "e9000113ac47e1951dec0d79bfaebdd960da85eaaa349c3d0bc1bbbe0eb17d24",
+    1: "faed344dc1eb6b4535490efa87150ca821a62cb89c2d36716a8d443491010dc7",
+}
+
+
+@pytest.fixture(scope="module")
+def cobar_p11():
+    return CobarEngine(11, weight_bound=11)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_p_fold_bracket_at_p11_is_pinned(cobar_p11, k):
+    rep = p_fold_massey_check(11, k, cobar_p11)
+    assert rep["status"] == "pass"
+    assert any(rep["coords"])
+    text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=repr)
+    assert hashlib.sha256(text.encode()).hexdigest() == P11_BRACKET_SHA256[k]
+
+
+def test_engine_builds_no_basis_at_construction():
+    # every tensor of weight <= 13 at p = 13 would be 4.3 billion
+    start = time.perf_counter()
+    engine = CobarEngine(13, weight_bound=13)
+    assert time.perf_counter() - start < 1
+    assert engine._sector_bases == {}
+
+
+def eager_sector_bases(p, bound):
+    """(t, w) -> {s: sorted tensors} from every tensor of total weight <=
+    bound, enumerated by increasing length: the oracle of the engine's
+    on-demand bases."""
+    hopf = TruncatedHopf(p)
+    monw = {}  # weight -> [(monomial, internal degree)]
+
+    def rec(idx, m, w):
+        if idx == 9:
+            if w:
+                monw.setdefault(w, []).append((tuple(m), hopf.mon_tdeg(m)))
+            return
+        row = hopf.gen_weight[idx]
+        for e in range(min(p - 1, (bound - w) // row) + 1):
+            m[idx] = e
+            rec(idx + 1, m, w + e * row)
+        m[idx] = 0
+
+    rec(0, [0] * 9, 0)
+    sectors = {}
+    frontier = [((), 0, 0)]  # (slots, tdeg, weight)
+    while frontier:
+        nxt = []
+        for slots, t, w in frontier:
+            sectors.setdefault((t, w), {}).setdefault(len(slots), []).append(slots)
+            for dw, mons in monw.items():
+                if w + dw <= bound:
+                    nxt.extend((slots + (m,), (t + dt) % hopf.tmod, w + dw) for m, dt in mons)
+        frontier = nxt
+    for bases in sectors.values():
+        for keys in bases.values():
+            keys.sort()
+    return sectors
+
+
+def _on_demand_bases(engine, t, w):
+    """{s: basis} of the nonempty degrees of sector (t, w), asked for one
+    degree at a time, one past each end included."""
+    bases = {s: engine._sector_basis(t, w, s) for s in range(-1, w + 2)}
+    assert engine._degrees(t, w) == [s for s, b in bases.items() if b]
+    return {s: b for s, b in bases.items() if b}
+
+
+@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6)])
+def test_on_demand_bases_match_eager_enumeration(p, bound):
+    eager = eager_sector_bases(p, bound)
+    engine = CobarEngine(p, weight_bound=bound)
+    assert engine.sector_keys() == sorted(eager)
+    for (t, w), bases in eager.items():
+        assert _on_demand_bases(engine, t, w) == bases, (t, w)
+
+
+def test_bracket_sectors_at_p7_match_eager_enumeration(cobar_p7):
+    eager = eager_sector_bases(7, 7)
+    for t in (84, 588):  # the (t, w) of the k = 0 and k = 1 bracket values
+        assert _on_demand_bases(cobar_p7, t, 7) == eager[(t, 7)], t

@@ -63,7 +63,7 @@ def test_sector_engine_contract(engine):
     p = engine.p
     for (t, w) in engine.sector_keys():
         tower = engine.tower(t, w)
-        for s in tower.bases:
+        for s in tower.degrees:
             sector = Trigrade(s, t, w)
             n = engine.dim(sector)
             vec = [(3 * i + 1) % p for i in range(n)]

@@ -151,7 +151,7 @@ def test_reduce_vec_equals_coordinates_in_the_cocycle_span(engine):
     rng = random.Random(7)
     for (t, w) in engine.sector_keys():
         tower = engine.tower(t, w)
-        for s in tower.bases:
+        for s in tower.degrees:
             n = tower.dim(s)
             bnd = tower.coboundary_vectors(s)
             span = bnd + [_dense(r, n) for r in tower.h_reps(s)]

@@ -86,3 +86,21 @@ def test_traced_bp_suite_feeds_every_counter():
         tr.uninstall()
     assert [rec["status"] for rec in report["checks"]] == ["pass"]
     assert tr.metrics()["bp_cobar.BPStructure.delta_t2_power.calls"] > 0
+
+
+def test_traced_cobar_bracket_feeds_every_counter():
+    # `_tower_stat` reads SectorTower's positional `bases` and
+    # `_tensors_stat` the engine's `_sector_bases` after construction; both
+    # are mappings of sized bases, empty until a basis is asked for
+    tracer = _tracer_module()
+    hopf_cobar = importlib.import_module("stab3.hopf_cobar")
+    tr = tracer.Tracer().install()
+    try:
+        rep = hopf_cobar.p_fold_massey_check(5, 0)
+        assert tr.stat_errors == {}
+    finally:
+        tr.uninstall()
+    assert rep["status"] == "pass"
+    metrics = tr.metrics()
+    assert metrics["cohomology.towers_built"] > 0
+    assert metrics["hopf_cobar.CobarEngine.__init__.calls"] == 1
