@@ -113,9 +113,6 @@ class TPoly:
         residues = ((d, _modp(c, p)) for d, c in self.coeffs.items())
         return {d: r for d, r in residues if r}
 
-    def eval_at(self, t):
-        return sum((c * t**d for d, c in self.coeffs.items()), Fraction(0))
-
     def __eq__(self, other):
         return isinstance(other, (TPoly, int, Fraction)) and self.coeffs == _tcoeffs(other)
 

@@ -5,9 +5,9 @@ each sector is a finite tower of F_p vector spaces graded by cohomological
 degree s.  `SectorTower` holds the generic linear algebra (cocycles,
 coboundaries, echelon cohomology representatives, reduction to class
 coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
-sector, which asks the engine for one degree's basis keys at a time;
-`ExteriorCohomology` here and the cobar engine in `hopf_cobar` are its two
-subclasses.
+sector from the two members every engine supplies, the basis sizes
+`_counts` and one basis `_sector_basis(t, w, s)`; `ExteriorCohomology` here
+and the cobar engine in `hopf_cobar` are its two subclasses.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -51,10 +51,6 @@ class Memo(dict):
 
 def _index_of(bases, s):
     return {k: i for i, k in enumerate(bases[s])}
-
-
-def _no_keys(s):
-    return ()
 
 
 class SectorTower:
@@ -208,42 +204,36 @@ class SectorEngine:
     exterior model and the cobar complex.
 
     `alg` is an `exterior.FpAlgebra` whose `element` class builds the
-    complex's elements, keyed by basis key; `graded_keys` yields (basis key,
-    (s, t, w)) pairs, bucketed into `_sector_bases` ((t, w) -> {s: sorted
-    keys}, sectors in order of first appearance).  A subclass sets `name`,
-    the model label in Massey results.  The base derives the towers, element
-    <-> vector conversion, dimension reports, and the Massey queries.
-
-    Towers read their bases through three hooks, which by default look in
-    `_sector_bases`: `sector_keys`, `_sector(t, w)` and `_degrees(t, w)`.
-    A subclass that builds a basis on demand overrides them and passes no
-    graded keys.
+    complex's elements, keyed by basis key.  A subclass sets `name`, the
+    model label in Massey results, and supplies `_counts`, a list over s of
+    {(t, w): nonzero basis size}, and `_sector_basis(t, w, s)`, the sorted
+    keys of one basis (empty outside the complex).  The base derives the
+    sectors and their degrees from `_counts`, and gives each tower a `Memo`
+    (kept in `_sector_bases`) that asks `_sector_basis` for a degree on
+    first use; on the towers it builds element <-> vector conversion,
+    dimension reports, and the Massey queries.
     """
 
-    def __init__(self, alg, graded_keys):
+    def __init__(self, alg):
         self.alg = alg
         self.p = alg.p
         self._towers = {}
-        self._sector_bases = sectors = {}
-        for key, (s, t, w) in graded_keys:
-            sectors.setdefault((t, w), {}).setdefault(s, []).append(key)
-        for bases in sectors.values():
-            for keys in bases.values():
-                keys.sort()
+        self._sector_bases = {}
 
     def sector_keys(self):
         """The (t, w) sectors with a nonempty basis in some degree, sorted."""
-        return sorted(self._sector_bases)
-
-    def _sector(self, t, w):
-        """Hook: the `Memo` s -> sorted basis keys of sector (t, w)."""
-        bases = Memo(_no_keys)
-        bases.update(self._sector_bases.get((t, w), ()))
-        return bases
+        return sorted({key for level in self._counts for key in level})
 
     def _degrees(self, t, w):
-        """Hook: the degrees in which sector (t, w) has basis keys, ascending."""
-        return sorted(self._sector_bases.get((t, w), ()))
+        """The degrees in which sector (t, w) has basis keys, ascending."""
+        return [s for s, level in enumerate(self._counts) if (t, w) in level]
+
+    def _sector(self, t, w):
+        """The `Memo` s -> sorted basis keys of sector (t, w)."""
+        bases = self._sector_bases.get((t, w))
+        if bases is None:
+            bases = self._sector_bases[t, w] = Memo(self._sector_basis, t, w)
+        return bases
 
     def _check_sector(self, w: int):
         """Hook: reject a sector weight the engine cannot represent."""
@@ -339,7 +329,16 @@ class ExteriorCohomology(SectorEngine):
 
     def __init__(self, p: int = 7):
         alg = ExteriorAlgebra(p)
-        super().__init__(alg, enumerate(alg.mask_grade))
+        super().__init__(alg)
+        self._masks = masks = {}  # (s, t, w) -> masks, ascending
+        for mask, grade in enumerate(alg.mask_grade):
+            masks.setdefault(grade, []).append(mask)
+        self._counts = [{} for _ in range(FULL_MASK.bit_count() + 1)]
+        for (s, t, w), keys in masks.items():
+            self._counts[s][t, w] = len(keys)
+
+    def _sector_basis(self, t, w, s):
+        return self._masks.get((s, t, w), [])
 
     # -- class operations ---------------------------------------------------
 
@@ -362,21 +361,6 @@ class ExteriorCohomology(SectorEngine):
         if y is None:
             return None
         return self.from_vec(y, Trigrade(sector.s - 1, sector.t, sector.w))
-
-    def cohomology_basis(self, s, t=None, w=None):
-        out = []
-        for (st, sw) in self.sector_keys():
-            if t is not None and st != t % self.alg.tmod:
-                continue
-            if w is not None and sw != w:
-                continue
-            tower = self.tower(st, sw)
-            if s not in tower.degrees:
-                continue
-            sector = Trigrade(s, st, sw)
-            for rep in tower.h_reps(s):
-                out.append(self.reduce(self.from_vec(to_dense(rep, tower.dim(s)), sector)))
-        return out
 
     def pair_top(self, x: ExteriorElement) -> int:
         """Coefficient of the canonical top monomial h0h1h2h20h21h22h30h31h32."""

@@ -262,12 +262,6 @@ class ExteriorAlgebra(FpAlgebra):
     def monomial(self, mask: int, coeff: int = 1) -> ExteriorElement:
         return ExteriorElement(self, {mask: coeff % self.p})
 
-    def from_gen_names(self, *names) -> ExteriorElement:
-        out = self.one()
-        for n in names:
-            out = out * self.gen(*GENERATORS[GEN_NAMES.index(n)])
-        return out
-
     # -- grading -----------------------------------------------------------
 
     def key_grade(self, mask: int) -> Trigrade:

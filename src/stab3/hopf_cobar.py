@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import factorial
 
-from .cohomology import Memo, SectorEngine
+from .cohomology import SectorEngine
 from .exterior import GENERATORS, FpAlgebra, FpElement, Trigrade, gen_index
 from .fplinalg import b_class_terms
 from .massey import massey_from_system
@@ -181,41 +181,6 @@ class TruncatedHopf(FpAlgebra):
             self._reduced_cache[m] = out
         return out
 
-    def check_coassociativity(self):
-        """(Delta x 1)Delta = (1 x Delta)Delta on every generator."""
-        for idx in range(9):
-            lhs = {}
-            rhs = {}
-            for (a, b), c in self._gen_coproduct[idx].items():
-                for (a1, a2), c2 in self.coproduct(a).items():
-                    key = (a1, a2, b)
-                    lhs[key] = (lhs.get(key, 0) + c * c2) % self.p
-                for (b1, b2), c2 in self.coproduct(b).items():
-                    key = (a, b1, b2)
-                    rhs[key] = (rhs.get(key, 0) + c * c2) % self.p
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
-                return False
-        return True
-
-    def check_counit(self):
-        """Both counit composites are the identity on every generator."""
-        for idx, (i, j) in enumerate(GENERATORS):
-            g = self._gen_monomial(i, j)
-            left = {}
-            right = {}
-            for (a, b), c in self._gen_coproduct[idx].items():
-                if a == UNIT:
-                    left[b] = (left.get(b, 0) + c) % self.p
-                if b == UNIT:
-                    right[a] = (right.get(a, 0) + c) % self.p
-            if {k: v for k, v in left.items() if v} != {g: 1}:
-                return False
-            if {k: v for k, v in right.items() if v} != {g: 1}:
-                return False
-        return True
-
     # -- element constructors ------------------------------------------------
 
     def one(self):
@@ -225,9 +190,6 @@ class TruncatedHopf(FpAlgebra):
         if m == UNIT:
             raise ValueError("slots must be reduced (nonzero) monomials")
         return CobarElement(self, {(m,): 1})
-
-    def gen_slot(self, i, j):
-        return self.slot(self._gen_monomial(i, j))
 
     def t_power_slot(self, row, e):
         return self.slot(self.power_monomial(row, e))
@@ -246,14 +208,12 @@ class CobarEngine(SectorEngine):
     """Sector towers of the cobar complex, truncated by total weight.
 
     Construction tabulates the reduced monomials of weight <= bound by
-    (internal degree, weight).  The basis of sector (t, w) in degree s is
-    enumerated when a tower first asks for it, and kept in `_sector_bases`.
-    The search goes slot by slot: a prefix is extended by a monomial only
-    when the remaining (t, w) is reachable with the remaining slots, so no
-    dead prefix is tried, and the last slot is one lookup.  The counts of
-    tensors per (slots, t, w) behind that test are built on first use, and
-    give the sectors, their degrees and each basis size before it is built;
-    a basis larger than `sector_cap` raises `SectorCapError`.
+    (internal degree, weight).  `_counts`, the number of tensors per
+    (slots, t, w), is built on first use; `_sector_basis(t, w, s)`
+    enumerates the tensors of one sector and degree slot by slot, extending
+    a prefix by a monomial only when the remaining (t, w) is reachable with
+    the remaining slots, so no dead prefix is tried and the last slot is one
+    lookup.  A basis larger than `sector_cap` raises `SectorCapError`.
     """
 
     name = "cobar"
@@ -261,7 +221,7 @@ class CobarEngine(SectorEngine):
     def __init__(self, p: int = 7, weight_bound: int = 6, sector_cap: int = 20000):
         self.weight_bound = weight_bound
         self.sector_cap = sector_cap
-        super().__init__(TruncatedHopf(p), ())
+        super().__init__(TruncatedHopf(p))
         self._monomials = self._monomials_by_grade()
 
     def _monomials_by_grade(self):
@@ -302,18 +262,6 @@ class CobarEngine(SectorEngine):
                         nxt[key] = nxt.get(key, 0) + n * m
             counts.append(nxt)
         return counts
-
-    def sector_keys(self):
-        return sorted({key for level in self._counts for key in level})
-
-    def _degrees(self, t, w):
-        return [s for s, level in enumerate(self._counts) if (t, w) in level]
-
-    def _sector(self, t, w):
-        bases = self._sector_bases.get((t, w))
-        if bases is None:
-            bases = self._sector_bases[t, w] = Memo(self._sector_basis, t, w)
-        return bases
 
     def _sector_basis(self, t, w, s):
         """The sorted tensors of sector (t, w) with s slots."""

@@ -58,13 +58,6 @@ class NamedClasses:
     def __getitem__(self, name: str):
         return self.table[name]
 
-    #: table entries that are cocycles (the degree-1 h_{2j}, h_{3j} symbols
-    #: are building blocks and b20 a block image, not classes)
-    CLASS_NAMES = ("h0", "h1", "h2", "k0", "k1", "b0", "b1", "b2", "zeta3", "l", "lprime")
-
-    def all_cocycles(self) -> bool:
-        return all(self.table[n].d().is_zero() for n in self.CLASS_NAMES)
-
     # -- verification suites -------------------------------------------------
 
     def verify_generators(self):

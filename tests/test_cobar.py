@@ -7,7 +7,9 @@ import time
 import pytest
 
 from stab3.cohomology import ExteriorCohomology
+from stab3.exterior import GENERATORS, ExteriorAlgebra
 from stab3.hopf_cobar import (
+    UNIT,
     CobarEngine,
     TruncatedHopf,
     b_class,
@@ -18,15 +20,33 @@ from stab3.hopf_cobar import (
 HOPF = TruncatedHopf(7)
 
 
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
 def test_coassociativity_and_counit():
-    assert HOPF.check_coassociativity()
-    assert HOPF.check_counit()
+    # the generator g_{i,j} is t_i^(p^j)
+    p = HOPF.p
+    for i, j in GENERATORS:
+        g = HOPF.power_monomial(i, p**j)
+        lhs, rhs, left, right = {}, {}, {}, {}
+        for (a, b), c in HOPF.coproduct(g).items():
+            for (a1, a2), c2 in HOPF.coproduct(a).items():
+                lhs[a1, a2, b] = (lhs.get((a1, a2, b), 0) + c * c2) % p
+            for (b1, b2), c2 in HOPF.coproduct(b).items():
+                rhs[a, b1, b2] = (rhs.get((a, b1, b2), 0) + c * c2) % p
+            if a == UNIT:
+                left[b] = (left.get(b, 0) + c) % p
+            if b == UNIT:
+                right[a] = (right.get(a, 0) + c) % p
+        assert _nonzero(lhs) == _nonzero(rhs), (i, j)
+        assert _nonzero(left) == {g: 1} and _nonzero(right) == {g: 1}, (i, j)
 
 
 def test_d_squared_on_generator_slots():
     for i in (1, 2, 3):
         for j in range(3):
-            x = HOPF.gen_slot(i, j)
+            x = HOPF.t_power_slot(i, HOPF.p**j)
             assert x.d().d().is_zero()
 
 
@@ -124,6 +144,14 @@ def test_p_fold_bracket_at_p11_is_pinned(cobar_p11, k):
     assert hashlib.sha256(text.encode()).hexdigest() == P11_BRACKET_SHA256[k]
 
 
+def test_weight_bound_rejects_heavier_sectors():
+    engine = CobarEngine(5, weight_bound=3)
+    g10_4 = engine.alg.t_power_slot(1, 4)  # weight 4
+    for ask in (lambda: engine.tower(0, 4), lambda: engine.class_coords(g10_4)):
+        with pytest.raises(ValueError, match=r"^sector weight 4 exceeds bound 3$"):
+            ask()
+
+
 def test_engine_builds_no_basis_at_construction():
     # every tensor of weight <= 13 at p = 13 would be 4.3 billion
     start = time.perf_counter()
@@ -167,6 +195,17 @@ def eager_sector_bases(p, bound):
     return sectors
 
 
+def eager_exterior_bases(p):
+    """(t, w) -> {s: ascending masks}, bucketed from every mask's grade: the
+    oracle of the exterior engine's bases."""
+    grade = ExteriorAlgebra(p).mask_grade
+    sectors = {}
+    for mask in range(512):
+        s, t, w = grade[mask]
+        sectors.setdefault((t, w), {}).setdefault(s, []).append(mask)
+    return sectors
+
+
 def _on_demand_bases(engine, t, w):
     """{s: basis} of the nonempty degrees of sector (t, w), asked for one
     degree at a time, one past each end included."""
@@ -175,10 +214,14 @@ def _on_demand_bases(engine, t, w):
     return {s: b for s, b in bases.items() if b}
 
 
-@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6)])
+@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6), (5, None), (7, None)])
 def test_on_demand_bases_match_eager_enumeration(p, bound):
-    eager = eager_sector_bases(p, bound)
-    engine = CobarEngine(p, weight_bound=bound)
+    # no bound: the exterior engine, against a bucketing of its 512 masks
+    if bound is None:
+        eager, engine = eager_exterior_bases(p), ExteriorCohomology(p)
+        assert len(eager) == 97
+    else:
+        eager, engine = eager_sector_bases(p, bound), CobarEngine(p, weight_bound=bound)
     assert engine.sector_keys() == sorted(eager)
     for (t, w), bases in eager.items():
         assert _on_demand_bases(engine, t, w) == bases, (t, w)

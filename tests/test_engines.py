@@ -80,18 +80,6 @@ def test_sector_engine_contract(engine):
     assert report and all(row["equal"] for row in report)
 
 
-def test_sector_engine_buckets_graded_keys():
-    # sectors in first-appearance order, keys sorted within each degree
-    alg = ExteriorAlgebra(5)
-    graded = [("b", (1, 4, 2)), ("c", (0, 0, 0)), ("a", (1, 4, 2)), ("d", (2, 4, 2))]
-    engine = SectorEngine(alg, iter(graded))
-    assert (engine.alg, engine.p, engine._towers) == (alg, 5, {})
-    assert list(engine._sector_bases.items()) == [
-        ((4, 2), {1: ["a", "b"], 2: ["d"]}),
-        ((0, 0), {0: ["c"]}),
-    ]
-
-
 def test_one_named_classes_per_report(monkeypatch):
     built = Counter()
     cobar_engines = []
@@ -130,7 +118,7 @@ def test_one_named_classes_per_report(monkeypatch):
 
 def test_elements_of_two_complexes_do_not_mix():
     ext = ExteriorAlgebra(P).gen(1, 0)
-    cob = TruncatedHopf(P).gen_slot(1, 0)
+    cob = TruncatedHopf(P).t_power_slot(1, 1)
     for a, b in ((cob, ext), (ext, cob)):
         with pytest.raises(TypeError):
             a + b

@@ -142,7 +142,7 @@ def test_products_with_zero_and_scalars():
         assert prod.is_zero() and type(prod) is type(x) and prod.alg is ALG
     assert (x * 3).terms == (3 * x).terms == {k: 3 * v % 7 for k, v in x.terms.items()}
     assert (x * 0).is_zero()
-    cobar_zero = TruncatedHopf(7).gen_slot(1, 0) * 0
+    cobar_zero = TruncatedHopf(7).t_power_slot(1, 1) * 0
     for other in (cobar_zero, 2.5, "h0", None):
         with pytest.raises(TypeError):
             x * other

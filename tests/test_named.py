@@ -5,9 +5,17 @@ from stab3.named import NamedClasses
 
 NC = NamedClasses(ExteriorCohomology(7))
 
+#: table entries that are cocycles (the degree-1 h_{2j}, h_{3j} symbols
+#: are building blocks and b20 a block image, not classes)
+CLASS_NAMES = ("h0", "h1", "h2", "k0", "k1", "b0", "b1", "b2", "zeta3", "l", "lprime")
+
+
+def _all_cocycles(nc):
+    return all(nc[n].d().is_zero() for n in CLASS_NAMES)
+
 
 def test_all_named_classes_are_cocycles():
-    assert NC.all_cocycles()
+    assert _all_cocycles(NC)
 
 
 def test_generator_suite_certificates():
@@ -77,7 +85,7 @@ def test_b_classes_distinct():
 
 def test_other_prime_engine():
     nc11 = NamedClasses(p=11)
-    assert nc11.all_cocycles()
+    assert _all_cocycles(nc11)
     rep = {r["name"]: r for r in nc11.verify_generators()}
     assert rep["h0*b0*b2*l"]["certificate"]["value"] == -2
     assert rep["k0*l"]["certificate"]["value"] == 1

@@ -5,8 +5,9 @@ in its module's or class's `__dict__`; the benchmark's own tests also check
 that named aliases (`massey.rref`, `cohomology.kernel_basis`, ...) are
 wrapped.  These tests check that every target resolves, that the traced
 `fplinalg.rref` takes dense list rows (its counter calls `row.count(0)`),
-that a traced BP suite feeds every counter without an error (the
-`delta_t2_power` counter reads its positional arguments), and run the
+that traced BP, exterior and cobar runs feed every counter without an
+error (the `delta_t2_power` counter reads its positional arguments, the
+tower counter a tower's `bases` at construction), and run the
 benchmark's alias test, so a refactor that breaks any of these fails in
 the tier-1 suite and not only in `python3 -m pytest perfbench`.
 """
@@ -86,6 +87,21 @@ def test_traced_bp_suite_feeds_every_counter():
         tr.uninstall()
     assert [rec["status"] for rec in report["checks"]] == ["pass"]
     assert tr.metrics()["bp_cobar.BPStructure.delta_t2_power.calls"] > 0
+
+
+def test_traced_exterior_suites_feed_every_counter():
+    # exterior towers, like cobar ones, start with an empty `bases` Memo,
+    # which `_tower_stat` reads at SectorTower construction
+    tracer = _tracer_module()
+    reports = importlib.import_module("stab3.reports")
+    tr = tracer.Tracer().install()
+    try:
+        report = reports.run_suites(7, suites=["generator-classes", "duality"])
+        assert tr.stat_errors == {}
+    finally:
+        tr.uninstall()
+    assert [rec["status"] for rec in report["checks"]] == ["pass", "pass"]
+    assert tr.metrics()["cohomology.towers_built"] > 0
 
 
 def test_traced_cobar_bracket_feeds_every_counter():
