@@ -91,8 +91,19 @@ class SystemExit2(Exception):
     """Usage error carrying its message (mapped to exit code 2)."""
 
 
+#: the `table` options of the cobar model, with their defaults
+COBAR_TABLE_DEFAULTS = {"max_s": 2, "may_bound": 3, "sector_cap": 20000}
+
+
 def cmd_table(args) -> int:
     _check_prime(args.prime)
+    passed = [name for name in COBAR_TABLE_DEFAULTS if getattr(args, name) is not None]
+    if args.model == "exterior" and passed:
+        flags = ", ".join("--" + name.replace("_", "-") for name in passed)
+        raise SystemExit2(f"{flags}: only for --model cobar")
+    for name, default in COBAR_TABLE_DEFAULTS.items():
+        if name not in passed:
+            setattr(args, name, default)
     meta = {"prime": args.prime, "version": __version__, "command": "table",
             "model": args.model}
     with _open_output(args.output) as fh:  # an unwritable path fails before any engine is built
@@ -216,14 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table", help="per-sector dimension tables")
     common(sp)
-    sp.add_argument("--sector-cap", type=_at_least(1), default=20000,
+    sp.add_argument("--sector-cap", type=_at_least(1),
                     help="cobar: abort if a sector basis that is built exceeds this "
-                    "dimension; bases are built for degrees <= max-s + 1 only")
+                    "dimension (default 20000); bases are built for degrees "
+                    "<= max-s + 1 only")
     sp.add_argument("--model", choices=("exterior", "cobar"), default="exterior")
-    sp.add_argument("--max-s", type=_at_least(0), default=2,
-                    help="cobar: bound on cohomological degree")
-    sp.add_argument("--may-bound", type=_at_least(0), default=3,
-                    help="cobar: bound on the weight grading")
+    sp.add_argument("--max-s", type=_at_least(0),
+                    help="cobar: bound on cohomological degree (default 2)")
+    sp.add_argument("--may-bound", type=_at_least(0),
+                    help="cobar: bound on the weight grading (default 3)")
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("verify", help="run verification suites, emit a JSON report")

@@ -16,7 +16,7 @@ forms are unique.
 from __future__ import annotations
 
 from .exterior import ExteriorAlgebra, ExteriorElement, FULL_MASK, Trigrade
-from .fplinalg import sparse_kernel, sparse_rref, sparse_solve, sub_multiple, to_dense
+from .fplinalg import sparse_kernel, sparse_rref, sparse_solve, sub_multiple
 
 # The towers use the sparse kernel; `kernel_basis` stays importable from here
 # because the benchmark's tracer tests look it up as `cohomology.kernel_basis`.
@@ -64,8 +64,8 @@ class SectorTower:
     filled on first use.
 
     Matrices, cocycles and representatives are sparse rows {basis index:
-    coeff} (see `fplinalg`); `coboundary_vectors`, `reduce_vec` and
-    `bound_vec` take and return dense vectors.
+    coeff} (see `fplinalg`); `reduce_vec` and `bound_vec` take and return
+    dense vectors.
     """
 
     def __init__(self, p, bases, d_of, degrees):
@@ -118,9 +118,6 @@ class SectorTower:
             ech, pivots = sparse_rref(self.dmat(s - 1), self.p)
             self._coboundaries[s] = dict(zip(pivots, ech))
         return self._coboundaries[s]
-
-    def coboundary_vectors(self, s):
-        return [to_dense(r, self.dim(s)) for r in self._coboundary_rows(s).values()]
 
     def _reduce(self, s, v, reps):
         """Reduce v in place by the coboundary rows, then by the {pivot: row}

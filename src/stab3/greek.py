@@ -53,12 +53,6 @@ def bidegree(spec: GreekSpec, p: int):
     return n, tA
 
 
-@dataclass(frozen=True)
-class RImage:
-    greek: GreekSpec
-    image: object  # ExteriorElement
-
-
 class UnsupportedGreekError(ValueError):
     pass
 
@@ -68,8 +62,9 @@ def gamma_coeffs(t: int, p: int):
     return (-t * (t**2 - 1)) % p, (-t * (t - 1)) % p
 
 
-def r_image(spec: GreekSpec, nc: NamedClasses) -> RImage:
-    """Table of r-images; gamma_t coefficients reduced mod p."""
+def r_image(spec: GreekSpec, nc: NamedClasses):
+    """Table of r-images, as exterior elements; gamma_t coefficients reduced
+    mod p."""
     p = nc.p
     t = nc.table
     A = spec.A
@@ -86,7 +81,7 @@ def r_image(spec: GreekSpec, nc: NamedClasses) -> RImage:
         img = c_l * t["l"] + c_k * (t["k1"] * t["zeta3"])
     else:
         raise UnsupportedGreekError(f"no r-image on record for {spec.name} with A={A}")
-    return RImage(spec, img)
+    return img
 
 
 def degree_coherence(nc: NamedClasses, t_range=None):
@@ -98,7 +93,7 @@ def degree_coherence(nc: NamedClasses, t_range=None):
     specs = [alpha(1), beta(1), beta(2), beta(p, p)] + [gamma(t) for t in t_range]
     rows = []
     for spec in specs:
-        img = r_image(spec, nc).image
+        img = r_image(spec, nc)
         n, tA = bidegree(spec, p)
         if img.is_zero():
             rows.append({"name": spec.name, "status": "zero-image", "tA_mod": tA % tmod})
@@ -142,7 +137,7 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
     tbl = nc.table
     if t_range is None:
         t_range = range(1, p**2 + 1)
-    alpha1, beta2, beta1 = (r_image(s, nc).image for s in (alpha(1), beta(2), beta(1)))
+    alpha1, beta2, beta1 = (r_image(s, nc) for s in (alpha(1), beta(2), beta(1)))
     factors = {
         "alpha1*gamma_t": [alpha1],
         "beta2*gamma_t": [beta2],

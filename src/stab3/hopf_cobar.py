@@ -209,11 +209,11 @@ class CobarEngine(SectorEngine):
 
     Construction tabulates the reduced monomials of weight <= bound by
     (internal degree, weight).  `_counts`, the number of tensors per
-    (slots, t, w), is built on first use; `_sector_basis(t, w, s)`
-    enumerates the tensors of one sector and degree slot by slot, extending
-    a prefix by a monomial only when the remaining (t, w) is reachable with
-    the remaining slots, so no dead prefix is tried and the last slot is one
-    lookup.  A basis larger than `sector_cap` raises `SectorCapError`.
+    (slots, t, w), is built on first use.  `_sector_basis(t, w, s)` puts a
+    first monomial in front of each (s-1)-slot tensor of the remaining
+    grade, read from that sector's own basis through `_sector`, over every
+    monomial grade whose remainder `_counts` says is reachable.  A basis
+    larger than `sector_cap` raises `SectorCapError`.
     """
 
     name = "cobar"
@@ -275,21 +275,13 @@ class CobarEngine(SectorEngine):
             return []
         if not s:
             return [()]
-        tmod, monomials = self.alg.tmod, self._monomials
+        tmod, rest = self.alg.tmod, counts[s - 1]
         out = []
-
-        def extend(prefix, t, w, slots):
-            if slots == 1:
-                out.extend(prefix + (m,) for m in monomials[t, w])
-                return
-            rest = counts[slots - 1]
-            for (dt, dw), mons in monomials.items():
-                key = ((t - dt) % tmod, w - dw)
-                if key in rest:
-                    for m in mons:
-                        extend(prefix + (m,), *key, slots - 1)
-
-        extend((), t, w, s)
+        for (dt, dw), mons in self._monomials.items():
+            key = ((t - dt) % tmod, w - dw)
+            if key in rest:
+                tails = self._sector(*key)[s - 1]
+                out.extend((m,) + tail for m in mons for tail in tails)
         out.sort()
         return out
 

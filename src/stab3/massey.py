@@ -14,10 +14,11 @@ builds its F_p system by evaluating them: column c is r(e_c) - r(0), the
 right-hand side -r(0).  Only the identities that read column c's entry are
 evaluated for it; its other rows are zero.  A single solve finds a defining
 system or proves none exists, and `massey_from_system` checks the same
-identities on every system it evaluates.  The value map is quadratic on
-the affine solution space; the reported indeterminacy subspace is the span
-of its first- and second-order differences along a kernel basis, which
-contains every attainable value difference.
+identities on every system it evaluates.  The value map V is quadratic on
+the affine solution space part + span(n_1, ..., n_K), so the attainable
+value differences span its linear and quadratic parts.  For p odd these
+are spanned by V(part + n_a) - V(part) and V(part + n_a + n_b) - V(part),
+a <= b, which is the reported indeterminacy subspace.
 """
 
 from __future__ import annotations
@@ -136,31 +137,16 @@ def massey_product(engine, reps):
 
     c0 = value_coords(part)
 
-    def addv(a, b, scale=1):
-        return [(x + scale * y) % p for x, y in zip(a, b)]
+    def value_diff(*ns):
+        """V(part + sum of ns) - V(part), in class coordinates."""
+        u = part
+        for nk in ns:
+            u = [(x + y) % p for x, y in zip(u, nk)]
+        return [(x - y) % p for x, y in zip(value_coords(u), c0)]
 
-    diffs = []
-    base = list(c0)
-    vals_single = []
-    for nk in null:
-        ck = value_coords(addv(part, nk))
-        vals_single.append(ck)
-        diffs.append([(x - y) % p for x, y in zip(ck, base)])
-        c2 = value_coords(addv(part, nk, 2))
-        diffs.append(
-            [(x - 2 * y + z) % p for x, y, z in zip(c2, ck, base)]
-        )
-    for a_i in range(len(null)):
-        for b_i in range(a_i + 1, len(null)):
-            cab = value_coords(addv(addv(part, null[a_i]), null[b_i]))
-            diffs.append(
-                [
-                    (x - y - z + w) % p
-                    for x, y, z, w in zip(cab, vals_single[a_i], vals_single[b_i], base)
-                ]
-            )
-    ncls = len(base)
-    indet, _ = rref([d for d in diffs if any(d)], ncls, p) if ncls else ([], [])
+    diffs = [value_diff(na) for na in null]
+    diffs += [value_diff(na, nb) for a, na in enumerate(null) for nb in null[a:]]
+    indet, _ = rref([d for d in diffs if any(d)], len(c0), p) if c0 else ([], [])
 
     return {
         "model": engine.name,

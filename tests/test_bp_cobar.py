@@ -493,6 +493,25 @@ def test_delta_mon_output_is_reduced_on_every_verify_call(monkeypatch, p):
     assert [call for call in calls if call[2]] == []
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_d_cobar_output_has_no_unit_slot_on_every_bp_suite_call(monkeypatch, p):
+    # d_cobar splices in every eta_R term with c != 0 and every delta_bar
+    # term as they come: no eta_R term besides v^e itself lacks a t-monomial,
+    # and delta_bar removes the only two terms with a unit side
+    calls = []
+
+    def checked(x, ctx, structure, audit=None):
+        out = d_cobar(x, ctx, structure, audit)
+        calls.append([key for key in out.terms if MON_ONE in key[1]])
+        return out
+
+    monkeypatch.setattr(bp_cobar, "d_cobar", checked)
+    report = run_suites(p, suites=["bp-basics", "delta-chains", "beta-chain", "gamma-chain"])
+    assert calls
+    assert [bad for bad in calls if bad] == []
+    assert [rec["status"] for rec in report["checks"]] == ["pass"] * 4
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_delta_t2_power_matches_the_iterated_product(p):
     # same terms, same values, same order: reduce_mod audits in dict order
@@ -595,7 +614,7 @@ def test_chains_land_on_the_r_image_table(monkeypatch, spec):
     # a sign change in greek.r_image must fail the chain that lands on it
     def flipped(s, nc):
         img = greek.r_image(s, nc)
-        return greek.RImage(s, -1 * img.image) if s == spec else img
+        return -1 * img if s == spec else img
 
     monkeypatch.setattr(bp_cobar, "r_image", flipped)
     with pytest.raises(AssertionError, match="exterior image is not"):

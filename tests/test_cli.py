@@ -198,7 +198,15 @@ def test_verify_has_no_sector_cap_option(capsys):
     (["table", "--model", "cobar", "--max-s", "-3"], "--max-s: must be an integer >= 0"),
     (["table", "--sector-cap", "0"], "--sector-cap: must be an integer >= 1"),
     (["table", "--sector-cap", "-5"], "--sector-cap: must be an integer >= 1"),
-], ids=["may-bound-negative", "max-s-negative", "sector-cap-zero", "sector-cap-negative"])
+    # the exterior table has no degree, weight or sector bound to apply them to
+    (["table", "--max-s", "1"], "error: --max-s: only for --model cobar"),
+    (["table", "--may-bound", "0"], "error: --may-bound: only for --model cobar"),
+    (["table", "--model", "exterior", "--sector-cap", "20000"],
+     "error: --sector-cap: only for --model cobar"),
+    (["table", "--prime", "7", "--max-s", "1", "--may-bound", "0", "--sector-cap", "1"],
+     "error: --max-s, --may-bound, --sector-cap: only for --model cobar"),
+], ids=["may-bound-negative", "max-s-negative", "sector-cap-zero", "sector-cap-negative",
+        "exterior-max-s", "exterior-may-bound", "exterior-sector-cap", "exterior-all-three"])
 def test_bad_numeric_bound_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -7,8 +7,8 @@ import pytest
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
 from stab3.exterior import FULL_MASK, Trigrade
 from stab3.fplinalg import to_dense
-from stab3 import massey
-from stab3.massey import MasseyError, class_in_coset, massey_product
+from stab3 import fplinalg, massey
+from stab3.massey import MasseyError, class_in_coset, massey_from_system, massey_product
 from stab3.named import NamedClasses
 
 ENGINE = ExteriorCohomology(7)
@@ -72,7 +72,8 @@ def test_cup_representative_independence():
     x = _cohomology_basis(ENGINE, 3, 0, 6)[0].representative
     sector = x.grade_of()
     tower = ENGINE.tower(sector.t, sector.w)
-    bound = ENGINE.from_vec(tower.coboundary_vectors(sector.s)[0], sector)
+    first = next(iter(tower._coboundary_rows(sector.s).values()))
+    bound = ENGINE.from_vec(to_dense(first, tower.dim(sector.s)), sector)
     x2 = x + bound
     assert ENGINE.reduce(x).coords == ENGINE.reduce(x2).coords
     y = NC["h0"]
@@ -143,6 +144,9 @@ def test_massey_rejects_nonvanishing_consecutive_products():
 
 
 # -- oracle for the Massey linear system -------------------------------------
+
+MASSEY_INPUTS = [names for n in (3, 4)
+                 for names in itertools.product(("h0", "h1", "h2", "k0", "k1"), repeat=n)]
 
 
 def _assembled_system(engine, reps):
@@ -230,22 +234,106 @@ def test_massey_system_matches_block_assembly(monkeypatch):
 
     monkeypatch.setattr(massey, "solve", capture)
     solved = 0
-    for n in (3, 4):
-        for names in itertools.product(("h0", "h1", "h2", "k0", "k1"), repeat=n):
-            reps = [NC[name] for name in names]
-            captured.clear()
-            try:
-                massey_product(ENGINE, reps)
-            except MasseyError as exc:
-                if "does not vanish" in str(exc):
-                    assert not captured
-                    continue
-            rows, rhs = _assembled_system(ENGINE, reps)
-            assert captured == ([(rows, rhs)] if rows else []), names
-            solved += bool(captured)
+    for names in MASSEY_INPUTS:
+        reps = [NC[name] for name in names]
+        captured.clear()
+        try:
+            massey_product(ENGINE, reps)
+        except MasseyError as exc:
+            if "does not vanish" in str(exc):
+                assert not captured
+                continue
+        rows, rhs = _assembled_system(ENGINE, reps)
+        assert captured == ([(rows, rhs)] if rows else []), names
+        solved += bool(captured)
     assert solved == 416  # the other inputs have a nonvanishing consecutive product
 
 
 def test_massey_inconsistent_system():
     with pytest.raises(MasseyError, match="no defining system"):
         massey_product(ENGINE, [NC["h0"], NC["h0"], NC["h0"], NC["h1"]])
+
+
+# -- oracle for the Massey indeterminacy -------------------------------------
+
+
+def _difference_indeterminacy(engine, reps, part, null):
+    """The indeterminacy spanned by the first, second and cross differences
+    of the value map V along the kernel basis: V(u + n_k) - V(u),
+    V(u + 2 n_k) - 2 V(u + n_k) + V(u) and
+    V(u + n_a + n_b) - V(u + n_a) - V(u + n_b) + V(u), a < b.
+    `massey_product` instead spans the plain differences V(u + ...) - V(u)."""
+    n = len(reps)
+    p = engine.p
+    sectors = massey._massey_layout(engine, reps, n)
+    unknowns = [(i, j) for i in range(n) for j in range(i + 2, n + 1) if (i, j) != (0, n)]
+    value_sector = engine.sector_sum([r.grade_of() for r in reps], n - 2)
+
+    def value_coords(uvec):
+        entries = {(i, i + 1): reps[i] for i in range(n)}
+        off = 0
+        for u in unknowns:
+            d = engine.dim(sectors[u])
+            entries[u] = engine.from_vec(uvec[off : off + d], sectors[u])
+            off += d
+        cc = engine.class_coords(massey_from_system(engine, entries, n))
+        if cc is None:
+            return (0,) * engine.tower(value_sector.t, value_sector.w).dim_h(value_sector.s)
+        return cc[1]
+
+    def addv(a, b, scale=1):
+        return [(x + scale * y) % p for x, y in zip(a, b)]
+
+    base = list(value_coords(part))
+    single = [value_coords(addv(part, nk)) for nk in null]
+    diffs = []
+    for nk, ck in zip(null, single):
+        diffs.append([(x - y) % p for x, y in zip(ck, base)])
+        c2 = value_coords(addv(part, nk, 2))
+        diffs.append([(x - 2 * y + z) % p for x, y, z in zip(c2, ck, base)])
+    for a in range(len(null)):
+        for b in range(a + 1, len(null)):
+            cab = value_coords(addv(addv(part, null[a]), null[b]))
+            diffs.append([(x - y - z + w) % p
+                          for x, y, z, w in zip(cab, single[a], single[b], base)])
+    if not base:
+        return []
+    indet, _ = fplinalg.rref([d for d in diffs if any(d)], len(base), p)
+    return [tuple(r) for r in indet]
+
+
+def test_massey_indeterminacy_matches_difference_oracle(monkeypatch):
+    # The plain differences V(u + n_a) - V(u) and V(u + n_a + n_b) - V(u),
+    # a <= b, span what the first, second and cross differences span (p odd),
+    # with as many evaluations of the value map.
+    seen = {}
+
+    def capture(name, real):
+        def wrapped(*args):
+            seen[name] = out = real(*args)
+            return out
+        return wrapped
+
+    def count_values(*args):
+        seen["values"] += 1
+        return massey_from_system(*args)
+
+    monkeypatch.setattr(massey, "solve", capture("part", massey.solve))
+    monkeypatch.setattr(massey, "kernel_basis", capture("null", massey.kernel_basis))
+    monkeypatch.setattr(massey, "massey_from_system", count_values)
+    kernel_dims = []
+    for names in MASSEY_INPUTS:
+        reps = [NC[name] for name in names]
+        seen.clear()
+        seen["values"] = 0
+        try:
+            res = massey_product(ENGINE, reps)
+        except MasseyError:
+            continue
+        part, null = seen.get("part", []), seen.get("null", [])
+        k = len(null)
+        assert res["kernel_dim"] == k
+        assert seen["values"] == 1 + 2 * k + k * (k - 1) // 2, names
+        kernel_dims.append(k)
+        assert res["indeterminacy"] == _difference_indeterminacy(ENGINE, reps, part, null), names
+    assert len(kernel_dims) == 276 and max(kernel_dims) >= 2  # cross differences occur

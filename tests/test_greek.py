@@ -33,16 +33,16 @@ def test_spec_validation():
 
 
 def test_r_image_table():
-    assert (greek.r_image(greek.alpha(1), NC).image - NC["h0"]).is_zero()
-    assert (greek.r_image(greek.beta(1, 1), NC).image + NC["b0"]).is_zero()
-    assert (greek.r_image(greek.beta(2, 1), NC).image - 2 * NC["k0"]).is_zero()
-    assert (greek.r_image(greek.beta(7, 7), NC).image + NC["b1"]).is_zero()
+    assert (greek.r_image(greek.alpha(1), NC) - NC["h0"]).is_zero()
+    assert (greek.r_image(greek.beta(1, 1), NC) + NC["b0"]).is_zero()
+    assert (greek.r_image(greek.beta(2, 1), NC) - 2 * NC["k0"]).is_zero()
+    assert (greek.r_image(greek.beta(7, 7), NC) + NC["b1"]).is_zero()
 
 
 def test_r_image_gamma_coefficients():
     p = 7
     for t in (2, 3, 5):
-        img = greek.r_image(greek.gamma(t), NC).image
+        img = greek.r_image(greek.gamma(t), NC)
         expected = ((-t * (t**2 - 1)) % p) * NC["l"] + ((-t * (t - 1)) % p) * (
             NC["k1"] * NC["zeta3"]
         )
@@ -55,7 +55,7 @@ def test_gamma_coeffs_is_the_r_image_table():
         for t in range(1, 2 * p + 2):
             c_l, c_k = greek.gamma_coeffs(t, p)
             assert (c_l, c_k) == ((-t * (t**2 - 1)) % p, (-t * (t - 1)) % p)
-            img = greek.r_image(greek.gamma(t), nc).image
+            img = greek.r_image(greek.gamma(t), nc)
             assert img == c_l * nc["l"] + c_k * (nc["k1"] * nc["zeta3"])
 
 
@@ -118,7 +118,7 @@ def _per_t_rows(p, t_range, nc):
     """Reduce F * r(gamma_t) for every t and each of the five products."""
     eng = nc.engine
     tbl = nc.table
-    alpha1, beta2, beta1 = (greek.r_image(s, nc).image
+    alpha1, beta2, beta1 = (greek.r_image(s, nc)
                             for s in (greek.alpha(1), greek.beta(2), greek.beta(1)))
     factors = {
         "alpha1*gamma_t": [alpha1],
@@ -129,7 +129,7 @@ def _per_t_rows(p, t_range, nc):
     }
     rows = []
     for t in t_range:
-        rgamma = greek.r_image(greek.gamma(t), nc).image
+        rgamma = greek.r_image(greek.gamma(t), nc)
         row = {"t": t, "products": {}, "agree": True}
         verdicts = {}
         for name in greek.PRODUCT_NAMES:
@@ -208,7 +208,7 @@ def test_non_cocycle_factor_is_caught(monkeypatch):
 
     def patched(spec, nc):
         if spec == greek.beta(2):
-            return greek.RImage(spec, nc["h20"])
+            return nc["h20"]
         return r_image(spec, nc)
 
     monkeypatch.setattr(greek, "r_image", patched)
