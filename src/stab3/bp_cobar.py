@@ -17,7 +17,9 @@ rule, and `_drop_terms` the one routine that drops (and audits) terms.
 
 The delta chains divide cobar differentials by the exact invariant factors
 (powers of p, v1, v2) and record an audit trail: every dropped term is
-justified by membership in a declared residual ideal.
+justified by membership in a declared residual ideal.  Their b-classes are
+the cochains `b_cochain` of `fplinalg.b_class_terms`, and each chain ends in
+the comparison map `project_to_exterior` onto generators and `BLOCKS` images.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .exterior import GENERATORS
 from .fplinalg import b_class_terms
 from .greek import alpha, beta, r_image
 from .named import NamedClasses
@@ -37,7 +40,7 @@ from .named import NamedClasses
 class TPoly:
     """Polynomial in t with Fraction coefficients: the coefficient of a term
     in which t occurs.  Numbers mix on either side and promote to TPoly, and
-    TPoly.const(c) == c."""
+    TPoly({0: c}) == c."""
 
     __slots__ = ("coeffs",)
 
@@ -55,10 +58,6 @@ class TPoly:
         out = object.__new__(cls)
         out.coeffs = coeffs
         return out
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: Fraction(c)})
 
     @classmethod
     def t(cls):
@@ -296,15 +295,15 @@ class BPElement:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def v_power(cls, p, e1=(0, 0), e2=(0, 0), e3=(0, 0), coeff=1):
+    def v_power(cls, p, e1=(0, 0), e2=(0, 0), e3=(0, 0)):
         e1 = e1 if isinstance(e1, tuple) else (e1, 0)
         e2 = e2 if isinstance(e2, tuple) else (e2, 0)
         e3 = e3 if isinstance(e3, tuple) else (e3, 0)
-        return cls(p, {((e1, e2, e3), ()): coeff})
+        return cls(p, {((e1, e2, e3), ()): 1})
 
     @classmethod
-    def cochain(cls, p, *slot_mons, vexp=V_ZERO, coeff=1):
-        return cls(p, {(vexp, tuple(slot_mons)): coeff})
+    def cochain(cls, p, *slot_mons, coeff=1):
+        return cls(p, {(V_ZERO, tuple(slot_mons)): coeff})
 
     # -- ring ops ------------------------------------------------------------
 
@@ -339,16 +338,8 @@ class BPElement:
         """Drop terms lying in ctx; optionally record them in the audit list."""
         return BPElement(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
 
-    def p_part(self):
-        """(1/p) * (terms with valuation >= 1); raises if a term mixes."""
-        out = {}
-        for key, coeff in self.terms.items():
-            if _pval(coeff, self.p) >= 1:
-                out[key] = _over(coeff, self.p)
-        return BPElement(self.p, out)
-
-    def divide_p(self, a=1):
-        return BPElement(self.p, {k: _over(c, self.p**a) for k, c in self.terms.items()})
+    def divide_p(self):
+        return BPElement(self.p, {k: _over(c, self.p) for k, c in self.terms.items()})
 
     def divide_v(self, which, a=1):
         out = {}
@@ -659,16 +650,17 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
 # ---------------------------------------------------------------------------
 
 
-def b1k(p: int, k: int) -> BPElement:
-    """(1/p) sum_i C(p^(k+1), i) [t1^i | t1^(p^(k+1)-i)] (`b_class_terms`)."""
-    return BPElement(p, {(V_ZERO, (l, r)): c for l, r, c in b_class_terms(p, 1, k)})
+def b_cochain(p: int, level: int, k: int) -> BPElement:
+    """The 2-cochain of `fplinalg.b_class_terms(p, level, k)`: b_{1,k} at
+    level 1, and at level 2, k = 0 the normal form of `b20` mod (p, v1)."""
+    return BPElement(p, {(V_ZERO, (l, r)): c for l, r, c in b_class_terms(p, level, k)})
 
 
 def _corner_v1p_b11(p: int) -> BPElement:
     """-t1^p (x) t1^(p^2) + v1^p b_{1,1}: the part of d(t2^p) besides -p b20."""
     v1p = ((p, 0), (0, 0), (0, 0))
     terms = {(V_ZERO, (t1_mon(p), t1_mon(p**2))): -1}
-    terms.update(((v1p, slots), c) for (_, slots), c in b1k(p, 1).terms.items())
+    terms.update(((v1p, slots), c) for (_, slots), c in b_cochain(p, 1, 1).terms.items())
     return BPElement(p, terms)
 
 
@@ -692,13 +684,6 @@ def b20(p: int, structure: BPStructure) -> BPElement:
     return BPElement(p, out)
 
 
-def b20_mod_p_v1(p: int) -> BPElement:
-    """Multinomial normal form of b20 mod (p, v1): the level-2, k = 0 terms
-    (1/p)(p; a,b,c) [t2^a t1^b | t1^(p b) t2^c] of `fplinalg.b_class_terms`,
-    reduced mod p."""
-    return BPElement(p, {(V_ZERO, (l, r)): c % p for l, r, c in b_class_terms(p, 2, 0)})
-
-
 # ---------------------------------------------------------------------------
 # differential identities and d^2 checks
 # ---------------------------------------------------------------------------
@@ -719,7 +704,7 @@ def verify_d_basics(p: int = 7):
     for k in (1, 2):
         x = BPElement.cochain(p, t1_mon(p**k))
         dx = d_cobar(x, ZERO_IDEAL, st)
-        expected = (-b1k(p, k - 1)).scale(p)
+        expected = (-b_cochain(p, 1, k - 1)).scale(p)
         if not (dx - expected).is_zero():
             raise AssertionError(f"d(t1^p^{k}) = {dx!r}")
         report.append({"name": f"d(t1^(p^{k})) = -p*b_(1,{k-1})", "status": "exact"})
@@ -735,8 +720,7 @@ def verify_d_basics(p: int = 7):
     )
     report.append({"name": "b20 p-integrality", "status": "exact"})
 
-    bmod = b.reduce_mod(ideal((1, 0, 0), (0, 1, 0)))
-    diff = bmod - b20_mod_p_v1(p)
+    diff = b.reduce_mod(MOD_P_V1) - b_cochain(p, 2, 0)
     if any(_modp(c, p) for c in diff.terms.values()):
         raise AssertionError("b20 mod (p, v1) multinomial normal form")
     report.append({"name": "b20 mod (p,v1) multinomial form", "status": "exact"})
@@ -792,54 +776,40 @@ def verify_dd(p: int = 7):
 # ---------------------------------------------------------------------------
 
 
-def _single_gen(mon, p):
-    """(i, j) when mon = t_i^(p^j) with j in {0,1,2}; otherwise None."""
-    nz = [(i, e) for i, e in enumerate(mon) if e]
-    if len(nz) != 1:
-        return None
-    i, e = nz[0]
-    q = 1
-    for j in range(3):
-        if e == q:
-            return (i + 1, j)
-        q *= p
-    return None
+#: The b-blocks of the comparison map: each `NamedClasses` image with the
+#: (level, k) of its b-class in `b_cochain`.
+BLOCKS = (("b0", 1, 0), ("b1", 1, 1), ("b20", 2, 0))
 
 
-def _block_tables(p: int):
-    """Support tables {pair-of-slots: coeff mod p} for the b-blocks, with a
-    distinguished anchor pair of coefficient known to be a unit."""
-    tables = {}
-    anchors = {}
-    for name, level, k, anchor in (
-        ("b10", 1, 0, (t1_mon(1), t1_mon(p - 1))),
-        ("b11", 1, 1, (t1_mon(p), t1_mon(p * p - p))),
-        ("b20", 2, 0, ((1, p - 1, 0), t1_mon(p))),
-    ):
-        supp = {(l, r): c % p for l, r, c in b_class_terms(p, level, k) if c % p}
-        if anchor not in supp:
-            raise AssertionError(f"{name} anchor {anchor} has no unit coefficient")
-        tables[name], anchors[name] = supp, anchor
-    return tables, anchors
+def _gen_product(alg, gens):
+    """The exterior product of the generators (i, j), in order."""
+    elem = alg.one()
+    for g in gens:
+        elem = elem * alg.gen(*g)
+    return elem
 
 
 def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
     """Associated-graded comparison map into the exterior model.
 
-    Slots t_i^(p^j) map to the exterior generator with that index; a
-    contiguous pair of slots matching a b-block (b10, b11, b20 mod (p, v1))
-    maps to the block's exterior image, with the whole block required to
-    appear with a single proportionality factor; every other tensor monomial
-    lies above the comparison filtration and maps to zero (audited).
+    Slots t_i^(p^j) map to the exterior generator (i, j) of
+    `exterior.GENERATORS`; a contiguous pair of slots in the support of a
+    b-block of `BLOCKS` (b_{1,0}, b_{1,1}, b_{2,0} mod (p, v1), read from
+    `b_cochain`) maps to the block's image `nc[name]`, the whole support
+    required to appear with a single proportionality factor mod p; every
+    other tensor monomial lies above the comparison filtration and maps to
+    zero, audited unless its valuation is >= 1.
 
     Input terms must be free of v1 and v3 (concrete v2 powers are carried
-    through).  The block images are read from `nc` (b0 = b10, b1 = b11).
-    Returns {(mask, v2exp): coefficient}.
+    through).  Returns {(mask, v2exp): coefficient}, to be compared mod p.
     """
     p = nc.p
     alg = nc.engine.alg
-    tables, anchors = _block_tables(p)
-    block_image = {"b10": nc["b0"], "b11": nc["b1"], "b20": nc["b20"]}
+    gen_of = {tuple(p**j if r == i else 0 for r in (1, 2, 3)): (i, j) for i, j in GENERATORS}
+    supports = {
+        name: {slots: c % p for (_, slots), c in b_cochain(p, level, k).terms.items() if c % p}
+        for name, level, k in BLOCKS
+    }
     out = {}
     groups = {}
     for (vexp, slots), coeff in x.terms.items():
@@ -848,56 +818,40 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
                 f"term {_term_repr((vexp, slots), coeff)} has v1/v3 or symbolic v2 content"
             )
         v2e = vexp[1][0]
-        gens = [_single_gen(m, p) for m in slots]
-        if all(g is not None for g in gens):
-            elem = alg.one()
-            for g in gens:
-                elem = elem * alg.gen(*g)
-            _add_ext(out, elem, coeff, v2e)
+        gens = tuple(gen_of.get(m) for m in slots)
+        if None not in gens:
+            _add_ext(out, _gen_product(alg, gens), coeff, v2e)
             continue
-        placed = False
-        for pos in range(len(slots) - 1):
-            pair = (slots[pos], slots[pos + 1])
-            rest_single = all(
-                gens[k] is not None for k in range(len(slots)) if k not in (pos, pos + 1)
-            )
-            for bname, supp in tables.items():
-                if pair in supp and rest_single:
-                    key = (bname, pos, slots[:pos], slots[pos + 2 :], v2e)
-                    _acc(groups.setdefault(key, {}), pair, coeff)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            if _pval(coeff, p) < 1:
-                if audit is None:
-                    raise InsufficientPrecisionError(
-                        f"unclassified term {_term_repr((vexp, slots), coeff)}"
-                    )
-                audit.append(
-                    {
-                        "dropped": _term_repr((vexp, slots), coeff),
-                        "reason": "above comparison filtration, maps to zero",
-                    }
+        placed = next(((name, pos) for pos in range(len(slots) - 1)
+                       if None not in gens[:pos] + gens[pos + 2:]
+                       for name, supp in supports.items() if slots[pos:pos + 2] in supp), None)
+        if placed:
+            name, pos = placed
+            key = (name, gens[:pos], gens[pos + 2:], v2e)
+            _acc(groups.setdefault(key, {}), slots[pos:pos + 2], coeff)
+        elif _pval(coeff, p) < 1:
+            if audit is None:
+                raise InsufficientPrecisionError(
+                    f"unclassified term {_term_repr((vexp, slots), coeff)}"
                 )
-    for (bname, pos, left, right, v2e), pairs in groups.items():
-        supp = tables[bname]
-        anchor = anchors[bname]
-        inv = pow(supp[anchor], p - 2, p)
-        lam = pairs.get(anchor, 0) * inv
+            audit.append(
+                {
+                    "dropped": _term_repr((vexp, slots), coeff),
+                    "reason": "above comparison filtration, maps to zero",
+                }
+            )
+    for (name, left, right, v2e), pairs in groups.items():
+        supp = supports[name]
+        anchor = next(iter(supp))
+        lam = pairs.get(anchor, 0) * pow(supp[anchor], p - 2, p)
         for pr, c in supp.items():
             diff = pairs.get(pr, 0) - lam * c
             if diff and _pval(diff, p) < 1:
                 raise InsufficientPrecisionError(
-                    f"{bname} block at slot {pos} is not proportional to the "
+                    f"{name} block at slot {len(left)} is not proportional to the "
                     f"block pattern (pair {pr})"
                 )
-        elem = block_image[bname]
-        for m in reversed(left):
-            elem = alg.gen(*_single_gen(m, p)) * elem
-        for m in right:
-            elem = elem * alg.gen(*_single_gen(m, p))
+        elem = _gen_product(alg, left) * nc[name] * _gen_product(alg, right)
         _add_ext(out, elem, lam, v2e)
     return {k: v for k, v in out.items() if v}
 
@@ -907,11 +861,6 @@ def _add_ext(out, elem, coeff, v2e=0):
     for mask, c in elem.terms.items():
         _acc(out, (mask, v2e), coeff * c)
     return out
-
-
-def ext_masks_mod_p(elem, coeff=1):
-    """{(mask, v2exp): coefficient} view of an exterior element, optionally scaled."""
-    return _add_ext({}, elem, coeff)
 
 
 def masks_diff_mod_p(a, b, p):
@@ -966,9 +915,9 @@ class _Chain:
         if not X.reduce_mod(MOD_P).is_zero():
             raise AssertionError("valuation-zero part must cancel")
         if final is None:
-            return self.step("divide by p", X.p_part())
+            return self.step("divide by p", X.divide_p())
         dropped = []
-        R = X.p_part().reduce_mod(final, dropped, "final reduction")
+        R = X.divide_p().reduce_mod(final, dropped, "final reduction")
         if v3_one:
             return self.step(f"divide by p, reduce mod {final}, set v3 = 1",
                              R.set_v3_one(), dropped)
@@ -1028,9 +977,9 @@ def _beta_1k_chain(nc: NamedClasses, st: BPStructure, k: int):
         raise AssertionError(f"d({v2q}) mod (p) = {dx!r}")
     rep = chain.step("divide by v1" if k == 0 else f"divide by v1^{q}", dx.divide_v(1, q))
     R = chain.p_part("d(rep) mod (p^2, p*v1)", rep, ideal((2, 0, 0), (1, 1, 0)))
-    if not (R + b1k(p, k)).reduce_mod(MOD_P).is_zero():
+    if not (R + b_cochain(p, 1, k)).reduce_mod(MOD_P).is_zero():
         raise AssertionError(f"{name}: p-part is not -b1{k} mod p")
-    image = ext_masks_mod_p(r_image(spec, nc))
+    image = _add_ext({}, r_image(spec, nc), 1)
     return chain.lands_on(R.reduce_mod(MOD_P_V1), image, label)
 
 
@@ -1048,15 +997,14 @@ def delta_chain_displays(nc: NamedClasses):
     if dx != BPElement.cochain(p, t1_mon(1), coeff=p):
         raise AssertionError(f"d(v1) = {dx!r}")
     rep = alpha_1.step("divide by p", dx.divide_p())
-    chains = [alpha_1.lands_on(rep, ext_masks_mod_p(r_image(alpha(1), nc)), "h0")]
+    chains = [alpha_1.lands_on(rep, _add_ext({}, r_image(alpha(1), nc), 1), "h0")]
 
     chains.append(_beta_1k_chain(nc, st, 0))
 
     # beta_2: the v2^t zigzag at t = 2; answer 2*k0 - 2*v2*b0 mod (p, v1)
     beta_2 = _Chain("beta_2", st, nc)
     R = _v2_power_zigzag(beta_2, (2, 0), "v2^2")
-    image = _add_ext(ext_masks_mod_p(r_image(beta(2), nc)),
-                     nc["b0"], -2, v2e=1)
+    image = _add_ext(_add_ext({}, r_image(beta(2), nc), 1), nc["b0"], -2, v2e=1)
     chains.append(beta_2.lands_on(R, image, "2*k0 - 2*v2*b0", audit=[]))
 
     chains.append(_beta_1k_chain(nc, st, 1))
@@ -1090,7 +1038,7 @@ def verify_beta_chain(p: int = 7):
         raise AssertionError("k0 witness cocycle")
     expected = (
         BPElement.v_power(p, e2=(-2, 1)).concat(k0_rep).scale(TPoly({2: 1, 1: -1}))  # t(t-1)
-        - BPElement.v_power(p, e2=(-1, 1)).concat(b1k(p, 0)).scale(TPoly.t())
+        - BPElement.v_power(p, e2=(-1, 1)).concat(b_cochain(p, 1, 0)).scale(TPoly.t())
     )
     diff = (R - expected).reduce_mod(MOD_P_V1)
     if not diff.is_zero():
@@ -1142,7 +1090,7 @@ def verify_gamma_chain(nc: NamedClasses):
 
     paudit = []
     img = project_to_exterior(R0, nc, paudit)
-    expected = _add_ext(ext_masks_mod_p(nc["l"], TPoly({3: -1, 1: 1})),
+    expected = _add_ext(_add_ext({}, nc["l"], TPoly({3: -1, 1: 1})),
                         nc["k1"] * nc["zeta3"], TPoly({2: -1, 1: 1}))
     bad = masks_diff_mod_p(img, expected, p)
     if bad:

@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
             raise SystemExit2(
                 f"unknown suite(s) {sorted(unknown)}; available: {', '.join(SUITE_NAMES)}"
             )
-    t_range = _parse_t_range(args.t_range) if args.t_range else None
+    t_range = _parse_t_range(args.t_range) if args.t_range is not None else None
     with _open_output(args.output) as fh:  # an unwritable path fails before any suite runs
         report = run_suites(args.prime, suites=suites, t_range=t_range)
         if args.format == "human":
@@ -164,7 +164,9 @@ def cmd_greek(args) -> int:
     from . import greek
 
     meta = {"prime": args.prime, "version": __version__, "command": "greek"}
-    if args.bidegree:
+    if args.bidegree is not None:
+        if args.t_range is not None:
+            raise SystemExit2("--t-range: not with --bidegree")
         try:
             spec = greek.GreekSpec(tuple(int(x) for x in args.bidegree.split(",")), "custom")
         except ValueError as exc:
@@ -180,7 +182,7 @@ def cmd_greek(args) -> int:
             "warning: the product table is validated for primes greater than 5; "
             "predicate agreement at p = 5 is not guaranteed\n"
         )
-    t_range = _parse_t_range(args.t_range) if args.t_range else None
+    t_range = _parse_t_range(args.t_range) if args.t_range is not None else None
     header = (
         "t",
         "bidegree_n",

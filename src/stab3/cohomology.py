@@ -182,19 +182,6 @@ class CohomologyClass:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass)
-            and self.sector == other.sector
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.sector, self.coords))
-
-    def __repr__(self):
-        return f"CohomologyClass(sector={tuple(self.sector)}, coords={self.coords})"
-
 
 class SectorEngine:
     """Sector towers of a (t, w)-graded complex: the contract shared by the

@@ -22,12 +22,11 @@ from stab3.bp_cobar import (
     TPoly,
     V_ZERO,
     ZERO_IDEAL,
-    b1k,
+    BLOCKS,
     b20,
-    b20_mod_p_v1,
+    b_cochain,
     d_cobar,
     delta_chain_displays,
-    ext_masks_mod_p,
     ideal,
     masks_diff_mod_p,
     project_to_exterior,
@@ -52,6 +51,11 @@ NC = NamedClasses(p=P)
 # -- TPoly -------------------------------------------------------------------
 
 
+def _tconst(c):
+    """The constant TPoly c, which compares equal to c."""
+    return TPoly({0: Fraction(c)})
+
+
 def _eval_at(q, t):
     """The TPoly q at the integer t."""
     return sum((c * t**d for d, c in q.coeffs.items()), Fraction(0))
@@ -59,10 +63,10 @@ def _eval_at(q, t):
 
 def test_tpoly_arithmetic_and_valuation():
     t = TPoly.t()
-    q = t * t - 3 * t + TPoly.const(2)
+    q = t * t - 3 * t + _tconst(2)
     assert _eval_at(q, 1) == 0 and _eval_at(q, 5) == 12
-    assert TPoly.const(Fraction(49, 3)).p_valuation(7) == 2
-    assert TPoly.const(Fraction(3, 7)).p_valuation(7) == -1
+    assert _tconst(Fraction(49, 3)).p_valuation(7) == 2
+    assert _tconst(Fraction(3, 7)).p_valuation(7) == -1
     assert TPoly().p_valuation(7) is None
     assert not (q - q) and q
 
@@ -71,7 +75,7 @@ def test_tpoly_mod_p():
     q = TPoly({0: 10, 1: Fraction(1, 2)})
     assert q.mod_p(7) == {0: 3, 1: 4}  # 1/2 = 4 mod 7
     with pytest.raises(InsufficientPrecisionError):
-        TPoly.const(Fraction(1, 7)).mod_p(7)
+        _tconst(Fraction(1, 7)).mod_p(7)
 
 
 _COEFFS = st.dictionaries(
@@ -123,7 +127,7 @@ _OPERANDS = st.one_of(_NUMBERS, _COEFFS.map(TPoly))
 
 
 def _lift(x):
-    return x if type(x) is TPoly else TPoly.const(x)
+    return x if type(x) is TPoly else _tconst(x)
 
 
 def _residues(c, p):
@@ -269,14 +273,14 @@ def test_element_ring_ops_and_homogeneity():
 
 def test_element_coefficients_stay_numbers():
     keys = [(V_ZERO, (t1_mon(i),)) for i in range(1, 5)]
-    x = BPElement(P, dict(zip(keys, (2, Fraction(1, 2), TPoly.const(3), 0))))
+    x = BPElement(P, dict(zip(keys, (2, Fraction(1, 2), _tconst(3), 0))))
     assert x.terms == {keys[0]: 2, keys[1]: Fraction(1, 2), keys[2]: 3}
     assert x.terms == {
-        keys[0]: TPoly.const(2), keys[1]: TPoly.const(Fraction(1, 2)), keys[2]: TPoly.const(3)
+        keys[0]: _tconst(2), keys[1]: _tconst(Fraction(1, 2)), keys[2]: _tconst(3)
     }
     assert [type(c) for c in x.terms.values()] == [int, Fraction, TPoly]
     assert [type(c) for c in x.scale(2).terms.values()] == [int, Fraction, TPoly]
-    assert x.scale(2) == x.scale(TPoly.const(2)) == x + x
+    assert x.scale(2) == x.scale(_tconst(2)) == x + x
     assert x.scale(0).is_zero()
 
 
@@ -291,8 +295,8 @@ def _profile(vexp, coeff, a, b, c):
 
 def test_membership_reads_symbolic_exponents_as_zero():
     vexp = ((2, 0), (-1, 1), (0, 0))  # v1^2 v2^(t-1)
-    assert _profile(vexp, TPoly.const(P * P), 2, 2, 0)
-    assert _profile(((0, 1), (3, 0), (0, 0)), TPoly.const(Fraction(1, P)), -1, 0, 3)
+    assert _profile(vexp, _tconst(P * P), 2, 2, 0)
+    assert _profile(((0, 1), (3, 0), (0, 0)), _tconst(Fraction(1, P)), -1, 0, 3)
     ctx = ideal((2, 2, 0), (0, 0, 1))
     assert ctx.floor(2, 0) == 2 and ctx.floor(2, 1) == 0
     assert ctx.contains(P, vexp, P * P) and not ctx.contains(P, vexp, P)
@@ -306,7 +310,7 @@ def test_divide_v_requires_exponent():
 
 
 def test_reduce_mod_records_audit():
-    x = BPElement.v_power(P, e1=1, coeff=P) + BPElement.cochain(P, t1_mon(1))
+    x = BPElement.v_power(P, e1=1).scale(P) + BPElement.cochain(P, t1_mon(1))
     audit = []
     r = x.reduce_mod(ideal((1, 1, 0)), audit, "test")
     assert len(r.terms) == 1 and len(audit) == 1
@@ -344,7 +348,7 @@ def test_term_repr_prints_coefficients_with_str():
     # repr(Fraction(1, 2)) is "Fraction(1, 2)"; certificates print "1/2"
     key = (V_ZERO, (t1_mon(1), t1_mon(2 * P)))
     assert bp_cobar._term_repr(key, Fraction(1, 2)) == "(1/2)*[t1|t1^14]"
-    assert bp_cobar._term_repr(key, TPoly.const(Fraction(1, 2))) == "(1/2)*[t1|t1^14]"
+    assert bp_cobar._term_repr(key, _tconst(Fraction(1, 2))) == "(1/2)*[t1|t1^14]"
     assert repr(BPElement(P, {key: Fraction(-1, 2), (V_ZERO, ()): 3})) == "(3) + (-1/2)*[t1|t1^14]"
 
 
@@ -356,16 +360,16 @@ def test_bp_tables_hold_no_tpolys():
     tables = [table for table, _ in st.D.values()] + [
         st.delta_t1_power(P, ZERO_IDEAL), st.delta_t2_power(P, ZERO_IDEAL),
         st.delta_t3_power(P, st.DELTA_T3_VALIDITY),
-        b1k(P, 0).terms, b1k(P, 1).terms, b20(P, st).terms,
+        b_cochain(P, 1, 0).terms, b_cochain(P, 1, 1).terms, b20(P, st).terms,
     ]
     for table in tables:
         assert table and all(type(c) is int for c in table.values())
 
 
 def test_b1k_coefficients_and_cocycle():
-    b = b1k(P, 0)
+    b = b_cochain(P, 1, 0)
     key = (V_ZERO, (t1_mon(1), t1_mon(P - 1)))
-    assert b.terms[key] == TPoly.const(Fraction(comb(P, 1), P))
+    assert b.terms[key] == _tconst(Fraction(comb(P, 1), P))
     assert d_cobar(b, ideal((1, 0, 0)), BPStructure(P)).reduce_mod(
         ideal((1, 0, 0))
     ).is_zero()
@@ -375,7 +379,7 @@ def test_b20_is_p_integral_and_matches_multinomial_form():
     x = b20(P, BPStructure(P))
     for c in x.terms.values():
         assert bp_cobar._pval(c, P) >= 0
-    diff = x.reduce_mod(ideal((1, 0, 0), (0, 1, 0))) - b20_mod_p_v1(P)
+    diff = x.reduce_mod(ideal((1, 0, 0), (0, 1, 0))) - b_cochain(P, 2, 0)
     assert all(not bp_cobar._modp(c, P) for c in diff.terms.values())
 
 
@@ -400,7 +404,7 @@ def test_d_t2p_exact_identity():
     dx = d_cobar(x, ZERO_IDEAL, st)
     v1p = ((P, 0), (0, 0), (0, 0))
     expected = BPElement(P, {(V_ZERO, (t1_mon(P), t1_mon(P**2))): -1})
-    for key, c in b1k(P, 1).terms.items():
+    for key, c in b_cochain(P, 1, 1).terms.items():
         expected = expected + BPElement(P, {(v1p, key[1]): c})
     expected = expected - b20(P, st).scale(P)
     assert (dx - expected).is_zero()
@@ -418,7 +422,7 @@ def test_validity_guard_raises_on_fine_context():
 def _iterated_powers(st, base, ctx, n):
     """The oracle: [base^0, ..., base^n] by repeated products of the
     expansion `base`, each reduced mod ctx after every factor."""
-    out = [{(V_ZERO, MON_ONE, MON_ONE): TPoly.const(1)}]
+    out = [{(V_ZERO, MON_ONE, MON_ONE): _tconst(1)}]
     for _ in range(n):
         out.append(st._mul(out[-1], base, ctx))
     return out
@@ -427,10 +431,10 @@ def _iterated_powers(st, base, ctx, n):
 def _delta_t2_powers(st, ctx, n):
     """Oracle Delta(t2)^b for b <= n, Delta(t2) = t2|1 + t1|t1^p + 1|t2 - v1 b10."""
     p = st.p
-    base = {(V_ZERO, left, right): TPoly.const(1) for left, right in (
+    base = {(V_ZERO, left, right): _tconst(1) for left, right in (
         (t2_mon(1), MON_ONE), (t1_mon(1), t1_mon(p)), (MON_ONE, t2_mon(1)))}
     v1 = ((1, 0), (0, 0), (0, 0))
-    for (_, (left, right)), c in b1k(p, 0).terms.items():
+    for (_, (left, right)), c in b_cochain(p, 1, 0).terms.items():
         base[(v1, left, right)] = -c
     return _iterated_powers(st, base, ctx, n)
 
@@ -438,7 +442,7 @@ def _delta_t2_powers(st, ctx, n):
 def _delta_t3_powers(st, ctx, n):
     """Oracle Delta(t3)^c for c <= n, Delta(t3) = t3|1 + t2|t1^(p^2) + t1|t2^p + 1|t3."""
     p = st.p
-    base = {(V_ZERO, left, right): TPoly.const(1) for left, right in (
+    base = {(V_ZERO, left, right): _tconst(1) for left, right in (
         (t3_mon(1), MON_ONE), (t2_mon(1), t1_mon(p * p)), (t1_mon(1), t2_mon(p)),
         (MON_ONE, t3_mon(1)))}
     return _iterated_powers(st, base, ctx, n)
@@ -576,12 +580,51 @@ def test_delta_t3_power_matches_the_iterated_product(p):
 # -- projection to the exterior model ----------------------------------------
 
 
+def _masks(elem, coeff=1):
+    """{(mask, 0): coeff * c} over the terms of an exterior element."""
+    return {(mask, 0): coeff * c for mask, c in elem.terms.items()}
+
+
 def test_projection_of_b10_block():
     alg = ExteriorAlgebra(P)
     h = {name: alg.gen(i, j) for name, (i, j) in zip(GEN_NAMES, GENERATORS)}
     b0_ext = h["h1"] * h["h32"] + h["h21"] * h["h20"] + h["h31"] * h["h1"]
-    img = project_to_exterior(-b1k(P, 0), NC)
-    assert not masks_diff_mod_p(img, ext_masks_mod_p(-b0_ext), P)
+    img = project_to_exterior(-b_cochain(P, 1, 0), NC)
+    assert not masks_diff_mod_p(img, _masks(-b0_ext), P)
+
+
+def _between_slots(p, block, unit=3):
+    """unit * [t2^(p^2)] (x) block (x) [t3]: a block between two generator slots."""
+    return (BPElement.cochain(p, t2_mon(p * p), coeff=unit).concat(block)
+            .concat(BPElement.cochain(p, t3_mon(1))))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("name, level, k", BLOCKS, ids=[name for name, _, _ in BLOCKS])
+def test_projection_of_each_block_between_generator_slots(p, name, level, k):
+    nc = NamedClasses(p=p)
+    alg = nc.engine.alg
+    expected = alg.gen(2, 2) * nc[name] * alg.gen(3, 0)
+    assert not expected.is_zero()
+    img = project_to_exterior(_between_slots(p, b_cochain(p, level, k)), nc)
+    assert not masks_diff_mod_p(img, _masks(expected, 3), p)
+    assert masks_diff_mod_p(img, _masks(expected, 4), p)
+
+
+@pytest.mark.parametrize("name, level, k", BLOCKS, ids=[name for name, _, _ in BLOCKS])
+def test_projection_rejects_a_block_with_one_coefficient_changed(name, level, k):
+    block = b_cochain(P, level, k)
+    key = [key for key, c in block.terms.items() if c % P][-1]  # not the first, the anchor
+    block.terms[key] += 1
+    with pytest.raises(InsufficientPrecisionError, match="not proportional"):
+        project_to_exterior(_between_slots(P, block), NC)
+
+
+def test_projection_drops_an_unclassified_term_of_positive_valuation_unaudited():
+    x = BPElement.cochain(P, (2, 1, 0), coeff=P)  # not a generator, not a known block
+    audit = []
+    assert project_to_exterior(x, NC, audit) == {}
+    assert audit == []
 
 
 def test_projection_rejects_v1_content():

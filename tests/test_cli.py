@@ -155,7 +155,7 @@ def test_env_var_prime_malformed_is_usage_error(capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("bad", ["abc", "5..1", "0..3"])
+@pytest.mark.parametrize("bad", ["abc", "5..1", "0..3", ""])
 def test_bad_t_range_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--prime", "7", "--t-range", bad)
     assert code == 2
@@ -168,6 +168,11 @@ def test_verify_t_range_below_one_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --t-range values must be >= 1, got '0..3'\n"
+    # an empty value is a bad range, not an absent flag
+    code, out, err = run(capsys, "verify", "--suite", "product-table", "--t-range", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --t-range must be N or A..B in integers, got ''\n"
 
 
 def test_verify_rejects_csv_format(capsys):
@@ -254,7 +259,16 @@ def test_unwritable_output_fails_before_any_engine(capsys, monkeypatch, tmp_path
     assert err.startswith(f"error: cannot write {path}: ")
 
 
-@pytest.mark.parametrize("bad", ["1,x", "0,1"])
+@pytest.mark.parametrize("t_range", ["abc", "1..3"])
+def test_bidegree_rejects_t_range(capsys, t_range):
+    # --bidegree prints one bidegree and reads no t values
+    code, out, err = run(capsys, "greek", "--bidegree", "1,1,1,2", "--t-range", t_range)
+    assert code == 2
+    assert out == ""
+    assert "error: --t-range: not with --bidegree" in err
+
+
+@pytest.mark.parametrize("bad", ["1,x", "0,1", ""])
 def test_bad_bidegree_is_usage_error(capsys, bad):
     code, out, err = run(capsys, "greek", "--bidegree", bad)
     assert code == 2

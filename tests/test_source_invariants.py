@@ -1,5 +1,6 @@
-"""Static guards on the package source: checks survive `python -O`, and the
-runtime imports stay inside the standard library."""
+"""Static guards on the package source: checks survive `python -O`, the
+runtime imports stay inside the standard library, and every definition is
+used by the package itself."""
 
 import ast
 import sys
@@ -48,3 +49,19 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - kept)
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_every_definition_is_referenced_in_the_package():
+    # a function, class or method that only the tests use belongs in the tests
+    referenced, defined = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append(f"{path.name}:{node.lineno} {node.name}")
+    unreferenced = [d for d in defined if d.split()[-1] not in referenced]
+    assert not unreferenced, f"defined but never referenced in src/stab3: {unreferenced}"
