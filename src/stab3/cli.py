@@ -44,7 +44,7 @@ def _at_least(low: int):
 
 def _open_output(output):
     """A context manager over the file `output` opened for writing, or stdout."""
-    if not output:
+    if output is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(output, "w", encoding="utf-8")

@@ -11,7 +11,10 @@ each pair costs one `bit_count`.  The differential is
 extended as a derivation (d(ab) = d(a)b + (-1)^{deg a} a d(b)).  Its value
 on each monomial is memoised in `_D` on first use, with integer
 coefficients, so one memo serves every prime; `d` is one lookup per term,
-reduced mod p once.
+reduced mod p once.  For the same reason d^2 = 0 and the Leibniz rule are
+proved once over Z (`dga_identities_over_z`), and each prime checks only
+that its F_p `d` and product reduce the integral ones
+(`check_reduction_mod_p`).
 
 Gradings: cohomological degree s = word length; internal degree
 2(p^i - 1)p^j summed and reduced mod 2(p^3 - 1); weight i summed.
@@ -87,6 +90,91 @@ class _DMemo(dict):
 
 
 _D = _DMemo({0: ()})
+
+
+def _z_mul(x: dict, y: dict) -> dict:
+    """Integral product of two {mask: int} elements (zero entries may stay)."""
+    out = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            if not ma & mb:
+                out[ma | mb] = out.get(ma | mb, 0) + _sign(ma, mb) * ca * cb
+    return out
+
+
+def _z_d(x: dict) -> dict:
+    """Integral d of a {mask: int} element, read from `_D` (zero entries may stay)."""
+    out = {}
+    for mask, c in x.items():
+        for m, e in _D[mask]:
+            out[m] = out.get(m, 0) + c * e
+    return out
+
+
+def _nonzero(x: dict) -> dict:
+    return {k: v for k, v in x.items() if v}
+
+
+_dga_over_z = None
+
+
+def dga_identities_over_z() -> dict:
+    """Check d^2 = 0 on every monomial and d(x g) = d(x) g + (-1)^|x| x d(g)
+    on every (monomial x, generator g) pair over Z, on {mask: int} dicts
+    read from `_D` and `_sign`; returns the certificate.  The identities do
+    not depend on p, so the check runs on the first call of a process and
+    its certificate is kept; a failure raises AssertionError and keeps
+    nothing, so every later call checks again."""
+    global _dga_over_z
+    if _dga_over_z is None:
+        for mask in range(FULL_MASK + 1):
+            if any(_z_d(dict(_D[mask])).values()):
+                raise AssertionError(f"d^2 != 0 on mask {mask}")
+        pairs = 0
+        for mask in range(FULL_MASK + 1):
+            x, dx = {mask: 1}, dict(_D[mask])
+            sign = -1 if mask.bit_count() & 1 else 1
+            for k, (i, j) in enumerate(GENERATORS):
+                g = {1 << k: 1}
+                rhs = _z_mul(dx, g)
+                for m, c in _z_mul(x, dict(_D[1 << k])).items():
+                    rhs[m] = rhs.get(m, 0) + sign * c
+                if _nonzero(_z_d(_z_mul(x, g))) != _nonzero(rhs):
+                    raise AssertionError(f"Leibniz fails on mask {mask} * gen ({i},{j})")
+                pairs += 1
+        _dga_over_z = {"monomials": FULL_MASK + 1, "leibniz_pairs": pairs}
+    return dict(_dga_over_z)
+
+
+def check_reduction_mod_p(alg: "ExteriorAlgebra") -> None:
+    """Check that the F_p `d` and product of `alg` reduce the integral ones
+    on every input the identities of `dga_identities_over_z` read: d(x) is
+    `_D[x]` mod p for every monomial x, and x * f is the integral product
+    mod p for every monomial x and every right factor f of the Leibniz
+    rule, that is every generator g and every monomial of a d(g).  One
+    product (sum of all monomials) * f checks all 512 x at once, since
+    x -> x | f is one to one on the monomials disjoint from f.  As d and *
+    are linear in each argument, this and the identities over Z give
+    d^2 = 0 and the Leibniz rule over F_p."""
+    p = alg.p
+    for mask in range(FULL_MASK + 1):
+        if alg.monomial(mask).d().terms != {m: r for m, c in _D[mask] if (r := c % p)}:
+            raise AssertionError(f"F_p d at p = {p} does not reduce the integral d on mask {mask}")
+    factors = {}  # right factor -> index of the first generator g with it in g + d(g)
+    for k in range(NGEN):
+        for f in [1 << k] + [m for m, _ in _D[1 << k]]:
+            factors.setdefault(f, k)
+    all_monomials = ExteriorElement(alg, dict.fromkeys(range(FULL_MASK + 1), 1))
+    for f, k in factors.items():
+        got = (all_monomials * alg.monomial(f)).terms
+        want = {x | f: _sign(x, f) % p for x in range(FULL_MASK + 1) if not x & f}
+        if got != want:  # name the failing x * f of smallest product mask
+            mask = min(key for key in got.keys() | want.keys() if got.get(key) != want.get(key)) ^ f
+            i, j = GENERATORS[k]
+            raise AssertionError(
+                f"F_p product at p = {p} does not reduce the integral product"
+                f" on mask {mask} * gen ({i},{j})"
+            )
 
 
 class FpAlgebra:

@@ -259,6 +259,18 @@ def test_unwritable_output_fails_before_any_engine(capsys, monkeypatch, tmp_path
     assert err.startswith(f"error: cannot write {path}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "euler"],
+    ["table"],
+    ["greek", "--bidegree", "1,1"],
+], ids=["verify", "table", "greek"])
+def test_empty_output_path_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--output", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write : ")
+
+
 @pytest.mark.parametrize("t_range", ["abc", "1..3"])
 def test_bidegree_rejects_t_range(capsys, t_range):
     # --bidegree prints one bidegree and reads no t values

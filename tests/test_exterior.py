@@ -1,19 +1,26 @@
 """Exterior DGA: exhaustive differential checks, signs, grading, shift."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stab3 import exterior
 from stab3.exterior import (
     FULL_MASK,
     GEN_NAMES,
     GENERATORS,
     ExteriorAlgebra,
+    ExteriorElement,
     InhomogeneousError,
     Trigrade,
     gen_index,
 )
+from stab3.reports import run_suites
 
 ALG = ExteriorAlgebra(7)
 
@@ -161,17 +168,25 @@ def test_gen_index_layout():
     assert [GEN_NAMES[gen_index(i, j)] for (i, j) in GENERATORS] == list(GEN_NAMES)
 
 
-def test_d_squared_exhaustive():
-    for mask in range(FULL_MASK + 1):
-        assert ALG.monomial(mask).d().d().is_zero(), f"d^2 on mask {mask}"
+# The two exhaustive element-path checks below are the oracle for the split
+# `exterior-dga` suite: the identities over Z plus the per-prime reduction check.
 
 
-def test_leibniz_exhaustive_against_generators():
+@pytest.mark.parametrize("p", [7, 31])
+def test_d_squared_exhaustive(p):
+    alg = ExteriorAlgebra(p)
     for mask in range(FULL_MASK + 1):
-        x = ALG.monomial(mask)
+        assert alg.monomial(mask).d().d().is_zero(), f"d^2 on mask {mask}"
+
+
+@pytest.mark.parametrize("p", [7, 31])
+def test_leibniz_exhaustive_against_generators(p):
+    alg = ExteriorAlgebra(p)
+    for mask in range(FULL_MASK + 1):
+        x = alg.monomial(mask)
         s = bin(mask).count("1")
         for (i, j) in GENERATORS:
-            g = ALG.gen(i, j)
+            g = alg.gen(i, j)
             lhs = (x * g).d()
             rhs = x.d() * g + ((-1) ** s) * (x * g.d())
             assert (lhs - rhs).is_zero(), f"Leibniz at mask {mask}, gen ({i},{j})"
@@ -242,3 +257,104 @@ def test_sign_rule_via_double_product(a, b):
         sa, sb = bin(a).count("1"), bin(b).count("1")
         swapped = y * x
         assert (prod - ((-1) ** (sa * sb)) * swapped).is_zero()
+
+
+# -- the exterior-dga suite: identities over Z once, reduction mod p per prime --
+
+GREEK_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
+
+EXTERIOR_DGA_RECORD = [{
+    "name": "exterior-dga",
+    "ref": "differential squares to zero; Leibniz rule",
+    "status": "pass",
+    "certificate": {"monomials": 512, "leibniz_pairs": 4608},
+}]
+
+
+def _exterior_dga_check(p):
+    check, = run_suites(p, suites=["exterior-dga"])["checks"]
+    return check
+
+
+def test_exterior_dga_record_is_the_same_at_every_greek_prime():
+    for p in GREEK_PRIMES:
+        assert run_suites(p, suites=["exterior-dga"])["checks"] == EXTERIOR_DGA_RECORD, p
+
+
+@pytest.mark.parametrize("gen, message", [
+    ((3, 0), "d^2 != 0 on mask 64"),
+    ((2, 0), "Leibniz fails on mask 4 * gen (2,0)"),
+], ids=["d-squared", "leibniz"])
+def test_corrupted_d_table_fails_at_every_prime(monkeypatch, gen, message):
+    exterior.dga_identities_over_z()  # the real table's certificate is cached
+    table = exterior._DMemo({0: ()})
+    for mask in range(FULL_MASK + 1):
+        table[mask]
+    mask = 1 << gen_index(*gen)
+    (m, c), *rest = table[mask]
+    table[mask] = ((m, c + 1), *rest)  # one coefficient of d(gen) is off by one
+    monkeypatch.setattr(exterior, "_D", table)
+    monkeypatch.setattr(exterior, "_dga_over_z", None)
+    for p in (7, 11, 13):
+        check = _exterior_dga_check(p)
+        assert check["status"] == "fail", p
+        assert check["certificate"] == message, p
+        assert exterior._dga_over_z is None
+
+
+def _fails_only_at_p11(message):
+    """Run the suite at p = 7, 11, 13 in turn: it fails at 11 with `message`
+    and passes at 7 and 13, after the p = 7 run has filled the integral memo."""
+    for p in (7, 11, 13):
+        check = _exterior_dga_check(p)
+        assert exterior._dga_over_z is not None
+        if p == 11:
+            assert check["status"] == "fail"
+            assert check["certificate"] == message
+        else:
+            assert check == EXTERIOR_DGA_RECORD[0], p
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (0b110, 0b1, "on mask 6 * gen (1,0)"),  # h1*h2 times the generator h0
+    (0b1, 0b110, "on mask 1 * gen (2,1)"),  # h0 times h1*h2, the monomial of d(h21)
+], ids=["generator", "monomial-of-d-gen"])
+def test_fp_product_fault_at_one_prime_fails_only_there(monkeypatch, a, b, message):
+    mul = ExteriorElement.__mul__
+
+    def faulty(self, other):
+        """The product with the sign of the monomial pair a * b flipped at p = 11."""
+        out = mul(self, other)
+        if self.alg.p == 11 and a in self.terms and b in getattr(other, "terms", ()):
+            c = out.terms.get(a | b, 0) - 2 * exterior._sign(a, b) * self.terms[a] * other.terms[b]
+            out.terms[a | b] = c % 11
+        return out
+
+    monkeypatch.setattr(ExteriorElement, "__mul__", faulty)
+    _fails_only_at_p11("F_p product at p = 11 does not reduce the integral product " + message)
+
+
+def test_fp_d_fault_at_one_prime_fails_only_there(monkeypatch):
+    d = ExteriorElement.d
+
+    def faulty(self):
+        """d with the sign of its h0*h1 coefficient flipped at p = 11."""
+        out = d(self)
+        if self.alg.p == 11 and 0b11 in out.terms:
+            out.terms[0b11] = -out.terms[0b11] % 11
+        return out
+
+    monkeypatch.setattr(ExteriorElement, "d", faulty)
+    _fails_only_at_p11("F_p d at p = 11 does not reduce the integral d on mask 8")
+
+
+def test_import_fills_no_integral_table():
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import stab3.cli, stab3.reports\n"
+            "from stab3 import exterior\n"
+            "print(dict(exterior._D), exterior._dga_over_z)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{0: ()} None"
