@@ -10,11 +10,11 @@ each pair costs one `bit_count`.  The differential is
 
 extended as a derivation (d(ab) = d(a)b + (-1)^{deg a} a d(b)).  Its value
 on each monomial is memoised in `_D` on first use, with integer
-coefficients, so one memo serves every prime; `d` is one lookup per term,
-reduced mod p once.  For the same reason d^2 = 0 and the Leibniz rule are
-proved once over Z (`dga_identities_over_z`), and each prime checks only
-that its F_p `d` and product reduce the integral ones
-(`check_reduction_mod_p`).
+coefficients, so one memo serves every prime.  There is one product
+kernel, `_z_mul`, and one differential kernel, `_z_d` (one lookup per
+term), both over Z; an F_p element reduces their output once, in its
+constructor.  So d^2 = 0 and the Leibniz rule are proved once over Z, on
+the code every prime runs (`dga_identities_over_z`).
 
 Gradings: cohomological degree s = word length; internal degree
 2(p^i - 1)p^j summed and reduced mod 2(p^3 - 1); weight i summed.
@@ -96,9 +96,11 @@ def _z_mul(x: dict, y: dict) -> dict:
     """Integral product of two {mask: int} elements (zero entries may stay)."""
     out = {}
     for ma, ca in x.items():
+        odd = _odd_above(ma)
         for mb, cb in y.items():
             if not ma & mb:
-                out[ma | mb] = out.get(ma | mb, 0) + _sign(ma, mb) * ca * cb
+                key, c = ma | mb, ca * cb
+                out[key] = out.get(key, 0) + (-c if (mb & odd).bit_count() & 1 else c)
     return out
 
 
@@ -120,11 +122,13 @@ _dga_over_z = None
 
 def dga_identities_over_z() -> dict:
     """Check d^2 = 0 on every monomial and d(x g) = d(x) g + (-1)^|x| x d(g)
-    on every (monomial x, generator g) pair over Z, on {mask: int} dicts
-    read from `_D` and `_sign`; returns the certificate.  The identities do
-    not depend on p, so the check runs on the first call of a process and
-    its certificate is kept; a failure raises AssertionError and keeps
-    nothing, so every later call checks again."""
+    on every (monomial x, generator g) pair over Z, with the kernels every
+    F_p element runs; returns the certificate.  `_D` is built with `_sign`,
+    and `_z_mul` is checked against `_sign` on x * f for every monomial x
+    and every right factor f of the Leibniz rule (a generator or a monomial
+    of its d); (sum of all monomials) * f checks every x at once.  The
+    check runs on the first call of a process and its certificate is kept;
+    a failure raises AssertionError and keeps nothing."""
     global _dga_over_z
     if _dga_over_z is None:
         for mask in range(FULL_MASK + 1):
@@ -142,39 +146,20 @@ def dga_identities_over_z() -> dict:
                 if _nonzero(_z_d(_z_mul(x, g))) != _nonzero(rhs):
                     raise AssertionError(f"Leibniz fails on mask {mask} * gen ({i},{j})")
                 pairs += 1
+        factors = {}  # right factor -> index of the first generator g with it in g + d(g)
+        for k in range(NGEN):
+            for f in [1 << k] + [m for m, _ in _D[1 << k]]:
+                factors.setdefault(f, k)
+        all_monomials = dict.fromkeys(range(FULL_MASK + 1), 1)
+        for f, k in factors.items():
+            got = _z_mul(all_monomials, {f: 1})
+            want = {x | f: _sign(x, f) for x in range(FULL_MASK + 1) if not x & f}
+            if got != want:  # name the failing x * f of smallest product mask
+                mask = min(key for key in got.keys() | want.keys() if got.get(key) != want.get(key)) ^ f
+                i, j = GENERATORS[k]
+                raise AssertionError(f"product sign fails on mask {mask} * gen ({i},{j})")
         _dga_over_z = {"monomials": FULL_MASK + 1, "leibniz_pairs": pairs}
     return dict(_dga_over_z)
-
-
-def check_reduction_mod_p(alg: "ExteriorAlgebra") -> None:
-    """Check that the F_p `d` and product of `alg` reduce the integral ones
-    on every input the identities of `dga_identities_over_z` read: d(x) is
-    `_D[x]` mod p for every monomial x, and x * f is the integral product
-    mod p for every monomial x and every right factor f of the Leibniz
-    rule, that is every generator g and every monomial of a d(g).  One
-    product (sum of all monomials) * f checks all 512 x at once, since
-    x -> x | f is one to one on the monomials disjoint from f.  As d and *
-    are linear in each argument, this and the identities over Z give
-    d^2 = 0 and the Leibniz rule over F_p."""
-    p = alg.p
-    for mask in range(FULL_MASK + 1):
-        if alg.monomial(mask).d().terms != {m: r for m, c in _D[mask] if (r := c % p)}:
-            raise AssertionError(f"F_p d at p = {p} does not reduce the integral d on mask {mask}")
-    factors = {}  # right factor -> index of the first generator g with it in g + d(g)
-    for k in range(NGEN):
-        for f in [1 << k] + [m for m, _ in _D[1 << k]]:
-            factors.setdefault(f, k)
-    all_monomials = ExteriorElement(alg, dict.fromkeys(range(FULL_MASK + 1), 1))
-    for f, k in factors.items():
-        got = (all_monomials * alg.monomial(f)).terms
-        want = {x | f: _sign(x, f) % p for x in range(FULL_MASK + 1) if not x & f}
-        if got != want:  # name the failing x * f of smallest product mask
-            mask = min(key for key in got.keys() | want.keys() if got.get(key) != want.get(key)) ^ f
-            i, j = GENERATORS[k]
-            raise AssertionError(
-                f"F_p product at p = {p} does not reduce the integral product"
-                f" on mask {mask} * gen ({i},{j})"
-            )
 
 
 class FpAlgebra:
@@ -237,9 +222,6 @@ class FpElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.alg.p, tuple(sorted(self.terms.items()))))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -279,25 +261,12 @@ class ExteriorElement(FpElement):
             return NotImplemented
         if not (self.terms and other.terms):
             return self.alg.zero()
-        out = {}
-        for ma, ca in self.terms.items():
-            odd = _odd_above(ma)
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue
-                key = ma | mb
-                c = ca * cb
-                out[key] = out.get(key, 0) + (-c if (mb & odd).bit_count() & 1 else c)
-        return ExteriorElement(self.alg, out)
+        return ExteriorElement(self.alg, _z_mul(self.terms, other.terms))
 
     # -- differential -------------------------------------------------------
 
     def d(self) -> "ExteriorElement":
-        out = {}
-        for mask, coeff in self.terms.items():
-            for m, c in _D[mask]:
-                out[m] = out.get(m, 0) + c * coeff
-        return ExteriorElement(self.alg, out)
+        return ExteriorElement(self.alg, _z_d(self.terms))
 
     # -- misc ---------------------------------------------------------------
 
@@ -346,9 +315,6 @@ class ExteriorAlgebra(FpAlgebra):
 
     def gen(self, i: int, j: int) -> ExteriorElement:
         return ExteriorElement(self, {1 << gen_index(i, j): 1})
-
-    def monomial(self, mask: int, coeff: int = 1) -> ExteriorElement:
-        return ExteriorElement(self, {mask: coeff % self.p})
 
     # -- grading -----------------------------------------------------------
 

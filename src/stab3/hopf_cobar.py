@@ -46,11 +46,10 @@ class CobarElement(FpElement):
         if not isinstance(other, CobarElement):
             return NotImplemented
         out = {}
-        p = self.alg.p
         for sa, ca in self.terms.items():
             for sb, cb in other.terms.items():
                 key = sa + sb
-                out[key] = (out.get(key, 0) + ca * cb) % p
+                out[key] = out.get(key, 0) + ca * cb
         return CobarElement(self.alg, out)
 
     def d(self):
@@ -61,7 +60,7 @@ class CobarElement(FpElement):
                 sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
                 for (a, b), c in hopf.reduced_coproduct(m).items():
                     key = slots[:i] + (a, b) + slots[i + 1 :]
-                    out[key] = (out.get(key, 0) + sign * coeff * c) % hopf.p
+                    out[key] = out.get(key, 0) + sign * coeff * c
         return CobarElement(hopf, out)
 
     def __repr__(self):

@@ -45,7 +45,7 @@ def test_bounding_cochain_none_for_nonzero_class():
 
 
 def test_pair_top_normalization():
-    top = ENGINE.alg.monomial(FULL_MASK)
+    top = ENGINE.alg.element(ENGINE.alg, {FULL_MASK: 1})
     assert ENGINE.pair_top(top) == 1
 
 

@@ -25,6 +25,10 @@ from stab3.reports import run_suites
 ALG = ExteriorAlgebra(7)
 
 
+def _monomial(alg, mask):
+    return ExteriorElement(alg, {mask: 1})
+
+
 # -- oracles: the bit-loop kernel the tabulated one replaced -----------------
 
 
@@ -108,8 +112,8 @@ def _oracle_grade(alg, mask):
 def test_d_matches_bit_loop_oracle(p):
     alg = ExteriorAlgebra(p)
     for mask in range(FULL_MASK + 1):
-        got = alg.monomial(mask).d().terms
-        want = _oracle_d(alg.monomial(mask))
+        got = _monomial(alg, mask).d().terms
+        want = _oracle_d(_monomial(alg, mask))
         assert list(got.items()) == list(want.items()), (p, mask)
 
 
@@ -119,7 +123,7 @@ def test_product_sign_matches_merge_sign():
         for b in range(FULL_MASK + 1):
             if a & b:
                 continue
-            prod = ALG.monomial(a) * ALG.monomial(b)
+            prod = _monomial(ALG, a) * _monomial(ALG, b)
             assert prod.terms == {a | b: _merge_sign(a, b) % 7}, (a, b)
             pairs += 1
     assert pairs == 3**9
@@ -145,7 +149,7 @@ def test_products_with_zero_and_scalars():
 
     x = ALG.gen(1, 0) * ALG.gen(2, 1) + 3 * ALG.gen(3, 2)
     zero = ALG.zero()
-    for prod in (x * zero, zero * x, zero * zero, x * ALG.monomial(1, coeff=7)):
+    for prod in (x * zero, zero * x, zero * zero, x * ExteriorElement(ALG, {1: 7})):
         assert prod.is_zero() and type(prod) is type(x) and prod.alg is ALG
     assert (x * 3).terms == (3 * x).terms == {k: 3 * v % 7 for k, v in x.terms.items()}
     assert (x * 0).is_zero()
@@ -168,22 +172,22 @@ def test_gen_index_layout():
     assert [GEN_NAMES[gen_index(i, j)] for (i, j) in GENERATORS] == list(GEN_NAMES)
 
 
-# The two exhaustive element-path checks below are the oracle for the split
-# `exterior-dga` suite: the identities over Z plus the per-prime reduction check.
+# The two exhaustive element-path checks below are the oracle for the
+# `exterior-dga` suite, which proves the identities once over Z on the same kernels.
 
 
 @pytest.mark.parametrize("p", [7, 31])
 def test_d_squared_exhaustive(p):
     alg = ExteriorAlgebra(p)
     for mask in range(FULL_MASK + 1):
-        assert alg.monomial(mask).d().d().is_zero(), f"d^2 on mask {mask}"
+        assert _monomial(alg, mask).d().d().is_zero(), f"d^2 on mask {mask}"
 
 
 @pytest.mark.parametrize("p", [7, 31])
 def test_leibniz_exhaustive_against_generators(p):
     alg = ExteriorAlgebra(p)
     for mask in range(FULL_MASK + 1):
-        x = alg.monomial(mask)
+        x = _monomial(alg, mask)
         s = bin(mask).count("1")
         for (i, j) in GENERATORS:
             g = alg.gen(i, j)
@@ -229,7 +233,7 @@ def test_differential_of_higher_generators():
 
 def test_shift_is_dga_automorphism():
     for mask in range(0, FULL_MASK + 1, 7):
-        x = ALG.monomial(mask)
+        x = _monomial(ALG, mask)
         assert (x.shift(1).d() - x.d().shift(1)).is_zero()
         assert (x.shift(3) - x).is_zero()
 
@@ -241,7 +245,7 @@ def test_inhomogeneous_grade_raises():
 
 
 def test_top_monomial_unique():
-    top = ALG.monomial(FULL_MASK)
+    top = _monomial(ALG, FULL_MASK)
     assert top.grade_of().s == 9
     assert top.d().is_zero()
 
@@ -249,7 +253,7 @@ def test_top_monomial_unique():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, FULL_MASK), st.integers(0, FULL_MASK))
 def test_sign_rule_via_double_product(a, b):
-    x, y = ALG.monomial(a), ALG.monomial(b)
+    x, y = _monomial(ALG, a), _monomial(ALG, b)
     prod = x * y
     if a & b:
         assert prod.is_zero()
@@ -259,7 +263,7 @@ def test_sign_rule_via_double_product(a, b):
         assert (prod - ((-1) ** (sa * sb)) * swapped).is_zero()
 
 
-# -- the exterior-dga suite: identities over Z once, reduction mod p per prime --
+# -- the exterior-dga suite: the identities once over Z, on the kernels of every prime --
 
 GREEK_PRIMES = (7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -302,50 +306,66 @@ def test_corrupted_d_table_fails_at_every_prime(monkeypatch, gen, message):
         assert exterior._dga_over_z is None
 
 
-def _fails_only_at_p11(message):
-    """Run the suite at p = 7, 11, 13 in turn: it fails at 11 with `message`
-    and passes at 7 and 13, after the p = 7 run has filled the integral memo."""
+def _fails_at_every_prime(monkeypatch, message):
+    """Run the suite at p = 7, 11, 13 in turn on an empty memo: it fails with
+    `message` each time and keeps no certificate."""
+    monkeypatch.setattr(exterior, "_dga_over_z", None)
     for p in (7, 11, 13):
         check = _exterior_dga_check(p)
-        assert exterior._dga_over_z is not None
-        if p == 11:
-            assert check["status"] == "fail"
-            assert check["certificate"] == message
-        else:
-            assert check == EXTERIOR_DGA_RECORD[0], p
+        assert check["status"] == "fail", p
+        assert check["certificate"] == message, p
+        assert exterior._dga_over_z is None
+
+
+def test_product_kernel_fault_fails_at_every_prime(monkeypatch):
+    z_mul = exterior._z_mul
+
+    def faulty(x, y):
+        """`_z_mul` with the sign of the pair h1*h2 times h0 flipped."""
+        out = z_mul(x, y)
+        if 0b110 in x and 0b1 in y:
+            out[0b111] -= 2 * exterior._sign(0b110, 0b1) * x[0b110] * y[0b1]
+        return out
+
+    monkeypatch.setattr(exterior, "_z_mul", faulty)
+    for p in (7, 11):  # every F_p product runs the faulty kernel
+        alg = ExteriorAlgebra(p)
+        assert (_monomial(alg, 0b110) * alg.gen(1, 0)).terms == {0b111: -exterior._sign(0b110, 0b1) % p}
+    _fails_at_every_prime(monkeypatch, "Leibniz fails on mask 16 * gen (1,0)")
+
+
+def test_differential_kernel_fault_fails_at_every_prime(monkeypatch):
+    z_d = exterior._z_d
+
+    def faulty(x):
+        """`_z_d` with the sign of its h0*h1 coefficient flipped."""
+        out = z_d(x)
+        if 0b11 in out:
+            out[0b11] = -out[0b11]
+        return out
+
+    monkeypatch.setattr(exterior, "_z_d", faulty)
+    for p in (7, 11):  # every F_p d runs the faulty kernel
+        alg = ExteriorAlgebra(p)
+        assert alg.gen(2, 0).d().terms == {m: -c % p for m, c in exterior._D[0b1000]}
+    _fails_at_every_prime(monkeypatch, "Leibniz fails on mask 0 * gen (2,0)")
 
 
 @pytest.mark.parametrize("a, b, message", [
     (0b110, 0b1, "on mask 6 * gen (1,0)"),  # h1*h2 times the generator h0
     (0b1, 0b110, "on mask 1 * gen (2,1)"),  # h0 times h1*h2, the monomial of d(h21)
 ], ids=["generator", "monomial-of-d-gen"])
-def test_fp_product_fault_at_one_prime_fails_only_there(monkeypatch, a, b, message):
-    mul = ExteriorElement.__mul__
+def test_sign_fault_fails_only_the_product_check(monkeypatch, a, b, message):
+    for mask in range(FULL_MASK + 1):
+        exterior._D[mask]  # `_D` is filled with the true sign
+    sign = exterior._sign
 
-    def faulty(self, other):
-        """The product with the sign of the monomial pair a * b flipped at p = 11."""
-        out = mul(self, other)
-        if self.alg.p == 11 and a in self.terms and b in getattr(other, "terms", ()):
-            c = out.terms.get(a | b, 0) - 2 * exterior._sign(a, b) * self.terms[a] * other.terms[b]
-            out.terms[a | b] = c % 11
-        return out
+    def faulty(x, f):
+        """`_sign` with the pair a * b flipped."""
+        return -sign(x, f) if (x, f) == (a, b) else sign(x, f)
 
-    monkeypatch.setattr(ExteriorElement, "__mul__", faulty)
-    _fails_only_at_p11("F_p product at p = 11 does not reduce the integral product " + message)
-
-
-def test_fp_d_fault_at_one_prime_fails_only_there(monkeypatch):
-    d = ExteriorElement.d
-
-    def faulty(self):
-        """d with the sign of its h0*h1 coefficient flipped at p = 11."""
-        out = d(self)
-        if self.alg.p == 11 and 0b11 in out.terms:
-            out.terms[0b11] = -out.terms[0b11] % 11
-        return out
-
-    monkeypatch.setattr(ExteriorElement, "d", faulty)
-    _fails_only_at_p11("F_p d at p = 11 does not reduce the integral d on mask 8")
+    monkeypatch.setattr(exterior, "_sign", faulty)
+    _fails_at_every_prime(monkeypatch, "product sign fails " + message)
 
 
 def test_import_fills_no_integral_table():
