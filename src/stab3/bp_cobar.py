@@ -29,7 +29,7 @@ from math import comb, factorial
 
 from .exterior import GENERATORS
 from .fplinalg import b_class_terms
-from .greek import alpha, beta, r_image
+from .greek import GAMMA_COEFFS, alpha, beta, r_image
 from .named import NamedClasses
 
 # ---------------------------------------------------------------------------
@@ -465,15 +465,14 @@ class BPStructure:
                     (((0, 0), (1, 0), (0, 0)), t1_mon(p**2)): 1,
                     (((1, 0), (0, 0), (0, 0)), t2_mon(p)): 1,
                     (V_ZERO, t3_mon(1)): p,
-                    (((1, 0), (p - 1, 0), (0, 0)), t2_mon(1)): -p,
-                    (((1, 0), (p - 1, 0), (0, 0)), t1_mon(p + 1)): -p,
                 },
-                # The table is granted mod (p^2, v1^2, v2^p); the v2-free part
-                # extends further for free: a correction v1^2*F mod (p, v2)
-                # must have F primitive (else d^2(v3) fails mod (p, v1^3, v2)),
-                # so F is spanned by v1^a t1^(p^j), and homogeneity in degree
-                # 2(p^3-1) forces total v1-exponent 2+a = p^2+p+1-p^j >= p+1.
-                ideal((2, 0, 0), (0, 3, 0), (0, 2, 1), (0, 0, p)),
+                # The table is granted mod (p^2, p*v1, v1^2, v2^p): it keeps no
+                # term in p*v1.  Mod p the v2-free part extends further for
+                # free: a correction v1^2*F mod (p, v2) must have F primitive
+                # (else d^2(v3) fails mod (p, v1^3, v2)), so F is spanned by
+                # v1^a t1^(p^j), and homogeneity in degree 2(p^3-1) forces
+                # total v1-exponent 2+a = p^2+p+1-p^j >= p+1.
+                ideal((2, 0, 0), (1, 1, 0), (0, 3, 0), (0, 2, 1), (0, 0, p)),
             ),
         }
         self._delta_t2_cache = {}
@@ -574,29 +573,14 @@ class BPStructure:
         self._delta_t2_cache[key] = out
         return out
 
-    DELTA_T3_VALIDITY = ideal((0, 1, 0), (0, 0, 1))
-
-    def delta_t3_power(self, c: int, ctx: Ideal):
-        """Delta(t3)^c mod (v1, v2), in closed form: the sum over
-        i + j + k + l = c of (c; i, j, k, l) [t3^i t2^j t1^k | t1^(p^2 j) t2^(pk) t3^l],
-        in the iterated product's order (i, j, k descending)."""
-        if not ctx.contains_ideal(self.DELTA_T3_VALIDITY):
-            raise InsufficientPrecisionError(
-                f"Delta(t3) is only valid mod {self.DELTA_T3_VALIDITY}, context {ctx} is finer"
-            )
-        p = self.p
-        floor = ctx.floor(0, 0)
-        return {
-            (V_ZERO, (k, j, i), (p * p * j, p * k, l)): m
-            for (i, j, k, l), m, v in _multinomial_terms(c, 4, p)
-            if floor is None or v < floor
-        }
-
     def delta_mon(self, mon, ctx: Ideal):
-        """Delta(t1^a t2^b t3^c) mod ctx: the product of the powers with a
-        nonzero exponent, so Delta(t2)^b alone is not multiplied by 1."""
+        """Delta(t1^a t2^b) mod ctx: the product of the powers with a nonzero
+        exponent, so Delta(t2)^b alone is not multiplied by 1.  No suite
+        applies d to a t3 slot, so no coproduct of t3 is on record."""
+        if mon[2]:
+            raise InsufficientPrecisionError(f"no coproduct of {_mon_repr(mon)} on record")
         powers = [power(e, ctx) for power, e in zip(
-            (self.delta_t1_power, self.delta_t2_power, self.delta_t3_power), mon) if e]
+            (self.delta_t1_power, self.delta_t2_power), mon) if e]
         out = powers[0] if powers else self.delta_t1_power(0, ctx)
         for x in powers[1:]:
             out = self._mul(out, x, ctx)
@@ -652,7 +636,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
 
 def b_cochain(p: int, level: int, k: int) -> BPElement:
     """The 2-cochain of `fplinalg.b_class_terms(p, level, k)`: b_{1,k} at
-    level 1, and at level 2, k = 0 the normal form of `b20` mod (p, v1)."""
+    level 1, and at level 2, k = 0 exactly the v1-free part of `b20`."""
     return BPElement(p, {(V_ZERO, (l, r)): c for l, r, c in b_class_terms(p, level, k)})
 
 
@@ -720,9 +704,8 @@ def verify_d_basics(p: int = 7):
     )
     report.append({"name": "b20 p-integrality", "status": "exact"})
 
-    diff = b.reduce_mod(MOD_P_V1) - b_cochain(p, 2, 0)
-    if any(_modp(c, p) for c in diff.terms.values()):
-        raise AssertionError("b20 mod (p, v1) multinomial normal form")
+    if b.reduce_mod(ideal((0, 1, 0))) != b_cochain(p, 2, 0):
+        raise AssertionError("b20 mod v1 is not the multinomial form")
     report.append({"name": "b20 mod (p,v1) multinomial form", "status": "exact"})
 
     contexts = {
@@ -1057,9 +1040,8 @@ def verify_gamma_chain(nc: NamedClasses):
       (t-2)C(t,2) = 3C(t,3) = tC(t-1,2); divide by v1.
     Stage C (mod (p^2, p v1, p v2, v1^2, v1 v2, v2^2)): the valuation-zero
       part cancels; the p-part, reduced past the v-filtration and projected
-      to the exterior model, equals
-
-          -t(t^2-1) l - t(t-1) k1 zeta3   (coefficients mod p).
+      to the exterior model, equals c_l l + c_k k1 zeta3 mod p, with
+      (c_l, c_k) = `greek.GAMMA_COEFFS` = (-t(t^2-1), -t(t-1)).
     """
     p = nc.p
     st = BPStructure(p)
@@ -1090,8 +1072,8 @@ def verify_gamma_chain(nc: NamedClasses):
 
     paudit = []
     img = project_to_exterior(R0, nc, paudit)
-    expected = _add_ext(_add_ext({}, nc["l"], TPoly({3: -1, 1: 1})),
-                        nc["k1"] * nc["zeta3"], TPoly({2: -1, 1: 1}))
+    c_l, c_k = map(TPoly, GAMMA_COEFFS)
+    expected = _add_ext(_add_ext({}, nc["l"], c_l), nc["k1"] * nc["zeta3"], c_k)
     bad = masks_diff_mod_p(img, expected, p)
     if bad:
         raise AssertionError(f"gamma_t exterior image mismatch at {bad}")

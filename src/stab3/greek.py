@@ -57,9 +57,15 @@ class UnsupportedGreekError(ValueError):
     pass
 
 
+#: (c_l, c_k) of r(gamma_t) = c_l * l + c_k * k1*zeta3, each as
+#: {degree in t: coefficient}: c_l = -t^3 + t, c_k = -t^2 + t.  The product
+#: table evaluates them and `bp_cobar.verify_gamma_chain` checks them.
+GAMMA_COEFFS = ({3: -1, 1: 1}, {2: -1, 1: 1})
+
+
 def gamma_coeffs(t: int, p: int):
-    """(c_l, c_k) with r(gamma_t) = c_l * l + c_k * k1*zeta3."""
-    return (-t * (t**2 - 1)) % p, (-t * (t - 1)) % p
+    """(c_l, c_k) of `GAMMA_COEFFS` at t, mod p."""
+    return tuple(sum(c * t**d for d, c in poly.items()) % p for poly in GAMMA_COEFFS)
 
 
 def r_image(spec: GreekSpec, nc: NamedClasses):
@@ -170,11 +176,12 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
             out[name] = (tuple(x.grade_of()), coords)
         return out
 
+    coeffs_of = [gamma_coeffs(r, p) for r in range(p)]  # (c_l, c_k) depend on t mod p
     by_coeffs = {}
     rows = []
     for t in t_range:
         gamma(t)  # the spec check rejects t <= 0
-        coeffs = gamma_coeffs(t, p)
+        coeffs = coeffs_of[t % p]
         if coeffs not in by_coeffs:
             by_coeffs[coeffs] = entries(coeffs)
         row = {"t": t, "products": {}, "agree": True}

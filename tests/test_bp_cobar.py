@@ -359,7 +359,6 @@ def test_bp_tables_hold_no_tpolys():
     st = BPStructure(P)
     tables = [table for table, _ in st.D.values()] + [
         st.delta_t1_power(P, ZERO_IDEAL), st.delta_t2_power(P, ZERO_IDEAL),
-        st.delta_t3_power(P, st.DELTA_T3_VALIDITY),
         b_cochain(P, 1, 0).terms, b_cochain(P, 1, 1).terms, b20(P, st).terms,
     ]
     for table in tables:
@@ -379,8 +378,7 @@ def test_b20_is_p_integral_and_matches_multinomial_form():
     x = b20(P, BPStructure(P))
     for c in x.terms.values():
         assert bp_cobar._pval(c, P) >= 0
-    diff = x.reduce_mod(ideal((1, 0, 0), (0, 1, 0))) - b_cochain(P, 2, 0)
-    assert all(not bp_cobar._modp(c, P) for c in diff.terms.values())
+    assert x.reduce_mod(ideal((0, 1, 0))) == b_cochain(P, 2, 0)
 
 
 # -- differential identities -------------------------------------------------
@@ -416,6 +414,17 @@ def test_validity_guard_raises_on_fine_context():
         d_cobar(BPElement.v_power(P, e3=1), ZERO_IDEAL, BPStructure(P))
 
 
+def test_tables_claim_only_what_they_hold():
+    # no coproduct of t3 is on record, and eta_R(v3) keeps no term in p*v1
+    st = BPStructure(P)
+    with pytest.raises(InsufficientPrecisionError, match=r"no coproduct of t3 on record"):
+        st.delta_bar(t3_mon(1), ideal((0, 1, 0), (0, 0, 1)))
+    with pytest.raises(InsufficientPrecisionError, match=r"eta_R\(v3\) is only valid mod"):
+        st.eta_power(3, (1, 0), ideal((2, 0, 0), (0, 3, 0), (0, 2, 1), (0, 0, P)))
+    table, validity = st.D[3]
+    assert len(table) == 3 and (1, 1, 0) in validity.gens
+
+
 # -- closed-form coproduct powers against the iterated product ---------------
 
 
@@ -436,15 +445,6 @@ def _delta_t2_powers(st, ctx, n):
     v1 = ((1, 0), (0, 0), (0, 0))
     for (_, (left, right)), c in b_cochain(p, 1, 0).terms.items():
         base[(v1, left, right)] = -c
-    return _iterated_powers(st, base, ctx, n)
-
-
-def _delta_t3_powers(st, ctx, n):
-    """Oracle Delta(t3)^c for c <= n, Delta(t3) = t3|1 + t2|t1^(p^2) + t1|t2^p + 1|t3."""
-    p = st.p
-    base = {(V_ZERO, left, right): _tconst(1) for left, right in (
-        (t3_mon(1), MON_ONE), (t2_mon(1), t1_mon(p * p)), (t1_mon(1), t2_mon(p)),
-        (MON_ONE, t3_mon(1)))}
     return _iterated_powers(st, base, ctx, n)
 
 
@@ -552,7 +552,6 @@ def test_closed_forms_multiply_no_expansions(monkeypatch):
     st = BPStructure(P)
     monkeypatch.setattr(BPStructure, "_mul", refuse)
     assert st.delta_t2_power(2 * P, ZERO_IDEAL)
-    assert st.delta_t3_power(2 * P, st.DELTA_T3_VALIDITY)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -563,18 +562,6 @@ def test_multinomial_valuations_follow_kummer(p):
         for e, c, v in terms:
             assert sum(e) == n and c == comb(n, e[0]) * comb(n - e[0], e[1])
             assert c % p**v == 0 and c % p ** (v + 1) != 0, (e, c, v)
-
-
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_delta_t3_power_matches_the_iterated_product(p):
-    st = BPStructure(p)
-    ctx = st.DELTA_T3_VALIDITY
-    for c, expected in enumerate(_delta_t3_powers(st, ctx, 2 * p)):
-        assert list(st.delta_t3_power(c, ctx).items()) == list(expected.items()), c
-    ctx = ideal((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for c, expected in enumerate(_delta_t3_powers(st, ctx, 2 * p)):
-        got = _as_element(p, st.delta_t3_power(c, ctx))
-        assert (got - _as_element(p, expected)).reduce_mod(ctx).is_zero(), c
 
 
 # -- projection to the exterior model ----------------------------------------
@@ -700,28 +687,47 @@ def test_bp_certificates_are_pinned():
     assert digests == BP_RECORD_SHA256
 
 
-_SABOTAGED_BP_BASICS = """
+_SABOTAGED_SUITE = """
 import json, sys
-from stab3 import bp_cobar
+from stab3 import bp_cobar, greek
 from stab3.reports import run_suites
 
-d_cobar = bp_cobar.d_cobar
-# doubling every differential breaks the first identity, d(v1) = p[t1]
-bp_cobar.d_cobar = lambda *args, **kwargs: d_cobar(*args, **kwargs).scale(2)
-check, = run_suites(7, suites=["bp-basics"])["checks"]
-print(json.dumps({"optimize": sys.flags.optimize, "check": check}))
+{sabotage}
+check, = run_suites(7, suites=[{suite!r}])["checks"]
+print(json.dumps({{"optimize": sys.flags.optimize, "check": check}}))
 """
+
+#: (sabotage, suite that must fail, start of its certificate)
+_SABOTAGES = [
+    # doubling every differential breaks the first identity, d(v1) = p[t1]
+    ("""d_cobar = bp_cobar.d_cobar
+bp_cobar.d_cobar = lambda *args, **kwargs: d_cobar(*args, **kwargs).scale(2)""",
+     "bp-basics", "d(v1) = "),
+    # the sign of c_k in r(gamma_t), flipped in place
+    ("""c_k = greek.GAMMA_COEFFS[1]
+c_k.update({d: -c for d, c in c_k.items()})""",
+     "gamma-chain", "gamma_t exterior image mismatch"),
+    # p added to one coefficient of b_{2,0}
+    ("""terms = bp_cobar.b_class_terms
+def shifted(p, level, k):
+    (left, right, c), *rest = terms(p, level, k)
+    return [(left, right, c + p if level == 2 else c), *rest]
+bp_cobar.b_class_terms = shifted""",
+     "bp-basics", "b20 mod v1 is not the multinomial form"),
+]
 
 
 def test_bp_checks_bite_under_python_O():
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SABOTAGED_BP_BASICS],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["optimize"] == 1
-    assert out["check"]["status"] == "fail"
-    assert out["check"]["certificate"].startswith("d(v1) = ")
+    for sabotage, suite, certificate in _SABOTAGES:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             _SABOTAGED_SUITE.format(sabotage=sabotage, suite=suite)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["optimize"] == 1
+        assert out["check"]["status"] == "fail", suite
+        assert out["check"]["certificate"].startswith(certificate)
