@@ -6,7 +6,7 @@ and the v-exponents may be symbolic of the form c + m*t (m in {0,1}) for the
 family computations.  A coefficient is an int or a Fraction, and a TPoly (a
 polynomial in the formal parameter t with Fraction coefficients) only where t
 occurs; an operation with a TPoly operand gives a TPoly.  Localization at p
-is tracked exactly through p-adic valuations (`_pval`, `_modp`).
+is tracked exactly through p-adic valuations (`_pval`).
 
 Right-unit and coproduct formulas are stored with validity ideals; every use
 inside a context checks that the formula's validity ideal is contained in
@@ -107,11 +107,6 @@ class TPoly:
         """min_d val_p(coefficient); None for the zero polynomial."""
         return min((_pval(c, p) for c in self.coeffs.values()), default=None)
 
-    def mod_p(self, p):
-        """Dict degree -> residue in [0, p); requires p-integrality."""
-        residues = ((d, _modp(c, p)) for d, c in self.coeffs.items())
-        return {d: r for d, r in residues if r}
-
     def __eq__(self, other):
         return isinstance(other, (TPoly, int, Fraction)) and self.coeffs == _tcoeffs(other)
 
@@ -142,16 +137,6 @@ def _pval(c, p):
         d //= p
         v -= 1
     return v
-
-
-def _modp(c, p):
-    """Residue in [0, p) of an int or Fraction, {degree: residue} of a TPoly;
-    requires p-integrality."""
-    if type(c) is TPoly:
-        return c.mod_p(p)
-    if c.denominator % p == 0:
-        raise InsufficientPrecisionError(f"coefficient {c} not p-integral")
-    return c.numerator * pow(c.denominator, p - 2, p) % p
 
 
 def _over(c, q):

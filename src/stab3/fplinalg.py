@@ -13,6 +13,7 @@ cobar model (`hopf_cobar`) and the BP model (`bp_cobar`) both read.
 
 from __future__ import annotations
 
+from bisect import insort
 from math import comb
 
 
@@ -40,18 +41,21 @@ def sparse_rref(rows, p):
     """Reduced row echelon form of sparse rows {col: value}: (rows, pivots).
 
     Rows are taken sparsest first (less fill-in) and reduced against the
-    pivots found so far in ascending column order; a row left nonzero gets
-    its first column as a new pivot.  Back-substitution from the last pivot
-    then clears the entries above each pivot.  Output rows have leading
-    entry 1, sorted by pivot; being unique, they do not depend on row order.
+    pivots found so far in ascending column order: `todo`, a sorted list,
+    queues the row's pivot columns.  A tail only holds columns right of its
+    pivot, so a column enters the queue once and leaves it in order.  A row
+    left nonzero gets its first column as a new pivot.  Back-substitution
+    from the last pivot then clears the entries above each pivot.  Output
+    rows have leading entry 1, sorted by pivot; being unique, they do not
+    depend on row order.
     """
     tails = {}  # pivot col -> entries right of the pivot (the pivot is 1)
     for row in sorted(rows, key=len):
         v = dict(row)
-        todo = {c for c in v if c in tails}
+        todo = [c for c in v if c in tails]
+        todo.sort()
         while todo:
-            c = min(todo)
-            todo.remove(c)
+            c = todo.pop(0)
             f = v.pop(c) % p
             if not f:
                 continue
@@ -61,7 +65,7 @@ def sparse_rref(rows, p):
                 else:
                     v[k] = -f * x
                     if k in tails:
-                        todo.add(k)
+                        insort(todo, k)
         v = {k: x % p for k, x in v.items() if x % p}
         if v:
             c = min(v)

@@ -29,6 +29,9 @@ from .massey import massey_from_system
 
 UNIT = (0,) * 9
 
+# p -> ({m: Delta(m)}, {m: reduced Delta(m)}), shared by every TruncatedHopf(p)
+_COPRODUCT_MEMO = {}
+
 
 class SectorCapError(RuntimeError):
     pass
@@ -84,29 +87,16 @@ class TruncatedHopf(FpAlgebra):
 
     def __init__(self, p: int = 7):
         super().__init__(p)
-        self._gen_coproduct = []
-        for idx, (i, j) in enumerate(GENERATORS):
-            terms = {}
-            for k in range(i + 1):
-                left = UNIT if k == 0 else self._gen_monomial(k, j)
-                right = UNIT if k == i else self._gen_monomial(i - k, (k + j) % 3)
-                terms[(left, right)] = terms.get((left, right), 0) + 1
-            self._gen_coproduct.append(terms)
-        self._power_cache = {}
-        self._reduced_cache = {}
-
-    @staticmethod
-    def _gen_monomial(i, j):
-        m = [0] * 9
-        m[gen_index(i, j)] = 1
-        return tuple(m)
+        # Delta(g_{i,j}): (left, right) generator indices, None for the unit
+        self._gen_coproduct = [
+            [(None if k == 0 else gen_index(k, j), None if k == i else gen_index(i - k, k + j))
+             for k in range(i + 1)]
+            for i, j in GENERATORS
+        ]
+        self._coproducts, self._reduced = _COPRODUCT_MEMO.setdefault(
+            p, ({UNIT: {(UNIT, UNIT): 1}}, {}))
 
     # -- monomial arithmetic -------------------------------------------------
-
-    def mon_mul(self, a, b):
-        """Product of two monomials, or None when truncated away."""
-        out = tuple(x + y for x, y in zip(a, b))
-        return None if any(e >= self.p for e in out) else out
 
     def mon_tdeg(self, m):
         return sum(e * d for e, d in zip(m, self.gen_tdeg)) % self.tmod
@@ -138,46 +128,53 @@ class TruncatedHopf(FpAlgebra):
 
     # -- coproduct -----------------------------------------------------------
 
-    def _tensor_mul(self, A, B):
+    def _times_generator(self, delta, idx):
+        """Delta(m) Delta(g) for the generator g = g_idx, given delta = Delta(m)."""
+        top = self.p - 1
         out = {}
-        for (l1, r1), c1 in A.items():
-            for (l2, r2), c2 in B.items():
-                l = self.mon_mul(l1, l2)
-                if l is None:
-                    continue
-                r = self.mon_mul(r1, r2)
-                if r is None:
-                    continue
-                key = (l, r)
-                out[key] = out.get(key, 0) + c1 * c2
+        for (l, r), c in delta.items():
+            for a, b in self._gen_coproduct[idx]:
+                if a is not None:
+                    if l[a] == top:
+                        continue
+                    la = l[:a] + (l[a] + 1,) + l[a + 1 :]
+                else:
+                    la = l
+                if b is not None:
+                    if r[b] == top:
+                        continue
+                    rb = r[:b] + (r[b] + 1,) + r[b + 1 :]
+                else:
+                    rb = r
+                key = (la, rb)
+                out[key] = out.get(key, 0) + c
         return {k: v % self.p for k, v in out.items() if v % self.p}
 
-    def _gen_power_coproduct(self, idx, e):
-        key = (idx, e)
-        if key not in self._power_cache:
-            if e == 0:
-                out = {(UNIT, UNIT): 1}
-            else:
-                out = self._tensor_mul(self._gen_power_coproduct(idx, e - 1), self._gen_coproduct[idx])
-            self._power_cache[key] = out
-        return self._power_cache[key]
-
     def coproduct(self, m):
-        out = {(UNIT, UNIT): 1}
-        for idx, e in enumerate(m):
-            if e:
-                out = self._tensor_mul(out, self._gen_power_coproduct(idx, e))
-        return out
+        """Delta(m) = Delta(m / g) Delta(g), g the last generator of m, built
+        up from the longest memoised m / g^e; memoised for the prime, so
+        callers only read it."""
+        memo = self._coproducts
+        path = []  # (n, n / g, g's index) from m down to a memoised n / g
+        n = m
+        while n not in memo:
+            idx = max(i for i, e in enumerate(n) if e)
+            rest = n[:idx] + (n[idx] - 1,) + n[idx + 1 :]
+            path.append((n, rest, idx))
+            n = rest
+        for n, rest, idx in reversed(path):
+            memo[n] = self._times_generator(memo[rest], idx)
+        return memo[m]
 
     def reduced_coproduct(self, m):
-        """Coproduct of m minus m (x) 1 and 1 (x) m; cached, so callers only read it."""
-        out = self._reduced_cache.get(m)
+        """Coproduct of m minus m (x) 1 and 1 (x) m; memoised for the prime,
+        so callers only read it."""
+        out = self._reduced.get(m)
         if out is None:
-            out = self.coproduct(m)
+            out = dict(self.coproduct(m))
             for key in ((m, UNIT), (UNIT, m)):
                 out[key] = out.get(key, 0) - 1
-            out = {k: v % self.p for k, v in out.items() if v % self.p}
-            self._reduced_cache[m] = out
+            out = self._reduced[m] = {k: v % self.p for k, v in out.items() if v % self.p}
         return out
 
     # -- element constructors ------------------------------------------------

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from stab3.cohomology import ExteriorCohomology
-from stab3.exterior import GENERATORS, ExteriorAlgebra
+from stab3.exterior import GENERATORS, ExteriorAlgebra, gen_index
 from stab3.hopf_cobar import (
     UNIT,
     CobarEngine,
@@ -41,6 +41,71 @@ def test_coassociativity_and_counit():
                 right[a] = (right.get(a, 0) + c) % p
         assert _nonzero(lhs) == _nonzero(rhs), (i, j)
         assert _nonzero(left) == {g: 1} and _nonzero(right) == {g: 1}, (i, j)
+
+
+def fold_coproduct(hopf, m):
+    """Delta(m) as the product over generators g of Delta(g^e), each power
+    folded from Delta(g) one factor at a time: the oracle of the memoised
+    recursion, which multiplies by one generator at a time."""
+    p = hopf.p
+
+    def mon_mul(a, b):
+        out = tuple(x + y for x, y in zip(a, b))
+        return None if any(e >= p for e in out) else out
+
+    def tensor_mul(A, B):
+        out = {}
+        for (l1, r1), c1 in A.items():
+            for (l2, r2), c2 in B.items():
+                l, r = mon_mul(l1, l2), mon_mul(r1, r2)
+                if l is not None and r is not None:
+                    out[l, r] = out.get((l, r), 0) + c1 * c2
+        return {k: v % p for k, v in out.items() if v % p}
+
+    def gen(i, j):
+        return tuple(int(n == gen_index(i, j)) for n in range(9))
+
+    out = {(UNIT, UNIT): 1}
+    for (i, j), e in zip(GENERATORS, m):
+        delta_g = {(UNIT if k == 0 else gen(k, j), UNIT if k == i else gen(i - k, k + j)): 1
+                   for k in range(i + 1)}
+        power = {(UNIT, UNIT): 1}
+        for _ in range(e):
+            power = tensor_mul(power, delta_g)
+        out = tensor_mul(out, power)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_coproduct_equals_the_generator_power_fold(p):
+    hopf = TruncatedHopf(p)
+    monomials = [m for mons in CobarEngine(p, weight_bound=7)._monomials.values() for m in mons]
+    assert len(monomials) == len(set(monomials)) > 100
+    for m in monomials:
+        expected = fold_coproduct(hopf, m)
+        assert hopf.coproduct(m) == expected, m
+        for key in ((m, UNIT), (UNIT, m)):
+            expected[key] = (expected.get(key, 0) - 1) % p
+        assert hopf.reduced_coproduct(m) == _nonzero(expected), m
+
+
+def test_coproducts_are_memoised_once_per_prime():
+    a, b = TruncatedHopf(7), TruncatedHopf(7)
+    m = a.t_monomial((9, 1, 0))
+    assert a.coproduct(m) is b.coproduct(m)
+    assert a.reduced_coproduct(m) is b.reduced_coproduct(m)
+    assert TruncatedHopf(5).coproduct(UNIT) is not a.coproduct(UNIT)
+
+
+def test_reduced_coproduct_leaves_the_coproduct_unchanged():
+    hopf = TruncatedHopf(7)
+    m = hopf.t_monomial((10, 0, 1))
+    hopf._reduced.pop(m, None)  # so that the reduced form is built here
+    before = dict(hopf.coproduct(m))
+    assert before[m, UNIT] == before[UNIT, m] == 1
+    reduced = hopf.reduced_coproduct(m)
+    assert (m, UNIT) not in reduced and (UNIT, m) not in reduced
+    assert hopf.coproduct(m) == before
 
 
 def test_d_squared_on_generator_slots():

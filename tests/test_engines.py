@@ -33,6 +33,10 @@ ENGINE_RECORD_SHA256 = {
 #: sha256 of `stab3 table --model cobar --prime 5 --may-bound 3 --max-s 2 --format json`
 COBAR_TABLE_SHA256 = "f2850a2bbf366fd0b25515ba654eb5e13d7e3c72942302ffcba1da2d6a76634f"
 
+#: the same at --prime 7 --may-bound 6, the table of the benchmark's cobar-p7
+#: workload (its digest in `perfbench/golden.json`)
+COBAR_TABLE_P7_SHA256 = "bcc961d94aa97ce9e0593f999d26b8adaa4330d46730d79687027aed5d4551a6"
+
 
 def test_engine_certificates_are_pinned():
     report = run_suites(P, suites=list(ENGINE_RECORD_SHA256))
@@ -45,12 +49,20 @@ def test_engine_certificates_are_pinned():
     assert digests == ENGINE_RECORD_SHA256
 
 
-def test_cobar_table_is_pinned(tmp_path):
+def _cobar_table_digest(tmp_path, prime, bound):
     out = tmp_path / "table.json"
-    argv = ["table", "--model", "cobar", "--prime", "5", "--may-bound", "3",
+    argv = ["table", "--model", "cobar", "--prime", str(prime), "--may-bound", str(bound),
             "--max-s", "2", "--format", "json", "--output", str(out)]
     assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == COBAR_TABLE_SHA256
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_cobar_table_is_pinned(tmp_path):
+    assert _cobar_table_digest(tmp_path, 5, 3) == COBAR_TABLE_SHA256
+
+
+def test_cobar_table_at_p7_is_pinned(tmp_path):
+    assert _cobar_table_digest(tmp_path, 7, 6) == COBAR_TABLE_P7_SHA256
 
 
 @pytest.mark.parametrize(

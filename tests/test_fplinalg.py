@@ -17,6 +17,8 @@ from stab3.fplinalg import (
     kernel_basis,
     rref,
     solve,
+    sparse_rref,
+    to_dense,
 )
 from stab3.hopf_cobar import CobarEngine, TruncatedHopf
 
@@ -135,6 +137,21 @@ def test_sparse_kernel_equals_dense_reference(mat, rng):
     other = [rng.randrange(p) for _ in range(ncols)]
     for v in (member, other):
         assert coordinates(v, rows, p) == dense_coordinates(v, rows, p)
+
+
+def test_sparse_rref_equals_dense_reference_on_the_largest_cobar_matrix():
+    # the cocycle equations of the p = 7 bracket sector (84, 7) at s = 2:
+    # one row per degree-3 basis tensor, one column per degree-2 tensor
+    tower = CobarEngine(7, weight_bound=7).tower(84, 7)
+    rows, ncols = tower._dmat_columns(2), tower.dim(2)
+    assert (len(rows), ncols) == (2043, 516)
+    ech, pivots = sparse_rref(rows, 7)
+    assert len(pivots) == 481
+    dense = [to_dense(r, ncols) for r in rows]
+    assert ([to_dense(r, ncols) for r in ech], pivots) == dense_rref(dense, ncols, 7)
+    shuffled = list(rows)
+    random.Random(84).shuffle(shuffled)
+    assert sparse_rref(shuffled, 7) == (ech, pivots)
 
 
 def _dense(v, n):

@@ -13,9 +13,10 @@ Faults tested elsewhere and not repeated here:
 
 Some unit multiples of a degree-1 generator fail no suite: x2 or x-1 of
 h20, h22 or h31, and x-1 of h1.  Each is another valid basis element, so
-no verdict can see it; only the pinned report digest
-(`tests/test_cli.py::test_verify_p7_report_is_pinned`) does, and the table
-leaves them out.
+no verdict can see it; the table leaves them out.  The pinned report
+digest (`tests/test_cli.py::test_verify_p7_report_is_pinned`) sees them at
+p = 7, and `tests/test_named.py::test_degree_one_classes_are_their_generators`
+pins every degree-1 entry to its generator at p = 5, 7, 11 and 13.
 """
 
 import pytest
