@@ -5,9 +5,10 @@ each sector is a finite tower of F_p vector spaces graded by cohomological
 degree s.  `SectorTower` holds the generic linear algebra (cocycles,
 coboundaries, echelon cohomology representatives, reduction to class
 coordinates, bounding-cochain solver).  `SectorEngine` builds one tower per
-sector from the two members every engine supplies, the basis sizes
-`_counts` and one basis `_sector_basis(t, w, s)`; `ExteriorCohomology` here
-and the cobar engine in `hopf_cobar` are its two subclasses.
+sector from the three members every engine supplies, the basis sizes
+`_counts`, one basis `_sector_basis(t, w, s)` and the integral differential
+`_d_of(s, key)` of one basis key; `ExteriorCohomology` here and the cobar
+engine in `hopf_cobar` are its two subclasses.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -15,7 +16,7 @@ forms are unique.
 
 from __future__ import annotations
 
-from .exterior import ExteriorAlgebra, ExteriorElement, FULL_MASK, Trigrade
+from .exterior import _D, ExteriorAlgebra, ExteriorElement, FULL_MASK, Trigrade
 from .fplinalg import sparse_kernel, sparse_rref, sparse_solve, sub_multiple
 
 # The towers use the sparse kernel; `kernel_basis` stays importable from here
@@ -58,9 +59,9 @@ class SectorTower:
 
     Parameters: p; bases, a `Memo` s -> sorted list of basis keys that
     answers every degree (empty outside the tower), filled on first use;
-    d_of, a function (s, key) -> dict key -> coeff giving the differential
-    of a basis element in the s+1 basis; degrees, the degrees with a
-    nonempty basis, ascending.  `index` maps s -> {key: position}, also
+    d_of, a function (s, key) -> {key: int} giving the integral differential
+    of a basis element in the s+1 basis (`dmat` reduces it mod p); degrees,
+    the degrees with a nonempty basis, ascending.  `index` maps s -> {key: position}, also
     filled on first use.
 
     Matrices, cocycles and representatives are sparse rows {basis index:
@@ -92,11 +93,12 @@ class SectorTower:
                 for k2, c in self._d_of(s, key).items():
                     c %= p
                     if c:
-                        if k2 not in tgt_index:
+                        i = tgt_index.get(k2)
+                        if i is None:
                             raise ValueError(
                                 f"differential leaves sector: {key!r} -> {k2!r}"
                             )
-                        row[tgt_index[k2]] = c
+                        row[i] = c
                 rows.append(row)
             self._dmat[s] = rows
         return self._dmat[s]
@@ -190,12 +192,15 @@ class SectorEngine:
     `alg` is an `exterior.FpAlgebra` whose `element` class builds the
     complex's elements, keyed by basis key.  A subclass sets `name`, the
     model label in Massey results, and supplies `_counts`, a list over s of
-    {(t, w): nonzero basis size}, and `_sector_basis(t, w, s)`, the sorted
-    keys of one basis (empty outside the complex).  The base derives the
-    sectors and their degrees from `_counts`, and gives each tower a `Memo`
-    (kept in `_sector_bases`) that asks `_sector_basis` for a degree on
-    first use; on the towers it builds element <-> vector conversion,
-    dimension reports, and the Massey queries.
+    {(t, w): nonzero basis size}; `_sector_basis(t, w, s)`, the sorted
+    keys of one basis (empty outside the complex); and `_d_of(s, key)`, the
+    differential of one basis key as {key: int}, read straight from the
+    complex's integral kernel and not yet reduced (`dmat` reduces it mod
+    p).  The base derives the sectors and their degrees from `_counts`, and
+    gives each tower a `Memo` (kept in `_sector_bases`) that asks
+    `_sector_basis` for a degree on first use; on the towers it builds
+    element <-> vector conversion, dimension reports, and the Massey
+    queries.
     """
 
     def __init__(self, alg):
@@ -225,9 +230,6 @@ class SectorEngine:
     def _element(self, terms):
         """The complex element with the given {basis key: coeff}."""
         return self.alg.element(self.alg, terms)
-
-    def _d_of(self, s, key):
-        return self._element({key: 1}).d().terms
 
     def tower(self, t: int, w: int) -> SectorTower:
         key = t, w = (t % self.alg.tmod, w)
@@ -323,6 +325,9 @@ class ExteriorCohomology(SectorEngine):
 
     def _sector_basis(self, t, w, s):
         return self._masks.get((s, t, w), [])
+
+    def _d_of(self, s, mask):
+        return dict(_D[mask])
 
     # -- class operations ---------------------------------------------------
 

@@ -59,11 +59,8 @@ class CobarElement(FpElement):
         hopf = self.alg
         out = {}
         for slots, coeff in self.terms.items():
-            for i, m in enumerate(slots):
-                sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
-                for (a, b), c in hopf.reduced_coproduct(m).items():
-                    key = slots[:i] + (a, b) + slots[i + 1 :]
-                    out[key] = out.get(key, 0) + sign * coeff * c
+            for key, c in hopf.d_tensor(slots).items():
+                out[key] = out.get(key, 0) + coeff * c
         return CobarElement(hopf, out)
 
     def __repr__(self):
@@ -177,6 +174,19 @@ class TruncatedHopf(FpAlgebra):
             out = self._reduced[m] = {k: v % self.p for k, v in out.items() if v % self.p}
         return out
 
+    def d_tensor(self, slots):
+        """Cobar d of the basis tensor `slots`, {tensor: int}: the alternating
+        sum over slots of the reduced coproduct put in that slot (the
+        coefficients are not reduced, and may cancel to 0)."""
+        out = {}
+        for i, m in enumerate(slots):
+            sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
+            head, tail = slots[:i], slots[i + 1 :]
+            for ab, c in self.reduced_coproduct(m).items():
+                key = head + ab + tail
+                out[key] = out.get(key, 0) + sign * c
+        return out
+
     # -- element constructors ------------------------------------------------
 
     def one(self):
@@ -209,7 +219,8 @@ class CobarEngine(SectorEngine):
     first monomial in front of each (s-1)-slot tensor of the remaining
     grade, read from that sector's own basis through `_sector`, over every
     monomial grade whose remainder `_counts` says is reachable.  A basis
-    larger than `sector_cap` raises `SectorCapError`.
+    larger than `sector_cap` raises `SectorCapError`.  `_d_of` is
+    `TruncatedHopf.d_tensor`, so `dmat` builds no elements.
     """
 
     name = "cobar"
@@ -280,6 +291,9 @@ class CobarEngine(SectorEngine):
                 out.extend((m,) + tail for m in mons for tail in tails)
         out.sort()
         return out
+
+    def _d_of(self, s, key):
+        return self.alg.d_tensor(key)
 
     def _check_sector(self, w: int):
         if w > self.weight_bound:

@@ -10,6 +10,7 @@ from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import GENERATORS, ExteriorAlgebra, gen_index
 from stab3.hopf_cobar import (
     UNIT,
+    CobarElement,
     CobarEngine,
     TruncatedHopf,
     b_class,
@@ -120,6 +121,48 @@ def test_d_squared_on_powers():
         x = HOPF.t_power_slot(1, e)
         assert x.d().d().is_zero()
     assert HOPF.t_power_slot(2, 7).d().d().is_zero()
+
+
+def slot_loop_d(hopf, terms):
+    """Cobar d of {tensor: coeff}, reduced mod p, by the per-slot loop that
+    `CobarElement.d` ran before it read `TruncatedHopf.d_tensor`: the oracle
+    of both."""
+    p = hopf.p
+    out = {}
+    for slots, coeff in terms.items():
+        for i, m in enumerate(slots):
+            sign = -1 if i % 2 == 0 else 1  # (-1)^(i+1) for 1-based slot i+1
+            for (a, b), c in hopf.reduced_coproduct(m).items():
+                key = slots[:i] + (a, b) + slots[i + 1 :]
+                out[key] = out.get(key, 0) + sign * coeff * c
+    return {k: v % p for k, v in out.items() if v % p}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_d_tensor_equals_the_slot_loop_on_every_small_basis_tensor(p):
+    engine = CobarEngine(p, weight_bound=5)
+    hopf = engine.alg
+    seen = 0
+    for t, w in engine.sector_keys():
+        bases = engine._sector(t, w)
+        for s in range(4):
+            for key in bases[s]:
+                expected = slot_loop_d(hopf, {key: 1})
+                got = engine._d_of(s, key)
+                assert got == hopf.d_tensor(key)
+                assert {k: c % p for k, c in got.items() if c % p} == expected, key
+                assert CobarElement(hopf, {key: 1}).d().terms == expected, key
+                seen += 1
+    assert seen == sum(sum(level.values()) for level in engine._counts[:4])
+
+
+def test_cobar_d_of_an_element_is_linear_in_its_terms():
+    engine = CobarEngine(7, weight_bound=5)
+    hopf, counts = engine.alg, engine._counts[2]
+    basis = engine._sector(*max(counts, key=counts.get))[2]
+    terms = {key: 3 * i + 1 for i, key in enumerate(basis[:40])}
+    assert len(terms) == 40
+    assert CobarElement(hopf, terms).d().terms == slot_loop_d(hopf, terms)
 
 
 def test_b_classes_are_cocycles():

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
-from stab3.exterior import FULL_MASK, Trigrade
+from stab3.exterior import FULL_MASK, ExteriorElement, Trigrade
 from stab3.fplinalg import to_dense
 from stab3 import fplinalg, massey
 from stab3.massey import MasseyError, class_in_coset, massey_from_system, massey_product
@@ -21,6 +21,14 @@ def test_total_dimension_oracle():
     for (s, t, w, dim_c, dim_h) in ENGINE.dims_table():
         totals[s] += dim_h
     assert totals == [1, 4, 12, 25, 34, 34, 25, 12, 4, 1]
+
+
+def test_d_of_reads_the_integral_differential():
+    p = ENGINE.p
+    for mask in range(FULL_MASK + 1):
+        d = ENGINE._d_of(mask.bit_count(), mask)
+        reduced = {k: c % p for k, c in d.items() if c % p}
+        assert reduced == ExteriorElement(ENGINE.alg, {mask: 1}).d().terms, mask
 
 
 def test_degree_one_classes():

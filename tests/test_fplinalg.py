@@ -1,6 +1,7 @@
 """Exact F_p linear algebra: oracles and round-trip properties."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -17,7 +18,9 @@ from stab3.fplinalg import (
     kernel_basis,
     rref,
     solve,
+    sparse_kernel,
     sparse_rref,
+    sparse_solve,
     to_dense,
 )
 from stab3.hopf_cobar import CobarEngine, TruncatedHopf
@@ -152,6 +155,119 @@ def test_sparse_rref_equals_dense_reference_on_the_largest_cobar_matrix():
     shuffled = list(rows)
     random.Random(84).shuffle(shuffled)
     assert sparse_rref(shuffled, 7) == (ech, pivots)
+
+
+def _low_rank_rows(rng, nrows, ncols, rank, p):
+    """nrows sparse rows spanning at most `rank` dimensions: each a random
+    combination of one to three sparse generators, with zero rows and
+    duplicates mixed in (the shape of the cocycle equations)."""
+    gens = [{c: rng.randrange(1, p) for c in rng.sample(range(ncols), rng.randint(1, 4))}
+            for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            row = {}
+            for g in rng.sample(gens, rng.randint(1, min(3, rank))):
+                f = rng.randrange(-p, 2 * p)
+                for c, x in g.items():
+                    row[c] = row.get(c, 0) + f * x
+            rows.append(row)  # entries may be 0 or outside 0..p-1
+    return rows
+
+
+def _sparse_rows(rng, nrows, ncols, nnz, p):
+    """nrows random rows with up to nnz entries each, zero and duplicate
+    rows mixed in (the shape of the coboundary rows)."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            rows.append({c: rng.randrange(-p, 2 * p)
+                         for c in rng.sample(range(ncols), rng.randint(1, nnz))})
+    return rows
+
+
+SHAPES = {  # name -> (rows, cols, rank or None for full random, nnz)
+    "tall-low-rank": (90, 30, 12, None),
+    "tall-rank-deficient": (60, 40, 35, None),
+    "wide": (25, 90, None, 4),
+    "square": (40, 40, None, 3),
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_sparse_rref_equals_dense_reference_on_larger_systems(shape, p):
+    # many pivots arrive after a tail is first read, so stale tails are
+    # reduced again on later reads; the hypothesis matrices are too small
+    nrows, ncols, rank, nnz = SHAPES[shape]
+    rng = random.Random(f"{shape}-{p}")
+    for _ in range(4):
+        if rank is None:
+            rows = _sparse_rows(rng, nrows, ncols, nnz, p)
+        else:
+            rows = _low_rank_rows(rng, nrows, ncols, rank, p)
+        ech, pivots = sparse_rref(rows, p)
+        dense = [to_dense(r, ncols) for r in rows]
+        assert ([to_dense(r, ncols) for r in ech], pivots) == dense_rref(dense, ncols, p)
+        if rank is not None:
+            assert len(pivots) <= rank < nrows
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        assert sparse_rref(shuffled, p) == (ech, pivots)
+
+
+def _pivot_chain(n):
+    # row i pins x_i = -x_(i+1); the last row reaches back to column 0, so
+    # every tail of the chain is stale when it is read
+    return [{i: 1, i + 1: 1} for i in range(n)] + [{0: 1, n + 1: 3}]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_pivot_chain_equals_dense_reference_and_closed_form(p):
+    n = 100
+    rows = _pivot_chain(n)
+    ech, pivots = sparse_rref(rows, p)
+    assert pivots == list(range(n + 1))
+    assert ech == [{c: 1, n + 1: (-1) ** c * 3 % p} for c in range(n + 1)]
+    dense = [to_dense(r, n + 2) for r in rows]
+    assert ([to_dense(r, n + 2) for r in ech], pivots) == dense_rref(dense, n + 2, p)
+
+
+def test_long_pivot_chain_needs_no_recursion():
+    n, p = 3000, 7
+    assert sys.getrecursionlimit() <= n  # a recursive reduction would fail here
+    ech, pivots = sparse_rref(_pivot_chain(n), p)
+    assert pivots == list(range(n + 1))
+    assert ech == [{c: 1, n + 1: (-1) ** c * 3 % p} for c in range(n + 1)]
+
+
+def test_elimination_leaves_its_input_rows_unchanged():
+    # `SectorTower._coboundary_rows` passes the cached `dmat` rows straight
+    # to `sparse_rref`; a reduction in place would corrupt later queries
+    p, ncols = 7, 30
+    rng = random.Random(23)
+    rows = _low_rank_rows(rng, 90, ncols, 12, p) + _pivot_chain(20)
+    rhs = [rng.randrange(p) for _ in rows]
+
+    def snapshot():
+        return [list(r.items()) for r in rows]
+
+    before = snapshot()
+    for run in (lambda: sparse_rref(rows, p),
+                lambda: sparse_kernel(rows, ncols, p),
+                lambda: sparse_solve(rows, rhs, ncols, p)):
+        run()
+        assert snapshot() == before
 
 
 def _dense(v, n):
