@@ -83,9 +83,16 @@ def _assert_exact(q, reference):
     assert all(type(c) is Fraction and c for c in q.coeffs.values())
 
 
+# scalar operands: 0, negative ints, and Fractions with 7 in the denominator
+_SCALARS = st.one_of(
+    st.just(0), st.integers(-60, -1), st.integers(1, 60),
+    st.builds(Fraction, st.integers(-60, 60).filter(bool), st.sampled_from([7, 14, 49, 3])),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_COEFFS, _COEFFS, st.sets(st.integers(0, 4)))
-def test_tpoly_exact_arithmetic_matches_coercing_constructor(a, b, negate):
+@given(_COEFFS, _COEFFS, st.sets(st.integers(0, 4)), _SCALARS)
+def test_tpoly_exact_arithmetic_matches_coercing_constructor(a, b, negate, k):
     # keys in `negate` copy -a into b, so sums cancel there
     b = {**b, **{d: -a[d] for d in negate if d in a}}
     x, y = TPoly(a), TPoly(b)
@@ -99,6 +106,9 @@ def test_tpoly_exact_arithmetic_matches_coercing_constructor(a, b, negate):
             conv[d1 + d2] = conv.get(d1 + d2, 0) + c1 * c2
     _assert_exact(x * y, TPoly(conv))
     _assert_exact(x * 3, TPoly({d: 3 * c for d, c in a.items()}))
+    for product in (x * k, k * x):
+        _assert_exact(product, TPoly({d: k * c for d, c in a.items()}))
+    assert (x * 0).coeffs == {} and not x * Fraction(0)
 
 
 def test_tpoly_binom_matches_binomials():
@@ -173,7 +183,9 @@ def _contains_profile(gens, pval, v1e, v2e):
 _GENS = st.one_of(
     st.just(()),
     st.just(((0, 0, 0),)),
-    st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=5).map(tuple),
+    # p-exponents down to -2: a negative floor is a Fraction modulus
+    st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 3), st.integers(0, 3)),
+             max_size=5).map(tuple),
 )
 _EXP = st.tuples(st.integers(-2, 5), st.sampled_from([0, 1]))
 _VEXP = st.tuples(_EXP, _EXP, _EXP)
@@ -204,7 +216,7 @@ def test_floor_agrees_with_the_generator_by_generator_rule(gens, other, terms):
 def test_drop_terms_skips_zeros_and_audits_in_input_order():
     ctx = ideal((1, 0, 0), (0, 2, 0))
     terms = {
-        (_v(3), (t1_mon(1),)): 0,  # cancelled: _pval(0) is None, never tested
+        (_v(3), (t1_mon(1),)): 0,  # cancelled: a zero is skipped, never tested
         (_v(2), (t1_mon(2),)): 5,
         (_v(), (t1_mon(3),)): 3,
         (_v(), (t1_mon(4),)): Fraction(P, 2),
@@ -487,8 +499,8 @@ def test_d_cobar_output_has_no_unit_slot_on_every_bp_suite_call(monkeypatch, p):
     # and delta_bar removes the only two terms with a unit side
     calls = []
 
-    def checked(x, ctx, structure, audit=None):
-        out = d_cobar(x, ctx, structure, audit)
+    def checked(x, ctx, structure, audit=None, **kwargs):
+        out = d_cobar(x, ctx, structure, audit, **kwargs)
         calls.append([key for key in out.terms if MON_ONE in key[1]])
         return out
 
@@ -497,6 +509,95 @@ def test_d_cobar_output_has_no_unit_slot_on_every_bp_suite_call(monkeypatch, p):
     assert calls
     assert [bad for bad in calls if bad] == []
     assert [rec["status"] for rec in report["checks"]] == ["pass"] * 4
+
+
+def _d_cobar_by_tuples(x, ctx, st, audit=None):
+    """The oracle: the cobar differential summed under (vexp, slots) tuple
+    keys, with no `_KeyCodes`."""
+    out = {}
+    for (vexp, slots), coeff in x.terms.items():
+        for (v2exp, mon), c in st.eta_v(vexp, ctx).items():
+            if (v2exp, mon) == (vexp, MON_ONE):
+                c = c - 1
+            if c:
+                key = (v2exp, (mon,) + slots)
+                out[key] = out[key] + coeff * c if key in out else coeff * c
+        for i, mon in enumerate(slots):
+            sign = -1 if i % 2 == 0 else 1
+            for (dv, ml, mr), c in st.delta_bar(mon, ctx).items():
+                key = (bp_cobar._vexp_add(vexp, dv), slots[:i] + (ml, mr) + slots[i + 1:])
+                out[key] = out[key] + sign * coeff * c if key in out else sign * coeff * c
+    return BPElement(x.p, bp_cobar._drop_terms(x.p, out, ctx, audit, "d_cobar context"))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_d_cobar_matches_the_tuple_keyed_sum_on_every_bp_suite_call(monkeypatch, p):
+    # same terms, values, order and audit trail on every call the suites
+    # make; an inexact call (the outer d of verify_dd) agrees mod ctx
+    calls = []
+
+    def recorded(x, ctx, structure, audit=None, exact=True):
+        calls.append((x, ctx, structure, audit is not None, exact))
+        return d_cobar(x, ctx, structure, audit, exact)
+
+    monkeypatch.setattr(bp_cobar, "d_cobar", recorded)
+    run_suites(p, suites=list(BP_RECORD_SHA256))
+    dropped = 0
+    assert not all(exact for *_, exact in calls)
+    for x, ctx, st, audited, exact in calls:
+        got_audit, ref_audit = ([], []) if audited else (None, None)
+        got = d_cobar(x, ctx, st, got_audit, exact)
+        ref = _d_cobar_by_tuples(x, ctx, st, ref_audit)
+        if exact:
+            assert list(got.terms.items()) == list(ref.terms.items()), (x, ctx)
+        else:
+            assert (got - ref).reduce_mod(ctx).is_zero() and set(got.terms) == set(ref.terms)
+        assert got_audit == ref_audit
+        dropped += len(got_audit or ())
+    assert dropped
+
+
+_MOD_P2_V1_V2 = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("p, terms, gens, moved", [
+    # p-multiples whose coproduct terms fall into p^2 on their own; in the
+    # first case some keys also get terms outside ctx, so values move
+    (5, {((1, 1, 0), (5, 1, 0)): 5, ((2, 0, 0), (0, 5, 0)): 1, ((0, 2, 0), (6, 0, 0)): 3},
+     _MOD_P2_V1_V2, True),
+    (7, {((7, 1, 0),): 1, ((1, 7, 0),): 7, ((3, 2, 0), (14, 0, 0)): 14}, _MOD_P2_V1_V2, False),
+    (5, {((5, 1, 0), (1, 0, 0)): 5, ((0, 2, 0),): 1}, ((2, 0, 0), (1, 1, 0)), False),
+    (5, {((5, 2, 0),): 3}, (), False),
+], ids=["p5-two-slots", "p7-mixed", "p5-p2-pv1", "zero-ideal"])
+def test_inexact_d_cobar_agrees_mod_ctx(p, terms, gens, moved):
+    # leaving out the terms that lie in ctx on their own keeps every key and
+    # the class of every value mod ctx; only representatives and order move
+    st, ctx = BPStructure(p), Ideal(gens)
+    x = BPElement(p, {(V_ZERO, slots): c for slots, c in terms.items()})
+    exact, loose = d_cobar(x, ctx, st), d_cobar(x, ctx, st, exact=False)
+    assert exact.terms and set(loose.terms) == set(exact.terms)
+    assert (loose - exact).reduce_mod(ctx).is_zero()
+    assert (list(loose.terms.items()) != list(exact.terms.items())) == moved
+    with pytest.raises(ValueError, match="audit"):
+        d_cobar(x, ctx, st, [], exact=False)
+
+
+def test_key_codes_round_trip_and_refuse_to_overflow():
+    codes = bp_cobar._KeyCodes()
+    keys = [(V_ZERO, ()), (V_ZERO, (MON_ONE,)), (_v(2, 1), (t1_mon(P), MON_ONE, t2_mon(3))),
+            (((0, 1), (-2, 1), (0, 0)), (t3_mon(1),) * 9)]
+    coded = [codes.code(*key) for key in keys]
+    assert len(set(coded)) == len(keys)
+    assert [codes.decode(c) for c in coded] == keys
+    assert [codes.vexp(c) for c in coded] == [vexp for vexp, _ in keys]
+    assert codes.code(*keys[2]) == coded[2] and codes.mons[0] == MON_ONE
+    with pytest.raises(OverflowError, match="255 slots"):
+        codes.code(V_ZERO, (MON_ONE,) * 256)
+    items, index = [], {}
+    for x in range(4):
+        assert codes._intern(items, index, x, 2) == x
+    with pytest.raises(OverflowError, match="2\\^2"):
+        codes._intern(items, index, 4, 2)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -535,6 +636,63 @@ def test_closed_forms_multiply_no_expansions(monkeypatch):
     st = BPStructure(P)
     monkeypatch.setattr(BPStructure, "_mul", refuse)
     assert st.delta_t2_power(2 * P, ZERO_IDEAL)
+    assert st.delta_mon((P, P, 0), ZERO_IDEAL)
+    assert st.delta_mon((3, 2, 0), ideal((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _suite_delta_mon_calls(monkeypatch, p):
+    """Every (mon, ctx) on which the BP suites expand a coproduct, in order."""
+    seen = {}
+    delta_mon = BPStructure.delta_mon
+
+    def recorded(self, mon, ctx):
+        seen.setdefault((mon, ctx.gens), ctx)
+        return delta_mon(self, mon, ctx)
+
+    monkeypatch.setattr(BPStructure, "delta_mon", recorded)
+    report = run_suites(p, suites=list(BP_RECORD_SHA256))
+    monkeypatch.undo()
+    assert all(rec["status"] == "pass" for rec in report["checks"])
+    return [(mon, ctx) for (mon, _), ctx in seen.items()]
+
+
+def _delta_mon_by_mul(st, mon, ctx):
+    """The oracle: Delta(t1)^a * Delta(t2)^b through the general `_mul`."""
+    a, b, _ = mon
+    if a and b:
+        return st._mul(st.delta_t1_power(a, ctx), st.delta_t2_power(b, ctx), ctx)
+    return st.delta_t2_power(b, ctx) if b else st.delta_t1_power(a, ctx)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_delta_mon_closed_form_matches_the_product_on_every_suite_call(monkeypatch, p):
+    # same terms, same values, same order: d_cobar's audits are in dict order
+    calls = _suite_delta_mon_calls(monkeypatch, p)
+    assert any(mon[0] and mon[1] for mon, _ in calls)
+    st = BPStructure(p)
+    for mon, ctx in calls:
+        assert list(st.delta_mon(mon, ctx).items()) == list(
+            _delta_mon_by_mul(st, mon, ctx).items()), (mon, ctx)
+
+
+@pytest.mark.parametrize("mon, gens", [
+    ((2, 1, 0), ()), ((3, 5, 0), ()), ((4, 1, 0), ((2, 0, 0), (1, 1, 0))),
+    ((4, 2, 0), ((2, 0, 0), (1, 1, 0), (0, 2, 0))),
+])
+def test_delta_mon_merges_colliding_v1_keys(mon, gens):
+    # v1 b10 = v1 sum_e d_e [t1^e | t1^(p-e)] times [t1^i | t1^(a-i)] meets
+    # one key for every (e, i) with the same e + i, so the closed form must
+    # sum those products and then test the sums against ctx: at
+    # (4, 1, 0) mod (p^2, p v1), 20 products meet on 8 keys, 2 of whose sums
+    # lie in the context
+    p = 5
+    st = BPStructure(p)
+    ctx = Ideal(gens)
+    t1, t2 = st.delta_t1_power(mon[0], ctx), st.delta_t2_power(mon[1], ctx)
+    expected = _delta_mon_by_mul(st, mon, ctx)
+    v1_products = sum(1 for key in t2 if key[0][0][0]) * len(t1)
+    assert v1_products > sum(1 for key in expected if key[0][0][0])
+    assert list(st.delta_mon(mon, ctx).items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("p", [5, 7])

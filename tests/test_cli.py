@@ -335,6 +335,10 @@ VERIFY_P11_SHA256 = "8b82130c9965ac23b2052d8f301fa6d260c107a98ee697473b8b228cb77
 #: the same for `stab3 verify --prime 13`.
 VERIFY_P13_SHA256 = "cad6bd90e0cc97777be75a8758dead5fbe3224c4f5028b2ac8418c3e40dc9c2b"
 
+#: the same for `stab3 verify --prime 17`, the first prime with large BP
+#: cross products: d^2([t2^p]) expands 373 184 of them.
+VERIFY_P17_SHA256 = "c474d317c2cc00eac913ee4e4af8190ceae4528f8534344cf0362b27744b69ab"
+
 
 def _verify_digest(tmp_path, prime):
     path = tmp_path / "report.json"
@@ -352,3 +356,7 @@ def test_verify_p11_report_is_pinned(tmp_path):
 
 def test_verify_p13_report_is_pinned(tmp_path):
     assert _verify_digest(tmp_path, 13) == VERIFY_P13_SHA256
+
+
+def test_verify_p17_report_is_pinned(tmp_path):
+    assert _verify_digest(tmp_path, 17) == VERIFY_P17_SHA256
