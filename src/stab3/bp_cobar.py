@@ -17,7 +17,6 @@ rule, and `_drop_terms` the one routine that drops (and audits) terms.  It
 reads the modulus p^floor once per v-part and tests each coefficient by one
 divisibility check; valuations are computed only where they are carried:
 `delta_mon` prunes a product term by the sum of its factors' valuations.
-`d_cobar` sums under int codes of the term keys (`_KeyCodes`).
 
 The delta chains divide cobar differentials by the exact invariant factors
 (powers of p, v1, v2) and record an audit trail: every dropped term is
@@ -281,80 +280,27 @@ def _acc(out, key, c):
     out[key] = c if s is None else s + c
 
 
-def _drop_terms(p, terms, ctx, audit=None, reason="", codes=None):
+def _drop_terms(p, terms, ctx, audit=None, reason=""):
     """The nonzero terms of {(vexp, ...): coefficient} that lie outside ctx;
     the ones inside are appended to `audit`, in input order, when it is given.
-    With `codes`, the keys are its int codes, and only the terms kept or
-    audited are decoded.  The modulus p^floor is looked up once per v-part
-    (`Ideal.modulus`), so a term's test is one divisibility check of its
-    coefficient."""
+    The modulus p^floor is looked up once per v-part (`Ideal.modulus`), so a
+    term's test is one divisibility check of its coefficient."""
     if not ctx.gens:
-        return {codes.decode(k) if codes else k: c for k, c in terms.items() if c}
+        return {k: c for k, c in terms.items() if c}
     moduli = {}
     out = {}
     for key, c in terms.items():
         if not c:
             continue
-        vexp = codes.vexp(key) if codes else key[0]
+        vexp = key[0]
         q = moduli.get(vexp)
         if q is None:
             q = moduli[vexp] = ctx.modulus(p, vexp)
         if not (q and _divisible(c, q, p)):
-            out[codes.decode(key) if codes else key] = c
+            out[key] = c
         elif audit is not None:
-            key = codes.decode(key) if codes else key
             audit.append({"dropped": _term_repr(key, c), "ideal": repr(ctx), "reason": reason})
     return out
-
-
-class _KeyCodes:
-    """(vexp, slots) keys coded as ints, for the sums of `d_cobar`: the
-    v-part's index | the slot count << 16 | slot k's monomial index
-    << `shift(k)`, both indices interned per instance.  An int key takes a
-    fraction of the memory of the nested tuples it stands for.  MON_ONE is
-    monomial 0, so a unit slot leaves its place clear for another index."""
-
-    def __init__(self):
-        self.vexps, self.vids = [], {}
-        self.mons, self.mids = [MON_ONE], {MON_ONE: 0}
-
-    @staticmethod
-    def _intern(items, index, x, bits):
-        i = index.get(x)
-        if i is None:
-            i = len(items)
-            if i >> bits:
-                raise OverflowError(f"more than 2^{bits} distinct key parts")
-            index[x] = i
-            items.append(x)
-        return i
-
-    def vid(self, vexp):
-        return self._intern(self.vexps, self.vids, vexp, 16)
-
-    def mid(self, mon):
-        return self._intern(self.mons, self.mids, mon, 24)
-
-    @staticmethod
-    def shift(k):
-        return 24 + 24 * k
-
-    def code(self, vexp, slots):
-        if len(slots) > 0xFF:
-            raise OverflowError("more than 255 slots")
-        out = self.vid(vexp) | len(slots) << 16
-        for k, mon in enumerate(slots):
-            out |= self.mid(mon) << self.shift(k)
-        return out
-
-    def vexp(self, code):
-        return self.vexps[code & 0xFFFF]
-
-    def decode(self, code):
-        mons, n = self.mons, code >> 16 & 0xFF
-        # the shifts shift(0), ..., shift(n - 1)
-        return (self.vexps[code & 0xFFFF], tuple([
-            mons[code >> s & 0xFFFFFF] for s in range(24, 24 + 24 * n, 24)]))
 
 
 class BPElement:
@@ -658,17 +604,16 @@ class BPStructure:
         """Delta(t1^a t2^b) mod ctx.  With b = 0 it is Delta(t1)^a, with a = 0
         Delta(t2)^b; otherwise the product of the two closed forms,
 
-            sum_i C(a, i) [t1^i | t1^(a-i)] * Delta(t2)^b,
+            sum_i C(a, i) [t1^i | t1^(a-i)] * Delta(t2)^b.
 
-        emitted term by term in the order `_mul` would give (i outer,
-        Delta(t2)^b's terms inner).  A v1-free term of Delta(t2)^b gives a
-        different key for each i, so its products never merge: each is kept
-        or pruned by v_p C(a, i) + v_p(its coefficient), the factors'
-        valuations, against ctx.floor(0, 0).  Only the v1-carrying terms
-        (v1^m b10^m, m >= 1) can meet on one key, so their products are
-        merged, and each merged sum is tested against ctx at the end.  The
-        dict returned is the caller's own.  No suite applies d to a t3 slot,
-        so no coproduct of t3 is on record."""
+        When Delta(t2)^b is v1-free, each of its terms gives a different key
+        for each i, so no two products merge: they are emitted in the order
+        `_mul` would give (i outer, Delta(t2)^b's terms inner), and each is
+        kept or pruned by v_p C(a, i) + v_p(its coefficient), the factors'
+        valuations, against ctx.floor(0, 0).  A v1-carrying term
+        (v1^m b10^m, m >= 1) can meet another on one key, so then the
+        product is left to `_mul`.  The dict returned is the caller's own.
+        No suite applies d to a t3 slot, so no coproduct of t3 is on record."""
         if mon[2]:
             raise InsufficientPrecisionError(f"no coproduct of {_mon_repr(mon)} on record")
         a, b = mon[0], mon[1]
@@ -677,25 +622,19 @@ class BPStructure:
         t2 = self.delta_t2_power(b, ctx)
         if not a:
             return dict(t2)
+        t1 = self.delta_t1_power(a, ctx)
+        if any(vexp != V_ZERO for vexp, _, _ in t2):
+            return self._mul(t1, t2, ctx)
         p = self.p
         f = ctx.floor(0, 0)
-        # (vexp, left, right, coefficient, valuation or None when v1-carrying)
-        terms = [(vexp, l1, l2, r1, r2, c, None if vexp[0][0] else _pval(c, p))
-                 for (vexp, (l1, l2, _), (r1, r2, _)), c in t2.items()]
+        terms = [(l1, l2, r1, r2, c, _pval(c, p))
+                 for (_, (l1, l2, _), (r1, r2, _)), c in t2.items()]
         out = {}
-        for (_, (i, _, _), (ai, _, _)), ca in self.delta_t1_power(a, ctx).items():
+        for (_, (i, _, _), (ai, _, _)), ca in t1.items():
             room = None if f is None else f - _pval(ca, p)
-            for vexp, l1, l2, r1, r2, cb, vb in terms:
-                key = (vexp, (i + l1, l2, 0), (ai + r1, r2, 0))
-                if vb is None:
-                    s = out.get(key)
-                    out[key] = ca * cb if s is None else s + ca * cb
-                elif room is None or vb < room:
-                    out[key] = ca * cb
-        if any(vb is None for *_, vb in terms):
-            for key in [k for k, c in out.items()
-                        if k[0][0][0] and (not c or ctx.contains(p, k[0], c))]:
-                del out[key]
+            for l1, l2, r1, r2, cb, vb in terms:
+                if room is None or vb < room:
+                    out[(V_ZERO, (i + l1, l2, 0), (ai + r1, r2, 0))] = ca * cb
         return out
 
     def delta_bar(self, mon, ctx: Ideal):
@@ -723,8 +662,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None,
 
     d(c [m1|...|ms]) = (eta_R(c) - c) spliced in as a new first slot, plus
     sum_i (-1)^i [... reduced-coproduct(m_i) ...], Leibniz-compatible with
-    concatenation.  The sum is kept under `_KeyCodes` ints, and only the
-    terms that survive ctx, or are audited, are decoded.
+    concatenation.
 
     With exact=False (and no audit) a term that lies in ctx on its own is
     left out of the sum.  The result then equals d(x) mod ctx only up to
@@ -734,8 +672,6 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None,
     if not exact and audit is not None:
         raise ValueError("an audit needs the exact sum")
     p = x.p
-    codes = _KeyCodes()
-    code, vid, mid, mids, shift = codes.code, codes.vid, codes.mid, codes.mids, codes.shift
     out = {}
     get = out.get
     for (vexp, slots), coeff in x.terms.items():
@@ -746,35 +682,25 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None,
                 c = c - 1
             c = coeff * c
             if c and (exact or not ctx.contains(p, v2exp, c)):
-                key = code(v2exp, (mon,) + slots)
-                s = get(key)
-                out[key] = c if s is None else s + c
-        # slot insertions: slot i opens into the two places at shifts sl, sr;
-        # runs of terms share their v-part object, so its index (and with
-        # exact=False its modulus) is kept
-        v0 = vid(vexp)
+                _acc(out, (v2exp, (mon,) + slots), c)
+        # slot insertions; runs of delta_bar's terms share their v-part
+        # object, so the summed v-part (and with exact=False its modulus)
+        # is kept across a run
         for i, mon in enumerate(slots):
-            frame = code(vexp, slots[:i] + (MON_ONE, MON_ONE) + slots[i + 1:]) ^ v0
-            sl, sr = shift(i), shift(i + 1)
+            head, tail = slots[:i], slots[i + 1:]
             scale = -coeff if i % 2 == 0 else coeff
             last = None
             for (dv, ml, mr), c in structure.delta_bar(mon, ctx).items():
                 if dv is not last:
-                    last, v = dv, vid(_vexp_add(vexp, dv))
-                    q = 0 if exact else ctx.modulus(p, codes.vexps[v])
+                    last, v = dv, _vexp_add(vexp, dv)
+                    q = 0 if exact else ctx.modulus(p, v)
                 c = scale * c
                 if q and _divisible(c, q, p):
                     continue
-                a = mids.get(ml)
-                if a is None:
-                    a = mid(ml)
-                b = mids.get(mr)
-                if b is None:
-                    b = mid(mr)
-                key = frame | v | a << sl | b << sr
+                key = (v, head + (ml, mr) + tail)
                 s = get(key)
                 out[key] = c if s is None else s + c
-    return BPElement(p, _drop_terms(p, out, ctx, audit, "d_cobar context", codes))
+    return BPElement(p, _drop_terms(p, out, ctx, audit, "d_cobar context"))
 
 # ---------------------------------------------------------------------------
 # b-classes at the BP level
