@@ -6,17 +6,17 @@ and the v-exponents may be symbolic of the form c + m*t (m in {0,1}) for the
 family computations.  A coefficient is an int or a Fraction, and a TPoly (a
 polynomial in the formal parameter t with Fraction coefficients) only where t
 occurs; an operation with a TPoly operand gives a TPoly.  Localization at p
-is tracked exactly through p-adic valuations (`_pval`).
+is tracked exactly: a coefficient's p-adic order is read by divisibility.
 
 Right-unit and coproduct formulas are stored with validity ideals; every use
 inside a context checks that the formula's validity ideal is contained in
 the context, otherwise an InsufficientPrecisionError names the entry.
 Context ideals are monomial in (p, v1, v2), so a term's membership depends
 only on its v-part and its p-valuation; `Ideal.floor` is the one membership
-rule, and `_drop_terms` the one routine that drops (and audits) terms.  It
-reads the modulus p^floor once per v-part and tests each coefficient by one
-divisibility check; valuations are computed only where they are carried:
-`delta_mon` prunes a product term by the sum of its factors' valuations.
+rule, `Ideal.modulus` (p^floor) and `_divisible` the one membership and mod-p
+test, and `_drop_terms` the one routine that drops (and audits) terms.  A
+valuation is computed only where it is carried: `delta_mon` prunes a product
+term by the sum of its factors' valuations (`_pval`).
 
 The delta chains divide cobar differentials by the exact invariant factors
 (powers of p, v1, v2) and record an audit trail: every dropped term is
@@ -109,10 +109,6 @@ class TPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def p_valuation(self, p):
-        """min_d val_p(coefficient); None for the zero polynomial."""
-        return min((_pval(c, p) for c in self.coeffs.values()), default=None)
-
     def __eq__(self, other):
         return isinstance(other, (TPoly, int, Fraction)) and self.coeffs == _tcoeffs(other)
 
@@ -127,21 +123,12 @@ def _tcoeffs(x):
     return x.coeffs if type(x) is TPoly else ({0: Fraction(x)} if x else {})
 
 
-def _pval(c, p):
-    """p-adic valuation of an int or Fraction, the least over the
-    coefficients of a TPoly; None for zero."""
-    if type(c) is TPoly:
-        return c.p_valuation(p)
-    if not c:
-        return None
-    n, d = c.numerator, c.denominator
+def _pval(n, p):
+    """p-adic valuation of a nonzero int."""
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
     return v
 
 
@@ -202,18 +189,11 @@ class Ideal:
             or "1"
             for (a, b, c) in gens
         ) or "0") + ")"
-        self._floors = {}
 
     def floor(self, v1e, v2e):
         """Least a with p^a v1^v1e v2^v2e in the ideal, None when no generator
-        divides v1^v1e v2^v2e: the one membership rule, memoised per ideal."""
-        key = (v1e, v2e)
-        try:
-            return self._floors[key]
-        except KeyError:
-            f = self._floors[key] = min(
-                (a for a, b, c in self.gens if b <= v1e and c <= v2e), default=None)
-            return f
+        divides v1^v1e v2^v2e: the one membership rule."""
+        return min((a for a, b, c in self.gens if b <= v1e and c <= v2e), default=None)
 
     def modulus(self, p, vexp):
         """p^floor for the v-part vexp, 0 when no p-power puts it in the
@@ -433,21 +413,19 @@ def _compositions(n: int, parts: int):
             yield (e, *rest)
 
 
-def _multinomial_terms(n: int, parts: int, p: int, last_max: int | None = None):
-    """(e, (n; e), v_p (n; e)) over the compositions e of n (`_compositions`
-    order) whose last part is at most last_max.  The valuation is Kummer's:
-    (sum_i s(e_i) - s(n)) / (p - 1), s the base-p digit sum."""
-    fact, digits = [1], [0]
+def _multinomial_terms(n: int, parts: int, last_max: int | None = None):
+    """(e, (n; e)) over the compositions e of n (`_compositions` order) whose
+    last part is at most last_max."""
+    fact = [1]
     for x in range(1, n + 1):
         fact.append(fact[-1] * x)
-        digits.append(digits[x // p] + x % p)
     for e in _compositions(n, parts):
         if last_max is not None and e[-1] > last_max:
             continue
         c = fact[n]
         for x in e:
             c //= fact[x]
-        yield e, c, (sum(digits[x] for x in e) - digits[n]) // (p - 1)
+        yield e, c
 
 
 def _b10_powers(p: int, mmax: int):
@@ -582,20 +560,20 @@ class BPStructure:
         if key in self._delta_t2_cache:
             return self._delta_t2_cache[key]
         p = self.p
-        floors = [ctx.floor(m, 0) for m in range(b + 1)]
-        mmax = floors.index(0) - 1 if 0 in floors else b
+        vexps = [V_ZERO] + [((m, 0), (0, 0), (0, 0)) for m in range(1, b + 1)]
+        moduli = [ctx.modulus(p, vexp) for vexp in vexps]
+        mmax = moduli.index(1) - 1 if 1 in moduli else b
         powers = _b10_powers(p, mmax)
-        vexps = [V_ZERO] + [((m, 0), (0, 0), (0, 0)) for m in range(1, mmax + 1)]
         out = {}
-        for (i, j, k, m), c, v in _multinomial_terms(b, 4, p, mmax):
-            floor = floors[m]
-            if floor is not None and v >= floor:
+        for (i, j, k, m), c in _multinomial_terms(b, 4, mmax):
+            q = moduli[m]
+            if q and _divisible(c, q, p):
                 continue
             vexp = vexps[m]
             sign = -1 if m % 2 else 1
             for e, d in powers[m].items():
                 coeff = sign * c * d
-                if floor is None or _pval(coeff, p) < floor:
+                if not (q and _divisible(coeff, q, p)):
                     out[(vexp, (j + e, i, 0), (p * (j + m) - e, k, 0))] = coeff
         self._delta_t2_cache[key] = out
         return out
@@ -734,7 +712,7 @@ def b20(p: int, structure: BPStructure) -> BPElement:
     for key, c in out.items():
         if c:
             out[key] = c = _over(c, p)
-            if type(c) is not int and _pval(c, p) < 0:
+            if c.denominator % p == 0:
                 raise InsufficientPrecisionError(
                     f"b20 coefficient not p-integral at {_term_repr(key, c)}"
                 )
@@ -822,7 +800,7 @@ def verify_dd(p: int = 7):
     for name, x, ctx in cases:
         # only whether d^2(x) vanishes mod ctx counts, so the outer d need
         # not keep the terms that lie in ctx on their own
-        ddx = d_cobar(d_cobar(x, ctx, st), ctx, st, exact=False).reduce_mod(ctx)
+        ddx = d_cobar(d_cobar(x, ctx, st), ctx, st, exact=False)
         if not ddx.is_zero():
             raise AssertionError(f"d^2({name}) = {ddx!r} mod {ctx}")
         report.append({"name": f"d^2({name}) = 0 mod {ctx}", "status": "pass"})
@@ -886,7 +864,7 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
             name, pos = placed
             key = (name, gens[:pos], gens[pos + 2:], v2e)
             _acc(groups.setdefault(key, {}), slots[pos:pos + 2], coeff)
-        elif _pval(coeff, p) < 1:
+        elif not _divisible(coeff, p, p):
             if audit is None:
                 raise InsufficientPrecisionError(
                     f"unclassified term {_term_repr((vexp, slots), coeff)}"
@@ -903,7 +881,7 @@ def project_to_exterior(x: BPElement, nc: NamedClasses, audit=None):
         lam = pairs.get(anchor, 0) * pow(supp[anchor], p - 2, p)
         for pr, c in supp.items():
             diff = pairs.get(pr, 0) - lam * c
-            if diff and _pval(diff, p) < 1:
+            if diff and not _divisible(diff, p, p):
                 raise InsufficientPrecisionError(
                     f"{name} block at slot {len(left)} is not proportional to the "
                     f"block pattern (pair {pr})"
@@ -925,7 +903,7 @@ def masks_diff_mod_p(a, b, p):
     bad = []
     for key in set(a) | set(b):
         d = a.get(key, 0) - b.get(key, 0)
-        if d and _pval(d, p) < 1:
+        if d and not _divisible(d, p, p):
             bad.append((key, str(d)))
     return bad
 
@@ -1090,8 +1068,7 @@ def verify_beta_chain(p: int = 7):
             (V_ZERO, (t1_mon(1), t1_mon(2 * p))): Fraction(1, 2),
         },
     )
-    dk0 = d_cobar(k0_rep, MOD_P_V1, st)
-    if not dk0.reduce_mod(MOD_P_V1).is_zero():
+    if not d_cobar(k0_rep, MOD_P_V1, st).is_zero():
         raise AssertionError("k0 witness cocycle")
     expected = (
         BPElement.v_power(p, e2=(-2, 1)).concat(k0_rep).scale(TPoly({2: 1, 1: -1}))  # t(t-1)

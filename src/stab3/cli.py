@@ -168,7 +168,12 @@ def cmd_greek(args) -> int:
         if args.t_range is not None:
             raise SystemExit2("--t-range: not with --bidegree")
         try:
-            spec = greek.GreekSpec(tuple(int(x) for x in args.bidegree.split(",")), "custom")
+            A = tuple(int(x) for x in args.bidegree.split(","))
+        except ValueError:
+            raise SystemExit2(f"--bidegree must be comma-separated integers, e.g. 1,1,1,2, "
+                              f"got {args.bidegree!r}") from None
+        try:
+            spec = greek.GreekSpec(A, "custom")
         except ValueError as exc:
             raise SystemExit2(f"--bidegree {args.bidegree!r}: {exc}") from None
         n, tA = greek.bidegree(spec, args.prime)

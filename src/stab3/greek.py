@@ -13,23 +13,22 @@ theoretic predicates p | t(t^2-1) and p | t(t-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .exterior import term_repr
 from .named import NamedClasses
 
 
-@dataclass(frozen=True)
-class GreekSpec:
-    A: tuple
-    name: str
+class GreekSpec(NamedTuple("GreekSpec", [("A", tuple), ("name", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.A or any(a <= 0 for a in self.A):
-            raise ValueError(f"sequence entries must be positive: {self.A}")
-        if len(self.A) - 1 not in (1, 2, 3):
-            raise ValueError(f"sequence length {len(self.A)} unsupported")
+    def __new__(cls, A, name):
+        if not A or any(a <= 0 for a in A):
+            raise ValueError(f"sequence entries must be positive: {A}")
+        if len(A) - 1 not in (1, 2, 3):
+            raise ValueError(f"sequence length {len(A)} unsupported")
+        return super().__new__(cls, A, name)
 
 
 def alpha(t: int) -> GreekSpec:

@@ -32,7 +32,7 @@ def jsonable(x):
 
 class _Context:
     """Shared lazily-built engines for one report run: one exterior engine,
-    one `NamedClasses` and one cobar engine per (p, weight bound)."""
+    one `NamedClasses` and one cobar engine per (p, weight bound), kept to the end."""
 
     def __init__(self, p: int, t_range=None):
         self.p = p
@@ -57,10 +57,6 @@ class _Context:
         if (p, weight_bound) not in self._cobar:
             self._cobar[p, weight_bound] = CobarEngine(p, weight_bound)
         return self._cobar[p, weight_bound]
-
-    def release_cobar(self):
-        """Drop the cobar engines; a later `cobar` call builds them again."""
-        self._cobar.clear()
 
 
 # --------------------------------------------------------------------------
@@ -208,9 +204,6 @@ SUITES = (
 
 SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
-#: the suites that read the report's cobar engines
-COBAR_SUITES = ("massey-p-fold", "cobar-collapse", "euler")
-
 
 def run_suites(p: int = 7, suites=None, t_range=None):
     """Run the selected suites (all by default); returns the report dict."""
@@ -219,8 +212,6 @@ def run_suites(p: int = 7, suites=None, t_range=None):
     unknown = selected - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    # the engines go once their last reader has run, before the BP suites set the peak
-    cobar_readers = [name for name, _, _ in SUITES if name in selected and name in COBAR_SUITES]
     checks = []
     for name, fn, ref in SUITES:
         if name not in selected:
@@ -237,8 +228,6 @@ def run_suites(p: int = 7, suites=None, t_range=None):
         except Exception as exc:  # a crashed suite is recorded; the others still run
             checks.append({"name": name, "ref": ref, "status": "error",
                            "certificate": f"{type(exc).__name__}: {exc}"})
-        if cobar_readers and name == cobar_readers[-1]:
-            ctx.release_cobar()
     return {
         "meta": {"prime": p, "version": __version__, "command": "verify"},
         "checks": checks,

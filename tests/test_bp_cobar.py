@@ -61,13 +61,33 @@ def _eval_at(q, t):
     return sum((c * t**d for d, c in q.coeffs.items()), Fraction(0))
 
 
+def _val(c, p):
+    """The oracle: p-adic valuation of a nonzero int or Fraction, the least
+    over the coefficients of a TPoly."""
+    if type(c) is TPoly:
+        return min(_val(x, p) for x in c.coeffs.values())
+    c, v = Fraction(c), 0
+    while c.numerator % p == 0:
+        c, v = c / p, v + 1
+    while c.denominator % p == 0:
+        c, v = c * p, v - 1
+    return v
+
+
+def _modulus(p, f):
+    """p^f as `Ideal.modulus` writes it: a Fraction when f < 0."""
+    return p**f if f >= 0 else Fraction(1, p**-f)
+
+
 def test_tpoly_arithmetic_and_valuation():
     t = TPoly.t()
     q = t * t - 3 * t + _tconst(2)
     assert _eval_at(q, 1) == 0 and _eval_at(q, 5) == 12
-    assert _tconst(Fraction(49, 3)).p_valuation(7) == 2
-    assert _tconst(Fraction(3, 7)).p_valuation(7) == -1
-    assert TPoly().p_valuation(7) is None
+    for c, v in ((_tconst(Fraction(49, 3)), 2), (_tconst(Fraction(3, 7)), -1),
+                 (7 * t + _tconst(Fraction(1, 49)), -2), (q, 0)):
+        assert _val(c, 7) == v
+        assert bp_cobar._divisible(c, _modulus(7, v), 7)
+        assert not bp_cobar._divisible(c, _modulus(7, v + 1), 7)
     assert not (q - q) and q
 
 
@@ -145,7 +165,38 @@ def test_mixed_coefficients_match_the_all_tpoly_ring(a, b, p):
     for got in (a + b, a - b, a * b):
         assert (type(got) is TPoly) == promoted
     for c, ref in ((a, x), (b, y)):
-        assert bp_cobar._pval(c, p) == ref.p_valuation(p)
+        for f in (-1, 0, 1) if c else ():
+            q = _modulus(p, f)
+            assert bp_cobar._divisible(c, q, p) == bp_cobar._divisible(ref, q, p) == (
+                _val(c, p) >= f)
+
+
+_UNITS = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 9)])
+
+
+@st.composite
+def _prime_and_coefficient(draw):
+    """(p, c): c a nonzero int, Fraction or TPoly whose coefficients carry
+    p^-3 .. p^3 times a number that may itself be divisible by p."""
+    p = draw(st.sampled_from([2, 3, 7]))
+
+    def number():
+        c = draw(_UNITS) * Fraction(p ** draw(st.integers(0, 3)), p ** draw(st.integers(0, 3)))
+        return c.numerator if c.denominator == 1 else c
+
+    if draw(st.booleans()):
+        return p, number()
+    return p, TPoly({d: number() for d in range(draw(st.integers(1, 3)))})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prime_and_coefficient(), st.integers(-2, 3))
+def test_divisible_reads_the_valuation(pc, f):
+    # the one membership and mod-p test: c / p^f is p-integral
+    p, c = pc
+    assert bp_cobar._divisible(c, _modulus(p, f), p) == (_val(c, p) >= f)
+    if type(c) is int:
+        assert bp_cobar._pval(c, p) == _val(c, p)
 
 
 # -- Ideals ------------------------------------------------------------------
@@ -173,7 +224,7 @@ def test_ideal_membership_and_containment():
 # 0, lies above some generator.
 def _term_profile(p, vexp, coeff):
     (c1, m1), (c2, m2) = vexp[0], vexp[1]
-    return bp_cobar._pval(coeff, p), 0 if m1 else c1, 0 if m2 else c2
+    return _val(coeff, p), 0 if m1 else c1, 0 if m2 else c2
 
 
 def _contains_profile(gens, pval, v1e, v2e):
@@ -372,8 +423,17 @@ def test_b1k_coefficients_and_cocycle():
 def test_b20_is_p_integral_and_matches_multinomial_form():
     x = b20(P, BPStructure(P))
     for c in x.terms.values():
-        assert bp_cobar._pval(c, P) >= 0
+        assert _val(c, P) >= 0
     assert x.reduce_mod(ideal((0, 1, 0))) == b_cochain(P, 2, 0)
+
+
+def test_b20_refuses_a_coefficient_with_p_in_its_denominator(monkeypatch):
+    corner = bp_cobar._corner_v1p_b11
+    stray = BPElement.cochain(P, t1_mon(1), t1_mon(2))
+    monkeypatch.setattr(bp_cobar, "_corner_v1p_b11", lambda p: corner(p) + stray)
+    with pytest.raises(InsufficientPrecisionError,
+                       match=r"not p-integral at \(1/7\)\*\[t1\|t1\^2\]"):
+        b20(P, BPStructure(P))
 
 
 # -- differential identities -------------------------------------------------
@@ -651,14 +711,13 @@ def test_delta_mon_merges_colliding_v1_keys(mon, gens):
     assert list(st.delta_mon(mon, ctx).items()) == list(expected.items())
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_multinomial_valuations_follow_kummer(p):
-    for n in range(3 * p):
-        terms = list(bp_cobar._multinomial_terms(n, 3, p))
+def test_multinomial_terms_are_the_multinomials():
+    for n in range(21):
+        terms = list(bp_cobar._multinomial_terms(n, 3))
         assert len(terms) == comb(n + 2, 2)
-        for e, c, v in terms:
+        for e, c in terms:
             assert sum(e) == n and c == comb(n, e[0]) * comb(n - e[0], e[1])
-            assert c % p**v == 0 and c % p ** (v + 1) != 0, (e, c, v)
+        assert list(bp_cobar._multinomial_terms(n, 3, 2)) == [t for t in terms if t[0][2] <= 2]
 
 
 # -- projection to the exterior model ----------------------------------------

@@ -288,6 +288,14 @@ def test_bad_bidegree_is_usage_error(capsys, bad):
     assert err.startswith("error: --bidegree")
 
 
+@pytest.mark.parametrize("bad", ["1,,2", "1,x", "", "1.5"])
+def test_unparsable_bidegree_states_the_format(capsys, bad):
+    code, out, err = run(capsys, "greek", "--bidegree", bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --bidegree must be comma-separated integers, e.g. 1,1,1,2, got {bad!r}\n"
+
+
 def test_computation_failure_exits_1(capsys, monkeypatch):
     from stab3.cohomology import ExteriorCohomology
     from stab3.massey import MasseyError

@@ -1,14 +1,11 @@
 """The shared sector-engine contract and the certificates that rest on it."""
 
-import gc
 import hashlib
 import json
-import weakref
 from collections import Counter
 
 import pytest
 
-from stab3 import reports
 from stab3.cli import main
 from stab3.cohomology import ExteriorCohomology, SectorEngine, Trigrade
 from stab3.exterior import ExteriorAlgebra
@@ -94,38 +91,18 @@ def test_sector_engine_contract(engine):
 
 def test_one_named_classes_per_report(monkeypatch):
     built = Counter()
-    cobar_engines = []
     for cls in (NamedClasses, ExteriorCohomology, CobarEngine):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
-            if _name == "CobarEngine":
-                cobar_engines.append(weakref.ref(self))
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
 
-    # every suite after `euler`, the last that reads a cobar engine, first
-    # counts the engines still alive
-    alive = {}
-
-    def counting(name, fn):
-        def suite(ctx):
-            gc.collect()
-            alive[name] = sum(ref() is not None for ref in cobar_engines)
-            return fn(ctx)
-        return suite
-
-    names = [name for name, _, _ in reports.SUITES]
-    later = names[names.index("euler") + 1:]
-    monkeypatch.setattr(reports, "SUITES", tuple(
-        (name, counting(name, fn) if name in later else fn, ref)
-        for name, fn, ref in reports.SUITES))
     report = run_suites(P)
     assert all(rec["status"] == "pass" for rec in report["checks"])
     assert built["NamedClasses"] == 1
     assert built["ExteriorCohomology"] == 1
     assert built["CobarEngine"] == 2  # (5, 5) for the p-fold bracket, (7, 3) shared
-    assert alive == dict.fromkeys(later, 0)
 
 
 def test_elements_of_two_complexes_do_not_mix():

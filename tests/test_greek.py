@@ -24,12 +24,23 @@ def test_bidegree_oracles():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sequence entries must be positive: \(1, 0\)$"):
         greek.GreekSpec((1, 0), "bad")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence length 1 unsupported$"):
         greek.GreekSpec((1,), "too-short")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence length 5 unsupported$"):
         greek.GreekSpec((1, 1, 1, 1, 1), "too-long")
+
+
+def test_spec_is_an_immutable_value():
+    spec = greek.beta(7, 7)
+    assert spec == greek.GreekSpec((1, 7, 7), "beta_7/7") and hash(spec) == hash(greek.beta(7, 7))
+    assert spec != greek.beta(7) and spec != greek.GreekSpec((1, 7, 7), "other")
+    assert repr(greek.alpha(1)) == "GreekSpec(A=(1, 1), name='alpha_1')"
+    for field in ("A", "name", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, None)
+    assert spec.A == (1, 7, 7) and spec.name == "beta_7/7"
 
 
 def test_r_image_table():

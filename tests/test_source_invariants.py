@@ -3,6 +3,8 @@ runtime imports stay inside the standard library, and every definition is
 used by the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +51,18 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - kept)
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # dataclasses loads inspect and ten more modules that nothing else here needs
+    modules = [f"stab3.{path.stem}" for path in SOURCES if path.stem != "__init__"]
+    path = [str(SOURCES[0].parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = f"import sys, {', '.join(modules)}; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_every_definition_is_referenced_in_the_package():
