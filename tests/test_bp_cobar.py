@@ -720,6 +720,27 @@ def test_multinomial_terms_are_the_multinomials():
         assert list(bp_cobar._multinomial_terms(n, 3, 2)) == [t for t in terms if t[0][2] <= 2]
 
 
+def _digit_sum(n, p):
+    s = 0
+    while n:
+        n, d = divmod(n, p)
+        s += d
+    return s
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_multinomial_valuations_follow_kummer(p):
+    # Kummer: v_p((n; e)) is the number of carries in adding the parts of e
+    # in base p, (sum of the parts' digit sums - digit sum of n) / (p - 1).
+    for n in range(3 * p):
+        terms = list(bp_cobar._multinomial_terms(n, 3))
+        assert len(terms) == comb(n + 2, 2)
+        for e, c in terms:
+            kummer = (sum(_digit_sum(x, p) for x in e) - _digit_sum(n, p)) // (p - 1)
+            assert bp_cobar._pval(c, p) == kummer, (e, c)
+            assert c % p**kummer == 0 and c % p ** (kummer + 1) != 0, (e, c)
+
+
 # -- projection to the exterior model ----------------------------------------
 
 
