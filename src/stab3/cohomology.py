@@ -172,14 +172,13 @@ class SectorTower:
 
 
 class CohomologyClass:
-    """A class in one (s, t, w) sector: coordinates plus a representative."""
+    """A class in one (s, t, w) sector, by its coordinates."""
 
-    __slots__ = ("sector", "coords", "representative")
+    __slots__ = ("sector", "coords")
 
-    def __init__(self, sector: Trigrade, coords, representative):
+    def __init__(self, sector: Trigrade, coords):
         self.sector = sector
         self.coords = tuple(coords)
-        self.representative = representative
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -333,12 +332,12 @@ class ExteriorCohomology(SectorEngine):
 
     def reduce(self, x: ExteriorElement) -> CohomologyClass:
         if x.is_zero():
-            return CohomologyClass(Trigrade(0, 0, 0), (), self.alg.zero())
+            return CohomologyClass(Trigrade(0, 0, 0), ())
         dx = x.d()
         if not dx.is_zero():
             raise NotCocycleError(x, dx)
         sector, coords = self.class_coords(x)
-        return CohomologyClass(sector, coords, x)
+        return CohomologyClass(sector, coords)
 
     def bounding_cochain(self, x: ExteriorElement):
         """y with d(y) = x, or None when x is not a coboundary."""

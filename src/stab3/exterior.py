@@ -274,14 +274,8 @@ class ExteriorElement(FpElement):
         """Index-shift automorphism h_{i,j} -> h_{i,j+delta} (a DGA map)."""
         out = self.alg.zero()
         for mask, coeff in sorted(self.terms.items()):
-            piece = self.alg.one()
-            rest = mask
-            while rest:
-                low = rest & -rest
-                i, j = GENERATORS[low.bit_length() - 1]
-                piece = piece * self.alg.gen(i, j + delta)
-                rest ^= low
-            out = out + coeff * piece
+            gens = [(i, j + delta) for g, (i, j) in enumerate(GENERATORS) if mask >> g & 1]
+            out = out + coeff * self.alg.gen_product(gens)
         return out
 
     def coefficient(self, mask: int) -> int:
@@ -315,6 +309,13 @@ class ExteriorAlgebra(FpAlgebra):
 
     def gen(self, i: int, j: int) -> ExteriorElement:
         return ExteriorElement(self, {1 << gen_index(i, j): 1})
+
+    def gen_product(self, gens) -> ExteriorElement:
+        """The product of the generators (i, j) of `gens`, in order."""
+        elem = self.one()
+        for g in gens:
+            elem = elem * self.gen(*g)
+        return elem
 
     # -- grading -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Congruence-tracking cobar calculator: arithmetic, d-identities, chains."""
 
+import functools
 import hashlib
 import json
 import os
@@ -404,7 +405,7 @@ def test_term_repr_prints_coefficients_with_str():
 def test_bp_tables_hold_no_tpolys():
     st = BPStructure(P)
     tables = [table for table, _ in st.D.values()] + [
-        st.delta_t1_power(P, ZERO_IDEAL), st.delta_t2_power(P, ZERO_IDEAL),
+        st.delta_mon(t1_mon(P), ZERO_IDEAL), st.delta_t2_power(P, ZERO_IDEAL),
         b_cochain(P, 1, 0).terms, b_cochain(P, 1, 1).terms, b20(P, st).terms,
     ]
     for table in tables:
@@ -672,12 +673,27 @@ def _suite_delta_mon_calls(monkeypatch, p):
     return [(mon, ctx) for (mon, _), ctx in seen.items()]
 
 
+@functools.cache
+def _delta_t1_power_over_z(p, a):
+    """Delta(t1)^a by `_mul` modulo the zero ideal: Delta(t1) = [1|t1] + [t1|1]
+    multiplied a times, so the terms [t1^i | t1^(a-i)] come i ascending."""
+    if not a:
+        return {(V_ZERO, MON_ONE, MON_ONE): 1}
+    base = {(V_ZERO, MON_ONE, t1_mon(1)): 1, (V_ZERO, t1_mon(1), MON_ONE): 1}
+    return BPStructure(p)._mul(_delta_t1_power_over_z(p, a - 1), base, ZERO_IDEAL)
+
+
+def _delta_t1_power(st, a, ctx):
+    """The oracle Delta(t1)^a mod ctx: the power over Z, then reduced."""
+    return bp_cobar._drop_terms(st.p, _delta_t1_power_over_z(st.p, a), ctx)
+
+
 def _delta_mon_by_mul(st, mon, ctx):
     """The oracle: Delta(t1)^a * Delta(t2)^b through the general `_mul`."""
     a, b, _ = mon
     if a and b:
-        return st._mul(st.delta_t1_power(a, ctx), st.delta_t2_power(b, ctx), ctx)
-    return st.delta_t2_power(b, ctx) if b else st.delta_t1_power(a, ctx)
+        return st._mul(_delta_t1_power(st, a, ctx), st.delta_t2_power(b, ctx), ctx)
+    return st.delta_t2_power(b, ctx) if b else _delta_t1_power(st, a, ctx)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -704,20 +720,11 @@ def test_delta_mon_merges_colliding_v1_keys(mon, gens):
     p = 5
     st = BPStructure(p)
     ctx = Ideal(gens)
-    t1, t2 = st.delta_t1_power(mon[0], ctx), st.delta_t2_power(mon[1], ctx)
+    t1, t2 = _delta_t1_power(st, mon[0], ctx), st.delta_t2_power(mon[1], ctx)
     expected = _delta_mon_by_mul(st, mon, ctx)
     v1_products = sum(1 for key in t2 if key[0][0][0]) * len(t1)
     assert v1_products > sum(1 for key in expected if key[0][0][0])
     assert list(st.delta_mon(mon, ctx).items()) == list(expected.items())
-
-
-def test_multinomial_terms_are_the_multinomials():
-    for n in range(21):
-        terms = list(bp_cobar._multinomial_terms(n, 3))
-        assert len(terms) == comb(n + 2, 2)
-        for e, c in terms:
-            assert sum(e) == n and c == comb(n, e[0]) * comb(n - e[0], e[1])
-        assert list(bp_cobar._multinomial_terms(n, 3, 2)) == [t for t in terms if t[0][2] <= 2]
 
 
 def _digit_sum(n, p):
@@ -732,13 +739,14 @@ def _digit_sum(n, p):
 def test_multinomial_valuations_follow_kummer(p):
     # Kummer: v_p((n; e)) is the number of carries in adding the parts of e
     # in base p, (sum of the parts' digit sums - digit sum of n) / (p - 1).
+    # The multinomials (n; i, j, n-i-j) are C(n, i) C(n-i, j).
     for n in range(3 * p):
-        terms = list(bp_cobar._multinomial_terms(n, 3))
-        assert len(terms) == comb(n + 2, 2)
-        for e, c in terms:
-            kummer = (sum(_digit_sum(x, p) for x in e) - _digit_sum(n, p)) // (p - 1)
-            assert bp_cobar._pval(c, p) == kummer, (e, c)
-            assert c % p**kummer == 0 and c % p ** (kummer + 1) != 0, (e, c)
+        for i in range(n + 1):
+            for j in range(n - i + 1):
+                e, c = (i, j, n - i - j), comb(n, i) * comb(n - i, j)
+                kummer = (sum(_digit_sum(x, p) for x in e) - _digit_sum(n, p)) // (p - 1)
+                assert bp_cobar._pval(c, p) == kummer, (e, c)
+                assert c % p**kummer == 0 and c % p ** (kummer + 1) != 0, (e, c)
 
 
 # -- projection to the exterior model ----------------------------------------

@@ -347,6 +347,10 @@ VERIFY_P13_SHA256 = "cad6bd90e0cc97777be75a8758dead5fbe3224c4f5028b2ac8418c3e40d
 #: cross products: d^2([t2^p]) expands 373 184 of them.
 VERIFY_P17_SHA256 = "c474d317c2cc00eac913ee4e4af8190ceae4528f8534344cf0362b27744b69ab"
 
+#: the same for `stab3 verify --prime 19`, which reads the binomials
+#: C(a, i) of Delta(t1)^a up to a = 3p^2 = 1083.
+VERIFY_P19_SHA256 = "24c27ce954a7a3da25f0a9156df633743f6d7ce86ee6e093270ff491fd6de7d3"
+
 
 def _verify_digest(tmp_path, prime):
     path = tmp_path / "report.json"
@@ -368,3 +372,7 @@ def test_verify_p13_report_is_pinned(tmp_path):
 
 def test_verify_p17_report_is_pinned(tmp_path):
     assert _verify_digest(tmp_path, 17) == VERIFY_P17_SHA256
+
+
+def test_verify_p19_report_is_pinned(tmp_path):
+    assert _verify_digest(tmp_path, 19) == VERIFY_P19_SHA256

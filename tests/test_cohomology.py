@@ -67,17 +67,16 @@ def test_duality_symmetric():
     assert rep["symmetric"], rep["dims"]
 
 
-def _cohomology_basis(engine, s, t, w):
-    """The classes of the echelon representatives of sector (s, t, w)."""
+def _class_representatives(engine, s, t, w):
+    """The echelon representatives of sector (s, t, w), as elements."""
     tower = engine.tower(t, w)
     sector = Trigrade(s, t, w)
-    return [engine.reduce(engine.from_vec(to_dense(rep, tower.dim(s)), sector))
-            for rep in tower.h_reps(s)]
+    return [engine.from_vec(to_dense(rep, tower.dim(s)), sector) for rep in tower.h_reps(s)]
 
 
 def test_cup_representative_independence():
     # sector (s=3, t=0, w=6) carries both a nonzero class and coboundaries
-    x = _cohomology_basis(ENGINE, 3, 0, 6)[0].representative
+    x = _class_representatives(ENGINE, 3, 0, 6)[0]
     sector = x.grade_of()
     tower = ENGINE.tower(sector.t, sector.w)
     first = next(iter(tower._coboundary_rows(sector.s).values()))
