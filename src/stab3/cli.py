@@ -80,13 +80,6 @@ def _format_rows(header, rows, fmt, meta=None) -> str:
     return _rows_to_human(header, rows)
 
 
-def _check_prime(p: int):
-    try:
-        check_prime(p)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from None
-
-
 class SystemExit2(Exception):
     """Usage error carrying its message (mapped to exit code 2)."""
 
@@ -96,7 +89,6 @@ COBAR_TABLE_DEFAULTS = {"max_s": 2, "may_bound": 3, "sector_cap": 20000}
 
 
 def cmd_table(args) -> int:
-    _check_prime(args.prime)
     passed = [name for name in COBAR_TABLE_DEFAULTS if getattr(args, name) is not None]
     if args.model == "exterior" and passed:
         flags = ", ".join("--" + name.replace("_", "-") for name in passed)
@@ -131,7 +123,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_prime(args.prime)
     from .reports import SUITE_NAMES, run_suites
 
     suites = args.suite or None
@@ -160,7 +151,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_greek(args) -> int:
-    _check_prime(args.prime)
     from . import greek
 
     meta = {"prime": args.prime, "version": __version__, "command": "greek"}
@@ -272,6 +262,10 @@ def main(argv=None) -> int:
                 args.prime = int(text)
             except ValueError:
                 raise SystemExit2(f"STAB3_PRIME must be an integer, got {text!r}") from None
+        try:
+            check_prime(args.prime)
+        except ValueError as exc:
+            raise SystemExit2(str(exc)) from None
         return args.fn(args)
     except SystemExit2 as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -9,9 +9,12 @@ so two runs with the same configuration serialize to byte-identical JSON.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import __version__
 from .cohomology import ExteriorCohomology
 from .exterior import dga_identities_over_z
+from .fplinalg import check_prime
 from .massey import class_in_coset, massey_product
 from .named import NamedClasses
 from . import bp_cobar
@@ -37,21 +40,15 @@ class _Context:
     def __init__(self, p: int, t_range=None):
         self.p = p
         self.t_range = t_range
-        self._engine = None
-        self._named = None
         self._cobar = {}
 
-    @property
+    @cached_property
     def engine(self) -> ExteriorCohomology:
-        if self._engine is None:
-            self._engine = ExteriorCohomology(self.p)
-        return self._engine
+        return ExteriorCohomology(self.p)
 
-    @property
+    @cached_property
     def named(self) -> NamedClasses:
-        if self._named is None:
-            self._named = NamedClasses(self.engine)
-        return self._named
+        return NamedClasses(self.engine)
 
     def cobar(self, p: int, weight_bound: int) -> CobarEngine:
         if (p, weight_bound) not in self._cobar:
@@ -162,8 +159,7 @@ def suite_euler(ctx: _Context):
 
 
 def suite_duality(ctx: _Context):
-    rep = ctx.engine.duality_report()
-    return rep
+    return ctx.engine.duality_report()
 
 
 def suite_bp_basics(ctx: _Context):
@@ -206,7 +202,10 @@ SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
 
 def run_suites(p: int = 7, suites=None, t_range=None):
-    """Run the selected suites (all by default); returns the report dict."""
+    """Run the selected suites (all by default); returns the report dict.
+    A p that is not a prime > 3 is bad input, not a failed check, so it
+    raises ValueError before any suite runs, as an unknown suite does."""
+    check_prime(p)
     ctx = _Context(p, t_range=t_range)
     selected = set(suites) if suites else set(SUITE_NAMES)
     unknown = selected - set(SUITE_NAMES)

@@ -121,11 +121,16 @@ def test_greek_p5_warning(capsys):
     assert "not guaranteed" in err
 
 
-def test_bad_prime_is_usage_error(capsys):
-    for bad in ("4", "3", "9"):
-        code, _, err = run(capsys, "table", "--prime", bad)
-        assert code == 2
-        assert "must be a prime > 3" in err
+def test_bad_prime_is_usage_error(capsys, monkeypatch):
+    # main checks the prime once, from --prime or else STAB3_PRIME, before
+    # any subcommand runs
+    monkeypatch.setenv("STAB3_PRIME", "9")
+    for argv in (("table",), ("verify",), ("verify", "--suite", "massey-p-fold"),
+                 ("greek", "--t-range", "1..2"), ("greek", "--bidegree", "1,1,1,2")):
+        for bad in ("4", "3", "9", None):
+            flag = ("--prime", bad) if bad else ()
+            assert run(capsys, *argv, *flag) == (
+                2, "", f"error: prime required: p must be a prime > 3, got {bad or 9}\n")
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -350,6 +355,11 @@ VERIFY_P17_SHA256 = "c474d317c2cc00eac913ee4e4af8190ceae4528f8534344cf0362b27744
 #: the same for `stab3 verify --prime 19`, which reads the binomials
 #: C(a, i) of Delta(t1)^a up to a = 3p^2 = 1083.
 VERIFY_P19_SHA256 = "24c27ce954a7a3da25f0a9156df633743f6d7ce86ee6e093270ff491fd6de7d3"
+
+#: the same for `stab3 verify --prime 23`.  Checked by CI only, under
+#: `python -O` (.github/workflows/tests.yml): the run takes about 8 s, too
+#: slow for the test suite.
+VERIFY_P23_SHA256 = "bb216176ace793f5527b81c1c8af11f7e19dd38124d32692c513d4ca03d3912b"
 
 
 def _verify_digest(tmp_path, prime):

@@ -105,6 +105,16 @@ def test_one_named_classes_per_report(monkeypatch):
     assert built["CobarEngine"] == 2  # (5, 5) for the p-fold bracket, (7, 3) shared
 
 
+@pytest.mark.parametrize("p", [9, 3, 4])
+def test_a_bad_prime_is_refused_before_any_suite(p):
+    # a report would read as a failed verification, not as bad input: at
+    # p = 9 two suites pass, one fails and fourteen raise
+    with pytest.raises(ValueError, match=rf"^prime required: p must be a prime > 3, got {p}$"):
+        run_suites(p)
+    with pytest.raises(ValueError, match="prime required"):
+        run_suites(p, suites=["massey-p-fold"])
+
+
 def test_elements_of_two_complexes_do_not_mix():
     ext = ExteriorAlgebra(P).gen(1, 0)
     cob = TruncatedHopf(P).t_power_slot(1, 1)
