@@ -420,7 +420,7 @@ def _b10_powers(p: int, mmax: int):
 class BPStructure:
     """Right-unit and coproduct formulas with validity ideals, at a prime."""
 
-    def __init__(self, p: int = 7):
+    def __init__(self, p: int):
         self.p = p
         # eta_R(v_i) - v_i as {(vexp, mon): int}, plus validity ideal
         self.D = {
@@ -715,7 +715,7 @@ def _check_d(st: BPStructure, rows):
     return report
 
 
-def verify_d_basics(p: int = 7):
+def verify_d_basics(p: int):
     """d(v1) = p[t1]; d(t1^(p^k)) = -p b_{1,k-1}; d(t2^p) = -t1^p (x) t1^(p^2)
     + v1^p b11 - p b20; d(v_k) = p[t_k] mod I((2,1,1),k)."""
     st = BPStructure(p)
@@ -746,7 +746,7 @@ def verify_d_basics(p: int = 7):
     return report
 
 
-def verify_dd(p: int = 7):
+def verify_dd(p: int):
     """d(d(x)) = 0 modulo each context for the whitelisted input family."""
     st = BPStructure(p)
     cases = [
@@ -1001,7 +1001,7 @@ def delta_chain_displays(nc: NamedClasses):
     return chains
 
 
-def verify_beta_chain(p: int = 7):
+def verify_beta_chain(p: int):
     """Symbolic zigzag for the v2^t family (t a formal parameter).
 
     d(v2^t)/(p, v1^3) = t v1 v2^(t-1)[t1^p] + C(t,2) v1^2 v2^(t-2)[t1^(2p)];

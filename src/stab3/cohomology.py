@@ -312,7 +312,7 @@ class ExteriorCohomology(SectorEngine):
 
     name = "exterior"
 
-    def __init__(self, p: int = 7):
+    def __init__(self, p: int):
         alg = ExteriorAlgebra(p)
         super().__init__(alg)
         self._masks = masks = {}  # (s, t, w) -> masks, ascending

@@ -169,7 +169,7 @@ class FpAlgebra:
 
     element = None
 
-    def __init__(self, p: int = 7):
+    def __init__(self, p: int):
         check_prime(p)
         self.p = p
         self.tmod = 2 * (p**3 - 1)
@@ -270,7 +270,7 @@ class ExteriorElement(FpElement):
 
     # -- misc ---------------------------------------------------------------
 
-    def shift(self, delta: int = 1) -> "ExteriorElement":
+    def shift(self, delta: int) -> "ExteriorElement":
         """Index-shift automorphism h_{i,j} -> h_{i,j+delta} (a DGA map)."""
         out = self.alg.zero()
         for mask, coeff in sorted(self.terms.items()):
@@ -293,7 +293,7 @@ class ExteriorAlgebra(FpAlgebra):
 
     element = ExteriorElement
 
-    def __init__(self, p: int = 7):
+    def __init__(self, p: int):
         super().__init__(p)
         grade = [Trigrade(0, 0, 0)]
         for mask in range(1, FULL_MASK + 1):

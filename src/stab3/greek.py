@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import zip_longest
 from typing import NamedTuple
 
+from .cohomology import ExteriorCohomology
 from .exterior import term_repr
 from .named import NamedClasses
 
@@ -89,13 +90,16 @@ def r_image(spec: GreekSpec, nc: NamedClasses):
     return img
 
 
+def _t_values(p: int, t_range):
+    """The t of the gamma_t rows: t_range, or 1..p^2 when it is None."""
+    return range(1, p**2 + 1) if t_range is None else t_range
+
+
 def degree_coherence(nc: NamedClasses, t_range=None):
     """Check internal degree of every r-image against t(A) mod 2(p^3-1)."""
     p = nc.p
     tmod = nc.engine.alg.tmod
-    if t_range is None:
-        t_range = range(1, p**2 + 1)
-    specs = [alpha(1), beta(1), beta(2), beta(p, p)] + [gamma(t) for t in t_range]
+    specs = [alpha(1), beta(1), beta(2), beta(p, p)] + [gamma(t) for t in _t_values(p, t_range)]
     rows = []
     for spec in specs:
         img = r_image(spec, nc)
@@ -137,11 +141,11 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
     depend only on (c_l, c_k), so each distinct pair is classified once.
     """
     if nc is None:
-        nc = NamedClasses(p=p)
+        nc = NamedClasses(ExteriorCohomology(p))
+    elif nc.p != p:
+        raise ValueError(f"product table at p = {p} asked of classes at p = {nc.p}")
     eng = nc.engine
     tbl = nc.table
-    if t_range is None:
-        t_range = range(1, p**2 + 1)
     alpha1, beta2, beta1 = (r_image(s, nc) for s in (alpha(1), beta(2), beta(1)))
     factors = {
         "alpha1*gamma_t": [alpha1],
@@ -178,7 +182,7 @@ def classify_products(p: int, t_range=None, nc: NamedClasses | None = None):
     coeffs_of = [gamma_coeffs(r, p) for r in range(p)]  # (c_l, c_k) depend on t mod p
     by_coeffs = {}
     rows = []
-    for t in t_range:
+    for t in _t_values(p, t_range):
         gamma(t)  # the spec check rejects t <= 0
         coeffs = coeffs_of[t % p]
         if coeffs not in by_coeffs:

@@ -82,7 +82,7 @@ class TruncatedHopf(FpAlgebra):
 
     element = CobarElement
 
-    def __init__(self, p: int = 7):
+    def __init__(self, p: int):
         super().__init__(p)
         # Delta(g_{i,j}): (left, right) generator indices, None for the unit
         self._gen_coproduct = [
@@ -189,9 +189,6 @@ class TruncatedHopf(FpAlgebra):
 
     # -- element constructors ------------------------------------------------
 
-    def one(self):
-        return CobarElement(self, {(): 1})
-
     def slot(self, m):
         if m == UNIT:
             raise ValueError("slots must be reduced (nonzero) monomials")
@@ -225,7 +222,7 @@ class CobarEngine(SectorEngine):
 
     name = "cobar"
 
-    def __init__(self, p: int = 7, weight_bound: int = 6, sector_cap: int = 20000):
+    def __init__(self, p: int, weight_bound: int, sector_cap: int = 20000):
         self.weight_bound = weight_bound
         self.sector_cap = sector_cap
         super().__init__(TruncatedHopf(p))
@@ -300,21 +297,17 @@ class CobarEngine(SectorEngine):
             raise ValueError(f"sector weight {w} exceeds bound {self.weight_bound}")
 
 
-def collapse_check(ext: SectorEngine, cob: CobarEngine, smax: int = 2):
+def collapse_check(ext: SectorEngine, cob: CobarEngine):
     """Compare the cobar engine's cohomology dims against the exterior
-    engine's, s <= smax, weight <= cob.weight_bound.  Below weight p the
+    engine's, s <= 2, weight <= cob.weight_bound.  Below weight p the
     polynomial b-classes (weight p) do not contribute, so the prediction is
     exactly the exterior dimensions."""
-    wmax = cob.weight_bound
-    ext_dims = {
-        (s, t, w): dim_h
-        for (s, t, w, _, dim_h) in ext.dims_table(smax)
-        if w <= wmax and dim_h
-    }
+    ext_dims = {(s, t, w): dim_h for (s, t, w, _, dim_h) in ext.dims_table(2)
+                if w <= cob.weight_bound and dim_h}
     rows = []
     mismatches = []
     seen = set()
-    for (s, t, w, _, dim_c) in cob.dims_table(smax):
+    for (s, t, w, _, dim_c) in cob.dims_table(2):
         dim_e = ext_dims.get((s, t, w), 0)
         seen.add((s, t, w))
         if dim_c or dim_e:
@@ -327,15 +320,15 @@ def collapse_check(ext: SectorEngine, cob: CobarEngine, smax: int = 2):
     return {"rows": rows, "mismatches": mismatches}
 
 
-def p_fold_massey_check(p: int = 5, k: int = 0, engine: CobarEngine | None = None):
-    """Explicit p-fold bracket <x, ..., x> for x = [t1^(p^k)].
+def p_fold_massey_check(p: int, k: int, engine: CobarEngine):
+    """Explicit p-fold bracket <x, ..., x> for x = [t1^(p^k)] in an engine at p.
 
     The defining system a_{i,i+m} = ((-1)^(m+1)/m!) [t1^(m p^k)] satisfies
     every identity exactly, and the value equals b_class(1, k) on the nose;
     the value's class is then certified nonzero in its sector tower.
     """
-    if engine is None:
-        engine = CobarEngine(p, weight_bound=p)
+    if engine.p != p:
+        raise ValueError(f"p-fold bracket at p = {p} asked of an engine at p = {engine.p}")
     hopf = engine.alg
     entries = {}
     for i in range(p + 1):

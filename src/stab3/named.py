@@ -26,9 +26,9 @@ def _signed(value: int, p: int) -> int:
 class NamedClasses:
     """Dictionary of named cocycles over a fixed exterior cohomology engine."""
 
-    def __init__(self, engine: ExteriorCohomology | None = None, p: int = 7):
-        self.engine = engine if engine is not None else ExteriorCohomology(p)
-        self.p = self.engine.p
+    def __init__(self, engine: ExteriorCohomology):
+        self.engine = engine
+        self.p = engine.p
         g = self.engine.alg.gen
         h0, h1, h2 = g(1, 0), g(1, 1), g(1, 2)
         h20, h21, h22 = g(2, 0), g(2, 1), g(2, 2)

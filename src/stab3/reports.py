@@ -142,7 +142,7 @@ def suite_massey_p_fold(ctx: _Context):
 
 
 def suite_cobar_collapse(ctx: _Context):
-    res = collapse_check(ctx.engine, ctx.cobar(ctx.p, 3), smax=2)
+    res = collapse_check(ctx.engine, ctx.cobar(ctx.p, 3))
     if res["mismatches"]:
         raise AssertionError(f"collapse mismatches: {res['mismatches']}")
     return {"sectors": len(res["rows"]), "mismatches": []}
@@ -201,13 +201,13 @@ SUITES = (
 SUITE_NAMES = tuple(name for name, _, _ in SUITES)
 
 
-def run_suites(p: int = 7, suites=None, t_range=None):
-    """Run the selected suites (all by default); returns the report dict.
+def run_suites(p: int, suites=None, t_range=None):
+    """Run the suites named in `suites` (all when it is None); returns the report dict.
     A p that is not a prime > 3 is bad input, not a failed check, so it
     raises ValueError before any suite runs, as an unknown suite does."""
     check_prime(p)
     ctx = _Context(p, t_range=t_range)
-    selected = set(suites) if suites else set(SUITE_NAMES)
+    selected = set(SUITE_NAMES if suites is None else suites)
     unknown = selected - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")

@@ -88,8 +88,9 @@ def test_criterion_07_massey_products():
     plus = class_in_coset(cls.coords, res, 7)
     minus = class_in_coset(tuple((-c) % 7 for c in cls.coords), res, 7)
     assert plus or minus
+    cobar_p5 = CobarEngine(5, weight_bound=5)
     for k in (0, 1):
-        rep = p_fold_massey_check(5, k)
+        rep = p_fold_massey_check(5, k, cobar_p5)
         assert rep["status"] == "pass"
     sign = "+" if plus else "-"
     _pass(7, f"{sign}b2 in <h0,h1,h2,h0> mod indeterminacy (model: {ENGINE.name}); "
@@ -98,7 +99,7 @@ def test_criterion_07_massey_products():
 
 def test_criterion_08_cobar_collapse():
     res, dt = _timed(
-        lambda: collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3), smax=2),
+        lambda: collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3)),
         120.0)
     assert res["mismatches"] == []
     _pass(8, f"cobar dims match the exterior model (s <= 2, w <= 3, p = 7) "

@@ -40,13 +40,14 @@ from stab3.bp_cobar import (
     verify_dd,
     verify_gamma_chain,
 )
+from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import GEN_NAMES, GENERATORS, ExteriorAlgebra
 from stab3.greek import alpha, beta
 from stab3.named import NamedClasses
 from stab3.reports import run_suites
 
 P = 7
-NC = NamedClasses(p=P)
+NC = NamedClasses(ExteriorCohomology(P))
 
 
 # -- TPoly -------------------------------------------------------------------
@@ -468,6 +469,23 @@ def test_dd_fails_on_a_broken_coproduct(monkeypatch):
         verify_dd(5)
 
 
+def _check_d_v1_mod_p2(coeff):
+    row = ("d(v1) mod p^2", "pass", BPElement.v_power(P, e1=1), ideal((2, 0, 0)),
+           BPElement.cochain(P, t1_mon(1), coeff=coeff))
+    return bp_cobar._check_d(BPStructure(P), [row])
+
+
+def test_check_d_passes_a_row_equal_only_mod_its_context():
+    # d(v1) = p[t1] and (p + p^2)[t1] differ by -p^2[t1]: `==` fails, the
+    # reduction mod (p^2) passes
+    assert _check_d_v1_mod_p2(P + P**2) == [{"name": "d(v1) mod p^2", "status": "pass"}]
+
+
+def test_check_d_names_what_is_left_mod_its_context():
+    with pytest.raises(AssertionError, match=r"^d\(v1\) mod p\^2: off by \(-7\)\*\[t1\]$"):
+        _check_d_v1_mod_p2(2 * P)
+
+
 def test_d_t2p_exact_identity():
     st = BPStructure(P)
     x = BPElement(P, {(V_ZERO, (t2_mon(P),)): 1})
@@ -789,7 +807,7 @@ def _between_slots(p, block, unit=3):
 @pytest.mark.parametrize("p", [7, 11])
 @pytest.mark.parametrize("name, level, k", BLOCKS, ids=[name for name, _, _ in BLOCKS])
 def test_projection_of_each_block_between_generator_slots(p, name, level, k):
-    nc = NamedClasses(p=p)
+    nc = NamedClasses(ExteriorCohomology(p))
     alg = nc.engine.alg
     expected = alg.gen(2, 2) * nc[name] * alg.gen(3, 0)
     assert not expected.is_zero()

@@ -183,14 +183,14 @@ def test_b_class_coefficient_oracle():
 
 
 def test_collapse_matches_exterior_low_weight():
-    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3), smax=2)
+    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=3))
     assert res["mismatches"] == []
     assert res["rows"]
 
 
 def test_collapse_matches_exterior_up_to_weight_p_minus_1():
     # w <= p - 1 keeps the weight-p b-classes out of the range
-    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=6), smax=2)
+    res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=6))
     assert res["mismatches"] == []
     assert res["rows"]
 
@@ -203,9 +203,15 @@ def test_euler_equality_cobar():
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_p_fold_bracket_equals_b_class(k):
-    rep = p_fold_massey_check(5, k)
+    rep = p_fold_massey_check(5, k, CobarEngine(5, weight_bound=5))
     assert rep["status"] == "pass"
     assert any(rep["coords"])
+
+
+def test_p_fold_bracket_refuses_an_engine_at_another_prime():
+    # left to run, the mismatch surfaces only as a failed defining-system identity
+    with pytest.raises(ValueError, match=r"^p-fold bracket at p = 7 asked of an engine at p = 5$"):
+        p_fold_massey_check(7, 0, CobarEngine(5, weight_bound=5))
 
 
 #: sha256 of p_fold_massey_check(7, k, CobarEngine(7, weight_bound=7)) as

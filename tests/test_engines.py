@@ -115,6 +115,10 @@ def test_a_bad_prime_is_refused_before_any_suite(p):
         run_suites(p, suites=["massey-p-fold"])
 
 
+def test_an_empty_suite_selection_runs_no_suite():
+    assert run_suites(P, suites=[])["checks"] == []
+
+
 def test_elements_of_two_complexes_do_not_mix():
     ext = ExteriorAlgebra(P).gen(1, 0)
     cob = TruncatedHopf(P).t_power_slot(1, 1)

@@ -10,7 +10,7 @@ from stab3 import greek
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
 from stab3.named import NamedClasses
 
-NC = NamedClasses(p=7)
+NC = NamedClasses(ExteriorCohomology(7))
 
 
 def test_bidegree_oracles():
@@ -62,7 +62,7 @@ def test_r_image_gamma_coefficients():
 
 def test_gamma_coeffs_is_the_r_image_table():
     for p in (7, 11):
-        nc = NC if p == 7 else NamedClasses(p=p)
+        nc = NC if p == 7 else NamedClasses(ExteriorCohomology(p))
         for t in range(1, 2 * p + 2):
             c_l, c_k = greek.gamma_coeffs(t, p)
             assert (c_l, c_k) == ((-t * (t**2 - 1)) % p, (-t * (t - 1)) % p)
@@ -175,14 +175,14 @@ def _as_json(rows):
 
 @pytest.mark.parametrize("p", [7, 11, 31])
 def test_linear_rows_match_per_t_oracle(p):
-    nc = NC if p == 7 else NamedClasses(p=p)
+    nc = NC if p == 7 else NamedClasses(ExteriorCohomology(p))
     ts = range(1, p**2 + 1)
     assert _as_json(greek.classify_products(p, ts, nc=nc)) == _as_json(_per_t_rows(p, ts, nc))
 
 
 def test_linear_rows_match_per_t_oracle_sampled_p13():
     p = 13
-    nc = NamedClasses(p=p)
+    nc = NamedClasses(ExteriorCohomology(p))
     ts = random.Random(2012).sample(range(1, p**3 + 1), 300)
     assert _as_json(greek.classify_products(p, ts, nc=nc)) == _as_json(_per_t_rows(p, ts, nc))
 
@@ -199,6 +199,12 @@ def test_nonpositive_t_is_rejected():
     for ts in ([0], [3, -1]):
         with pytest.raises(ValueError, match="sequence entries must be positive"):
             greek.classify_products(7, ts, nc=NC)
+
+
+def test_classes_at_another_prime_are_refused():
+    # mod-7 classes against mod-11 predicates would read as 11 agreeing rows
+    with pytest.raises(ValueError, match=r"^product table at p = 11 asked of classes at p = 7$"):
+        greek.classify_products(11, range(1, 12), nc=NC)
 
 
 def test_product_table_reduces_each_product_twice(monkeypatch):

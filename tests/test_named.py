@@ -87,17 +87,22 @@ def test_b_classes_distinct():
 
 
 def test_other_prime_engine():
-    nc11 = NamedClasses(p=11)
+    nc11 = NamedClasses(ExteriorCohomology(11))
     assert _all_cocycles(nc11)
     rep = {r["name"]: r for r in nc11.verify_generators()}
     assert rep["h0*b0*b2*l"]["certificate"]["value"] == -2
     assert rep["k0*l"]["certificate"]["value"] == 1
 
 
+def test_the_prime_comes_from_the_engine_alone():
+    with pytest.raises(TypeError):
+        NamedClasses(ExteriorCohomology(7), p=11)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_degree_one_classes_are_their_generators(p):
     # x2 or x-1 of h20, h22 or h31, and x-1 of h1, fail no verify suite
     # (each is another basis element), so the table is pinned here
-    table = NamedClasses(p=p).table
+    table = NamedClasses(ExteriorCohomology(p)).table
     for name, (i, j) in zip(GEN_NAMES, GENERATORS):
         assert table[name].terms == {1 << gen_index(i, j): 1}, name

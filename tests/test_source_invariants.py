@@ -65,6 +65,20 @@ def test_importing_the_package_loads_no_dataclasses():
     assert proc.stdout == "False\n"
 
 
+def test_no_function_defaults_the_prime():
+    # the prime comes from the caller (the CLI's --prime), never from a default
+    defaulted = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaulted += [f"{path.name}:{a.lineno}" for a in with_default if a.arg == "p"]
+    assert not defaulted, f"parameter p given a default at {defaulted}"
+
+
 def test_every_definition_is_referenced_in_the_package():
     # a function, class or method that only the tests use belongs in the tests
     referenced, defined = set(), []

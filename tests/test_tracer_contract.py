@@ -112,7 +112,7 @@ def test_traced_cobar_bracket_feeds_every_counter():
     hopf_cobar = importlib.import_module("stab3.hopf_cobar")
     tr = tracer.Tracer().install()
     try:
-        rep = hopf_cobar.p_fold_massey_check(5, 0)
+        rep = hopf_cobar.p_fold_massey_check(5, 0, hopf_cobar.CobarEngine(5, weight_bound=5))
         assert tr.stat_errors == {}
     finally:
         tr.uninstall()
