@@ -292,6 +292,13 @@ class BPElement:
         self.p = p
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _adopt(cls, p, terms):
+        """Adopt {key: coefficient} as is: every coefficient nonzero."""
+        out = object.__new__(cls)
+        out.p, out.terms = p, terms
+        return out
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -317,10 +324,12 @@ class BPElement:
         return self + (-other)
 
     def __neg__(self):
-        return BPElement(self.p, {k: -c for k, c in self.terms.items()})
+        return BPElement._adopt(self.p, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        return BPElement(self.p, {k: v * c for k, v in self.terms.items()})
+        if not c:
+            return BPElement(self.p)
+        return BPElement._adopt(self.p, {k: v * c for k, v in self.terms.items()})
 
     def concat(self, other):
         out = {}
@@ -336,7 +345,7 @@ class BPElement:
 
     def reduce_mod(self, ctx: Ideal, audit=None, reason=""):
         """Drop terms lying in ctx; optionally record them in the audit list."""
-        return BPElement(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
+        return BPElement._adopt(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
 
     def divide_p(self):
         return BPElement(self.p, {k: _over(c, self.p) for k, c in self.terms.items()})
@@ -654,7 +663,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
                 key = (v, head + (ml, mr) + tail)
                 s = get(key)
                 out[key] = c if s is None else s + c
-    return BPElement(p, _drop_terms(p, out, ctx, audit, "d_cobar context"))
+    return BPElement._adopt(p, _drop_terms(p, out, ctx, audit, "d_cobar context"))
 
 # ---------------------------------------------------------------------------
 # b-classes at the BP level

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from stab3 import exterior
 from stab3.exterior import (
     FULL_MASK,
+    NGEN,
     GEN_NAMES,
     GENERATORS,
     ExteriorAlgebra,
@@ -366,6 +367,126 @@ def test_sign_fault_fails_only_the_product_check(monkeypatch, a, b, message):
 
     monkeypatch.setattr(exterior, "_sign", faulty)
     _fails_at_every_prime(monkeypatch, "product sign fails " + message)
+
+
+def _first_leibniz_failure():
+    """The per-pair loop the suite replaced: three `_z_mul` calls and one
+    `_z_d` call for each (monomial, generator) pair, in mask order and then
+    generator order.  Returns the first failing (mask, (i, j)), or None."""
+    for mask in range(FULL_MASK + 1):
+        x, dx = {mask: 1}, dict(exterior._D[mask])
+        sign = -1 if mask.bit_count() & 1 else 1
+        for k, gen in enumerate(GENERATORS):
+            g = {1 << k: 1}
+            rhs = exterior._z_mul(dx, g)
+            for m, c in exterior._z_mul(x, dict(exterior._D[1 << k])).items():
+                rhs[m] = rhs.get(m, 0) + sign * c
+            lhs = exterior._z_d(exterior._z_mul(x, g))
+            if {m: c for m, c in lhs.items() if c} != {m: c for m, c in rhs.items() if c}:
+                return mask, gen
+    return None
+
+
+def _oracle_message():
+    """The suite's failure message as the d^2 loop and the per-pair oracle
+    name it."""
+    for mask in range(FULL_MASK + 1):
+        if any(exterior._z_d(dict(exterior._D[mask])).values()):
+            return f"d^2 != 0 on mask {mask}"
+    mask, (i, j) = _first_leibniz_failure()
+    return f"Leibniz fails on mask {mask} * gen ({i},{j})"
+
+
+def _suite_agrees_with_oracle(monkeypatch):
+    """Run the suite on an empty certificate memo; it fails, with the
+    oracle's message.  Returns the message."""
+    monkeypatch.setattr(exterior, "_dga_over_z", None)
+    check = _exterior_dga_check(7)
+    assert check["status"] == "fail"
+    assert check["certificate"] == _oracle_message()
+    return check["certificate"]
+
+
+def test_one_coefficient_corruptions_are_named_as_by_the_per_pair_oracle(monkeypatch):
+    real = exterior._DMemo({0: ()})
+    for mask in range(FULL_MASK + 1):
+        real[mask]
+    others = [m for m in range(FULL_MASK + 1) if real[m] and m.bit_count() > 1]
+    generators = [1 << k for k in range(NGEN)]
+    messages = {}
+    for mask in generators + random.Random(29).sample(others, 20):
+        for delta in (1, -1, 2):
+            table = exterior._DMemo(real)
+            if real[mask]:
+                (m, c), *rest = real[mask]
+                table[mask] = ((m, c + delta), *rest)
+            else:  # d(h_{1,j}) = 0: the corruption adds the other two h_{1,*}
+                table[mask] = ((0b111 ^ mask, delta),)
+            monkeypatch.setattr(exterior, "_D", table)
+            messages[mask, delta] = _suite_agrees_with_oracle(monkeypatch)
+    leibniz = {key for key, message in messages.items() if message.startswith("Leibniz")}
+    # d^2 = 0 holds for the corrupted d(h_{1,j}) and d(h_{2,j}): the Leibniz pass
+    # names them, and it names corruptions elsewhere too
+    assert {(1 << k, delta) for k in range(6) for delta in (1, -1, 2)} < leibniz
+    assert len(messages) > len(leibniz)
+
+
+def test_product_kernel_fault_seen_only_by_h32_names_it(monkeypatch):
+    z_mul = exterior._z_mul
+    h32 = 1 << gen_index(3, 2)
+
+    def faulty(x, y):
+        """`_z_mul` with the sign of h0 times h32 flipped, bilinear as every
+        kernel fault is: the wrong term scales with both coefficients."""
+        out = z_mul(x, y)
+        if 0b1 in x and h32 in y:
+            out[0b1 | h32] -= 2 * exterior._sign(0b1, h32) * x[0b1] * y[h32]
+        return out
+
+    monkeypatch.setattr(exterior, "_z_mul", faulty)
+    assert _first_leibniz_failure() == (1, (3, 2))
+    assert _suite_agrees_with_oracle(monkeypatch) == "Leibniz fails on mask 1 * gen (3,2)"
+
+
+def test_negative_lowest_failing_digit_names_its_generator(monkeypatch):
+    h0_h21 = 0b1 | 1 << gen_index(2, 1)
+    # h0*h21 is a term of both d(h30) and d(h31), with opposite signs
+    assert dict(exterior._D[1 << gen_index(3, 0)])[h0_h21] == 1
+    assert dict(exterior._D[1 << gen_index(3, 1)])[h0_h21] == -1
+    z_d = exterior._z_d
+
+    def faulty(x):
+        """`_z_d` with the sign of its h0*h21 coefficient flipped.  At x = 1
+        that coefficient of the tagged difference is -2 in the digit of h30
+        and +2 in the digit of h31: negative in its lowest failing digit,
+        positive as a whole."""
+        out = z_d(x)
+        if h0_h21 in out:
+            out[h0_h21] = -out[h0_h21]
+        return out
+
+    monkeypatch.setattr(exterior, "_z_d", faulty)
+    assert _suite_agrees_with_oracle(monkeypatch) == "Leibniz fails on mask 0 * gen (3,0)"
+
+
+def test_leibniz_pass_makes_one_kernel_pass_per_monomial(monkeypatch):
+    calls = {"_z_mul": 0, "_z_d": 0}
+
+    def counting(name):
+        kernel = getattr(exterior, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(exterior, "_D", exterior._DMemo({0: ()}))
+    monkeypatch.setattr(exterior, "_dga_over_z", None)
+    for name in calls:
+        monkeypatch.setattr(exterior, name, counting(name))
+    assert exterior.dga_identities_over_z() == {"monomials": 512, "leibniz_pairs": 4608}
+    assert calls["_z_mul"] < 512 * NGEN  # not one call per (monomial, generator) pair
+    assert calls["_z_d"] <= 2 * 512
 
 
 def test_import_fills_no_integral_table():
