@@ -5,8 +5,15 @@ The algebra has generators g_{i,j} (i in {1,2,3}, j in Z/3) of height p
 
     Delta(g_{i,j}) = sum_{k=0}^{i} g_{k,j} (x) g_{i-k, (k+j) mod 3},   g_{0,*} = 1.
 
-Monomials are 9-tuples of exponents; a power t1^e for e < p^3 is encoded by
-its base-p digits across g_{1,0}, g_{1,1}, g_{1,2} (and similarly for t2, t3).
+A monomial with exponents (e_0, ..., e_8), each < p, on the generators in
+`exterior.GENERATORS` order is the int code sum_k e_k p^(8-k); the unit is 0.
+Since every digit is < p, comparing two codes compares their exponent tuples
+lexicographically.  So each sorted basis lists its tensors in lexicographic
+order of their exponent tuples, and the d-matrices, echelon forms, class
+coordinates and certificates built on the bases follow that order.  A power
+t1^e for e < p^3 puts e's base-p digits on g_{1,0}, g_{1,1}, g_{1,2} (and
+similarly for t2, t3).
+
 The cobar differential is the alternating sum of reduced-coproduct slot
 insertions; the concatenation product satisfies the graded Leibniz rule.
 
@@ -27,7 +34,7 @@ from .exterior import GENERATORS, FpAlgebra, FpElement, Trigrade, gen_index
 from .fplinalg import b_class_terms
 from .massey import massey_from_system
 
-UNIT = (0,) * 9
+UNIT = 0
 
 # p -> ({m: Delta(m)}, {m: reduced Delta(m)}), shared by every TruncatedHopf(p)
 _COPRODUCT_MEMO = {}
@@ -66,11 +73,12 @@ class CobarElement(FpElement):
     def __repr__(self):
         if not self.terms:
             return "0"
+        digits = self.alg.digits
         parts = []
         for slots, coeff in sorted(self.terms.items()):
             body = "|".join(
                 "*".join(f"g{i}{j}^{e}" if e > 1 else f"g{i}{j}"
-                         for (i, j), e in zip(GENERATORS, m) if e)
+                         for (i, j), e in zip(GENERATORS, digits(m)) if e)
                 for m in slots
             )
             parts.append(f"{coeff}[{body}]")
@@ -84,9 +92,12 @@ class TruncatedHopf(FpAlgebra):
 
     def __init__(self, p: int):
         super().__init__(p)
-        # Delta(g_{i,j}): (left, right) generator indices, None for the unit
+        # place[k] = p^(8-k), the code of the k-th generator
+        self.place = place = tuple(p ** (8 - k) for k in range(9))
+        # Delta(g_{i,j}): (left, right) generator places, None for the unit
         self._gen_coproduct = [
-            [(None if k == 0 else gen_index(k, j), None if k == i else gen_index(i - k, k + j))
+            [(None if k == 0 else place[gen_index(k, j)],
+              None if k == i else place[gen_index(i - k, k + j)])
              for k in range(i + 1)]
             for i, j in GENERATORS
         ]
@@ -95,11 +106,17 @@ class TruncatedHopf(FpAlgebra):
 
     # -- monomial arithmetic -------------------------------------------------
 
+    def digits(self, m):
+        """The exponent 9-tuple of the monomial code m: digit k of m in base
+        p, read from the highest place p^8 down."""
+        p = self.p
+        return tuple(m // q % p for q in self.place)
+
     def mon_tdeg(self, m):
-        return sum(e * d for e, d in zip(m, self.gen_tdeg)) % self.tmod
+        return sum(e * d for e, d in zip(self.digits(m), self.gen_tdeg)) % self.tmod
 
     def mon_weight(self, m):
-        return sum(e * w for e, w in zip(m, self.gen_weight))
+        return sum(e * w for e, w in zip(self.digits(m), self.gen_weight))
 
     def key_grade(self, slots) -> Trigrade:
         """Trigrade of the basis tensor `slots`."""
@@ -110,53 +127,67 @@ class TruncatedHopf(FpAlgebra):
         )
 
     def power_monomial(self, row: int, e: int):
-        """t_row^e encoded by base-p digits across g_{row,0..2}; e < p^3."""
+        """The code of t_row^e, e < p^3: digit j of e in base p, lowest
+        first, is the exponent of g_{row,j}, so the code is
+        sum_j digit_j place[g_{row,j}].  A row outside {1, 2, 3} raises
+        `ValueError`."""
+        places = [self.place[gen_index(row, j)] for j in range(3)]
         if not 0 <= e < self.p**3:
             raise ValueError(f"exponent {e} out of range")
-        m = [0] * 9
-        for j in range(3):
+        m = 0
+        for q in places:
             e, digit = divmod(e, self.p)
-            m[3 * (row - 1) + j] = digit
-        return tuple(m)
+            m += digit * q
+        return m
 
     def t_monomial(self, exps):
-        """t1^e1 t2^e2 t3^e3 for the triple exps = (e1, e2, e3), each e < p^3."""
-        return tuple(map(sum, zip(*map(self.power_monomial, (1, 2, 3), exps))))
+        """The code of t1^e1 t2^e2 t3^e3 for exps = (e1, e2, e3), each e <
+        p^3: the sum of the three power codes, whose digits sit on disjoint
+        generators, so no digit carries."""
+        if len(exps) != 3:
+            raise ValueError(f"t_monomial takes three exponents (e1, e2, e3), not {exps!r}")
+        return sum(map(self.power_monomial, (1, 2, 3), exps))
 
     # -- coproduct -----------------------------------------------------------
 
     def _times_generator(self, delta, idx):
-        """Delta(m) Delta(g) for the generator g = g_idx, given delta = Delta(m)."""
-        top = self.p - 1
+        """Delta(m) Delta(g) for the generator g = g_idx, given delta = Delta(m).
+        Multiplying a code by a generator adds the generator's place, unless
+        that digit is already p - 1 (the power is then 0)."""
+        p = self.p
+        top = p - 1
         out = {}
         for (l, r), c in delta.items():
             for a, b in self._gen_coproduct[idx]:
                 if a is not None:
-                    if l[a] == top:
+                    if l // a % p == top:
                         continue
-                    la = l[:a] + (l[a] + 1,) + l[a + 1 :]
+                    la = l + a
                 else:
                     la = l
                 if b is not None:
-                    if r[b] == top:
+                    if r // b % p == top:
                         continue
-                    rb = r[:b] + (r[b] + 1,) + r[b + 1 :]
+                    rb = r + b
                 else:
                     rb = r
                 key = (la, rb)
                 out[key] = out.get(key, 0) + c
-        return {k: v % self.p for k, v in out.items() if v % self.p}
+        return {k: v % p for k, v in out.items() if v % p}
 
     def coproduct(self, m):
         """Delta(m) = Delta(m / g) Delta(g), g the last generator of m, built
         up from the longest memoised m / g^e; memoised for the prime, so
         callers only read it."""
-        memo = self._coproducts
+        memo, p = self._coproducts, self.p
         path = []  # (n, n / g, g's index) from m down to a memoised n / g
         n = m
         while n not in memo:
-            idx = max(i for i, e in enumerate(n) if e)
-            rest = n[:idx] + (n[idx] - 1,) + n[idx + 1 :]
+            # g is the last generator with a nonzero digit: the lowest one of n
+            idx, q = 8, n
+            while not q % p:
+                idx, q = idx - 1, q // p
+            rest = n - self.place[idx]
             path.append((n, rest, idx))
             n = rest
         for n, rest, idx in reversed(path):
@@ -210,8 +241,9 @@ def b_class(hopf: TruncatedHopf, level: int, k: int) -> CobarElement:
 class CobarEngine(SectorEngine):
     """Sector towers of the cobar complex, truncated by total weight.
 
-    Construction tabulates the reduced monomials of weight <= bound by
-    (internal degree, weight).  `_counts`, the number of tensors per
+    Construction tabulates the reduced monomial codes of weight <= bound by
+    (internal degree, weight), each list ascending; a tensor is the tuple of
+    its slots' codes.  `_counts`, the number of tensors per
     (slots, t, w), is built on first use.  `_sector_basis(t, w, s)` puts a
     first monomial in front of each (s-1)-slot tensor of the remaining
     grade, read from that sector's own basis through `_sector`, over every
@@ -237,15 +269,13 @@ class CobarEngine(SectorEngine):
         def rec(idx, m, t, w):
             if idx == 9:
                 if w:
-                    out.setdefault((t % hopf.tmod, w), []).append(tuple(m))
+                    out.setdefault((t % hopf.tmod, w), []).append(m)
                 return
-            row = hopf.gen_weight[idx]
+            row, q, dt = hopf.gen_weight[idx], hopf.place[idx], hopf.gen_tdeg[idx]
             for e in range(min(hopf.p - 1, (self.weight_bound - w) // row) + 1):
-                m[idx] = e
-                rec(idx + 1, m, t + e * hopf.gen_tdeg[idx], w + e * row)
-            m[idx] = 0
+                rec(idx + 1, m + e * q, t + e * dt, w + e * row)
 
-        rec(0, [0] * 9, 0, 0)
+        rec(0, UNIT, 0, 0)
         return out
 
     @cached_property

@@ -386,3 +386,27 @@ def test_verify_p17_report_is_pinned(tmp_path):
 
 def test_verify_p19_report_is_pinned(tmp_path):
     assert _verify_digest(tmp_path, 19) == VERIFY_P19_SHA256
+
+
+#: sha256 of `stab3 table --model cobar --format json` at
+#: `--prime 7 --may-bound 6 --max-s 2`, the table of the cobar-p7 benchmark;
+#: CI also checks it under `python -O` (.github/workflows/tests.yml).
+COBAR_TABLE_P7_SHA256 = "bcc961d94aa97ce9e0593f999d26b8adaa4330d46730d79687027aed5d4551a6"
+
+#: the same at `--prime 11` with the default weight bound and degrees.
+COBAR_TABLE_P11_SHA256 = "3e9ee75c2369b01fd97d099e9b12a09c60b73a6a7e2098cc5b4ae35a282d12e3"
+
+#: the same at `--prime 13 --may-bound 5`.
+COBAR_TABLE_P13_SHA256 = "a6ac76962505f1d8d98f8fa2a6779076fbb1347d6953daa9c17f799aeae6cb6a"
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--prime", "7", "--may-bound", "6", "--max-s", "2"], COBAR_TABLE_P7_SHA256),
+    (["--prime", "11"], COBAR_TABLE_P11_SHA256),
+    (["--prime", "13", "--may-bound", "5"], COBAR_TABLE_P13_SHA256),
+], ids=["p7-W6", "p11", "p13-W5"])
+def test_cobar_table_is_pinned(tmp_path, flags, expected):
+    path = tmp_path / "table.json"
+    argv = ["table", "--model", "cobar", "--format", "json", *flags, "--output", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected

@@ -5,6 +5,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import GENERATORS, ExteriorAlgebra, gen_index
@@ -44,10 +46,68 @@ def test_coassociativity_and_counit():
         assert _nonzero(left) == {g: 1} and _nonzero(right) == {g: 1}, (i, j)
 
 
+def encode(p, m):
+    """The engine's code of the exponent 9-tuple m, written out here so that
+    the oracles below do not read the engine's own encoding: the digits of
+    m in base p, g_{1,0}'s exponent the highest."""
+    code = 0
+    for e in m:
+        code = code * p + e
+    return code
+
+
+def decode(p, code):
+    """The exponent 9-tuple of a monomial code, inverse to `encode`."""
+    m = []
+    for _ in range(9):
+        code, e = divmod(code, p)
+        m.append(e)
+    return tuple(reversed(m))
+
+
+ONE = (0,) * 9  # the unit as an exponent tuple
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 31])
+def test_monomial_codes_keep_the_exponent_tuple_order(p):
+    hopf = TruncatedHopf(p)
+    exponents = st.tuples(*[st.integers(0, p - 1)] * 9)
+
+    @given(exponents, exponents, st.integers(0, p**9 - 1), st.integers(0, p**9 - 1))
+    def check(a, b, x, y):
+        assert (encode(p, a) < encode(p, b)) == (a < b)
+        assert hopf.digits(encode(p, a)) == a and decode(p, x) == hopf.digits(x)
+        assert (x < y) == (hopf.digits(x) < hopf.digits(y))
+
+    @given(st.sampled_from((1, 2, 3)), st.integers(0, p**3 - 1))
+    def check_power(row, e):
+        expected, rest = [0] * 9, e
+        for j in range(3):
+            rest, expected[gen_index(row, j)] = divmod(rest, p)
+        assert hopf.digits(hopf.power_monomial(row, e)) == tuple(expected)
+
+    check()
+    check_power()
+    assert UNIT == encode(p, ONE) == 0
+
+
+def test_bad_rows_and_exponent_counts_are_refused():
+    for row in (0, 4):
+        with pytest.raises(ValueError, match=rf"^row index {row} must be 1, 2 or 3$"):
+            HOPF.power_monomial(row, 8)
+        with pytest.raises(ValueError, match=rf"^row index {row} must be 1, 2 or 3$"):
+            HOPF.t_power_slot(row, 7)
+    for exps in ((1, 2), (1, 2, 0, 0)):
+        with pytest.raises(ValueError, match=r"^t_monomial takes three exponents"):
+            HOPF.t_monomial(exps)
+    assert HOPF.t_monomial((1, 2, 0)) == encode(7, (1, 0, 0, 2, 0, 0, 0, 0, 0))
+
+
 def fold_coproduct(hopf, m):
-    """Delta(m) as the product over generators g of Delta(g^e), each power
-    folded from Delta(g) one factor at a time: the oracle of the memoised
-    recursion, which multiplies by one generator at a time."""
+    """Delta(m) for the exponent 9-tuple m, as the product over generators g
+    of Delta(g^e), each power folded from Delta(g) one factor at a time, on
+    exponent tuples, then keyed by `encode`: the oracle of the memoised
+    recursion, which multiplies codes by one generator at a time."""
     p = hopf.p
 
     def mon_mul(a, b):
@@ -66,15 +126,15 @@ def fold_coproduct(hopf, m):
     def gen(i, j):
         return tuple(int(n == gen_index(i, j)) for n in range(9))
 
-    out = {(UNIT, UNIT): 1}
+    out = {(ONE, ONE): 1}
     for (i, j), e in zip(GENERATORS, m):
-        delta_g = {(UNIT if k == 0 else gen(k, j), UNIT if k == i else gen(i - k, k + j)): 1
+        delta_g = {(ONE if k == 0 else gen(k, j), ONE if k == i else gen(i - k, k + j)): 1
                    for k in range(i + 1)}
-        power = {(UNIT, UNIT): 1}
+        power = {(ONE, ONE): 1}
         for _ in range(e):
             power = tensor_mul(power, delta_g)
         out = tensor_mul(out, power)
-    return out
+    return {(encode(p, l), encode(p, r)): c for (l, r), c in out.items()}
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -83,7 +143,7 @@ def test_coproduct_equals_the_generator_power_fold(p):
     monomials = [m for mons in CobarEngine(p, weight_bound=7)._monomials.values() for m in mons]
     assert len(monomials) == len(set(monomials)) > 100
     for m in monomials:
-        expected = fold_coproduct(hopf, m)
+        expected = fold_coproduct(hopf, decode(p, m))
         assert hopf.coproduct(m) == expected, m
         for key in ((m, UNIT), (UNIT, m)):
             expected[key] = (expected.get(key, 0) - 1) % p
@@ -276,15 +336,17 @@ def test_engine_builds_no_basis_at_construction():
 
 def eager_sector_bases(p, bound):
     """(t, w) -> {s: sorted tensors} from every tensor of total weight <=
-    bound, enumerated by increasing length: the oracle of the engine's
-    on-demand bases."""
+    bound, enumerated by increasing length on exponent 9-tuples and sorted
+    as tuples of them, then each monomial replaced by its `encode` code:
+    the oracle of the engine's on-demand bases and of their order."""
     hopf = TruncatedHopf(p)
     monw = {}  # weight -> [(monomial, internal degree)]
 
     def rec(idx, m, w):
         if idx == 9:
             if w:
-                monw.setdefault(w, []).append((tuple(m), hopf.mon_tdeg(m)))
+                tdeg = sum(e * d for e, d in zip(m, hopf.gen_tdeg)) % hopf.tmod
+                monw.setdefault(w, []).append((tuple(m), tdeg))
             return
         row = hopf.gen_weight[idx]
         for e in range(min(p - 1, (bound - w) // row) + 1):
@@ -304,8 +366,9 @@ def eager_sector_bases(p, bound):
                     nxt.extend((slots + (m,), (t + dt) % hopf.tmod, w + dw) for m, dt in mons)
         frontier = nxt
     for bases in sectors.values():
-        for keys in bases.values():
+        for s, keys in bases.items():
             keys.sort()
+            bases[s] = [tuple(encode(p, m) for m in slots) for slots in keys]
     return sectors
 
 
