@@ -289,15 +289,9 @@ class BPElement:
     __slots__ = ("p", "terms")
 
     def __init__(self, p, terms=None):
+        """Adopts `terms` as is: every coefficient must be nonzero."""
         self.p = p
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def _adopt(cls, p, terms):
-        """Adopt {key: coefficient} as is: every coefficient nonzero."""
-        out = object.__new__(cls)
-        out.p, out.terms = p, terms
-        return out
+        self.terms = terms or {}
 
     # -- constructors --------------------------------------------------------
 
@@ -318,25 +312,25 @@ class BPElement:
         out = dict(self.terms)
         for k, c in other.terms.items():
             _acc(out, k, c)
-        return BPElement(self.p, out)
+        return BPElement(self.p, {k: c for k, c in out.items() if c})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return BPElement._adopt(self.p, {k: -c for k, c in self.terms.items()})
+        return BPElement(self.p, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         if not c:
             return BPElement(self.p)
-        return BPElement._adopt(self.p, {k: v * c for k, v in self.terms.items()})
+        return BPElement(self.p, {k: v * c for k, v in self.terms.items()})
 
     def concat(self, other):
         out = {}
         for (va, sa), ca in self.terms.items():
             for (vb, sb), cb in other.terms.items():
                 _acc(out, (_vexp_add(va, vb), sa + sb), ca * cb)
-        return BPElement(self.p, out)
+        return BPElement(self.p, {k: c for k, c in out.items() if c})
 
     def is_zero(self):
         return not self.terms
@@ -345,7 +339,7 @@ class BPElement:
 
     def reduce_mod(self, ctx: Ideal, audit=None, reason=""):
         """Drop terms lying in ctx; optionally record them in the audit list."""
-        return BPElement._adopt(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
+        return BPElement(self.p, _drop_terms(self.p, self.terms, ctx, audit, reason))
 
     def divide_p(self):
         return BPElement(self.p, {k: _over(c, self.p) for k, c in self.terms.items()})
@@ -367,7 +361,7 @@ class BPElement:
         out = {}
         for (vexp, slots), c in self.terms.items():
             _acc(out, ((vexp[0], vexp[1], (0, 0)), slots), c)
-        return BPElement(self.p, out)
+        return BPElement(self.p, {k: c for k, c in out.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, BPElement) and self.p == other.p and self.terms == other.terms
@@ -663,7 +657,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
                 key = (v, head + (ml, mr) + tail)
                 s = get(key)
                 out[key] = c if s is None else s + c
-    return BPElement._adopt(p, _drop_terms(p, out, ctx, audit, "d_cobar context"))
+    return BPElement(p, _drop_terms(p, out, ctx, audit, "d_cobar context"))
 
 # ---------------------------------------------------------------------------
 # b-classes at the BP level
@@ -691,11 +685,12 @@ def b20(p: int, structure: BPStructure) -> BPElement:
     every coefficient is asserted (this is the content of the construction).
     """
     dbar = structure.delta_bar(t2_mon(p), ZERO_IDEAL)
-    out = {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()}
+    terms = {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()}
     for key, c in _corner_v1p_b11(p).terms.items():
-        _acc(out, key, c)
-    for key, c in out.items():
-        if c:
+        _acc(terms, key, c)
+    out = {}
+    for key, c in terms.items():
+        if c:  # the corner t1^p (x) t1^(p^2) cancels
             out[key] = c = _over(c, p)
             if c.denominator % p == 0:
                 raise InsufficientPrecisionError(

@@ -1,10 +1,13 @@
-"""CLI: subcommands, formats, exit codes, env-var prime, determinism."""
+"""CLI: subcommands, formats, exit codes, env-var prime, determinism, and
+the pinned output files."""
 
-import hashlib
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
+import pins
 from stab3 import __version__
 from stab3.cli import main
 
@@ -338,75 +341,93 @@ def test_crashed_suite_is_recorded_and_the_rest_still_run(capsys, monkeypatch):
     assert err.startswith("FAILED shift-cycle")
 
 
-#: sha256 of the whole `stab3 verify --prime 7` JSON report: every suite
-#: record, the suite order and `meta`.
-VERIFY_P7_SHA256 = "c83492158915d1d7c171d92057becf5a12f45fc00803bdefbfa01b9efc78bce7"
+#: `verify --prime 23` takes about 8 s, too slow for the test suite; CI
+#: checks its pins under `python -O` (.github/workflows/tests.yml).
+CI_ONLY = {"verify --prime 23"}
 
-#: the same for `stab3 verify --prime 11`.
-VERIFY_P11_SHA256 = "8b82130c9965ac23b2052d8f301fa6d260c107a98ee697473b8b228cb772914b"
-
-#: the same for `stab3 verify --prime 13`.
-VERIFY_P13_SHA256 = "cad6bd90e0cc97777be75a8758dead5fbe3224c4f5028b2ac8418c3e40dc9c2b"
-
-#: the same for `stab3 verify --prime 17`, the first prime with large BP
-#: cross products: d^2([t2^p]) expands 373 184 of them.
-VERIFY_P17_SHA256 = "c474d317c2cc00eac913ee4e4af8190ceae4528f8534344cf0362b27744b69ab"
-
-#: the same for `stab3 verify --prime 19`, which reads the binomials
-#: C(a, i) of Delta(t1)^a up to a = 3p^2 = 1083.
-VERIFY_P19_SHA256 = "24c27ce954a7a3da25f0a9156df633743f6d7ce86ee6e093270ff491fd6de7d3"
-
-#: the same for `stab3 verify --prime 23`.  Checked by CI only, under
-#: `python -O` (.github/workflows/tests.yml): the run takes about 8 s, too
-#: slow for the test suite.
-VERIFY_P23_SHA256 = "bb216176ace793f5527b81c1c8af11f7e19dd38124d32692c513d4ca03d3912b"
+VERIFY_COMMANDS = [c for c in pins.FILE_SHA256 if pins.verify_prime(c) and c not in CI_ONLY]
+COBAR_TABLES = {
+    "p5-W3": "table --model cobar --format json --prime 5 --may-bound 3 --max-s 2",
+    "p7-W6": "table --model cobar --format json --prime 7 --may-bound 6 --max-s 2",
+    "p11": "table --model cobar --format json --prime 11",
+    "p13-W5": "table --model cobar --format json --prime 13 --may-bound 5",
+}
+JSON_OUTPUTS = {
+    "table-p7": "table --prime 7 --format json",
+    "greek-p7": "greek --prime 7 --format json",
+}
 
 
-def _verify_digest(tmp_path, prime):
+def test_every_pinned_file_is_checked():
+    checked = {*VERIFY_COMMANDS, *COBAR_TABLES.values(), *JSON_OUTPUTS.values(), *CI_ONLY}
+    assert checked == set(pins.FILE_SHA256)
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The file that `stab3 COMMAND --output FILE` writes, made once per command."""
+    directory = tmp_path_factory.mktemp("pinned")
+
+    @functools.cache
+    def write(command):
+        path = directory / command.replace(" ", "_")
+        pins.run(command, path)
+        return path
+
+    return write
+
+
+@pytest.mark.parametrize("command", VERIFY_COMMANDS,
+                         ids=[f"p{pins.verify_prime(c)}" for c in VERIFY_COMMANDS])
+def test_verify_report_is_pinned(written, command):
+    # the whole file and each suite record: a failure names the suites that moved
+    message = pins.mismatch(command, written(command))
+    assert message is None, message
+
+
+@pytest.mark.parametrize("command", COBAR_TABLES.values(), ids=COBAR_TABLES)
+def test_cobar_table_is_pinned(written, command):
+    message = pins.mismatch(command, written(command))
+    assert message is None, message
+
+
+@pytest.mark.parametrize("command", JSON_OUTPUTS.values(), ids=JSON_OUTPUTS)
+def test_json_output_is_pinned(written, command):
+    message = pins.mismatch(command, written(command))
+    assert message is None, message
+
+
+def _flip_duality(report):
+    rec, = (rec for rec in report["checks"] if rec["name"] == "duality")
+    rec["certificate"]["symmetric"] = not rec["certificate"]["symmetric"]
+
+
+def _bump_version(report):
+    report["meta"]["version"] += ".1"
+
+
+@pytest.mark.parametrize("alter, moved", [
+    (None, None),
+    (_flip_duality, "suite records moved: duality"),
+    (_bump_version, "the file moved but no suite record did, "
+                    "so `meta`, the suite order or the formatting changed"),
+], ids=["unaltered", "duality", "meta"])
+def test_a_pin_mismatch_names_what_moved(capsys, written, tmp_path, alter, moved):
+    # the p = 7 report, rewritten as `verify` writes it, with one change
+    command = "verify --prime 7"
+    report = json.loads(written(command).read_text())
+    if alter:
+        alter(report)
     path = tmp_path / "report.json"
-    assert main(["verify", "--prime", str(prime), "--output", str(path)]) == 0
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    message = moved and f"stab3 {command}: {moved}"
+    assert pins.mismatch(command, path) == message
+    # the check that CI runs: `python tests/pins.py FILE COMMAND...`
+    assert pins.main([str(path), *command.split()]) == (1 if moved else 0)
+    assert capsys.readouterr().out == f"{message or f'{path}: OK'}\n"
 
 
-def test_verify_p7_report_is_pinned(tmp_path):
-    assert _verify_digest(tmp_path, 7) == VERIFY_P7_SHA256
-
-
-def test_verify_p11_report_is_pinned(tmp_path):
-    assert _verify_digest(tmp_path, 11) == VERIFY_P11_SHA256
-
-
-def test_verify_p13_report_is_pinned(tmp_path):
-    assert _verify_digest(tmp_path, 13) == VERIFY_P13_SHA256
-
-
-def test_verify_p17_report_is_pinned(tmp_path):
-    assert _verify_digest(tmp_path, 17) == VERIFY_P17_SHA256
-
-
-def test_verify_p19_report_is_pinned(tmp_path):
-    assert _verify_digest(tmp_path, 19) == VERIFY_P19_SHA256
-
-
-#: sha256 of `stab3 table --model cobar --format json` at
-#: `--prime 7 --may-bound 6 --max-s 2`, the table of the cobar-p7 benchmark;
-#: CI also checks it under `python -O` (.github/workflows/tests.yml).
-COBAR_TABLE_P7_SHA256 = "bcc961d94aa97ce9e0593f999d26b8adaa4330d46730d79687027aed5d4551a6"
-
-#: the same at `--prime 11` with the default weight bound and degrees.
-COBAR_TABLE_P11_SHA256 = "3e9ee75c2369b01fd97d099e9b12a09c60b73a6a7e2098cc5b4ae35a282d12e3"
-
-#: the same at `--prime 13 --may-bound 5`.
-COBAR_TABLE_P13_SHA256 = "a6ac76962505f1d8d98f8fa2a6779076fbb1347d6953daa9c17f799aeae6cb6a"
-
-
-@pytest.mark.parametrize("flags, expected", [
-    (["--prime", "7", "--may-bound", "6", "--max-s", "2"], COBAR_TABLE_P7_SHA256),
-    (["--prime", "11"], COBAR_TABLE_P11_SHA256),
-    (["--prime", "13", "--may-bound", "5"], COBAR_TABLE_P13_SHA256),
-], ids=["p7-W6", "p11", "p13-W5"])
-def test_cobar_table_is_pinned(tmp_path, flags, expected):
-    path = tmp_path / "table.json"
-    argv = ["table", "--model", "cobar", "--format", "json", *flags, "--output", str(path)]
-    assert main(argv) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
+def test_the_pins_are_in_the_layout_that_re_recording_prints():
+    suites = {p: pins.suite_pins(p) for p in map(pins.verify_prime, pins.FILE_SHA256) if p}
+    text = pins.render(pins.FILE_SHA256, suites, pins.BRACKET_SHA256, pins.EXTERIOR_P31_SHA256)
+    assert text in Path(pins.__file__).read_text(encoding="utf-8")

@@ -1,13 +1,13 @@
 """Truncated-Hopf cobar engine: coalgebra axioms, d^2, collapse, p-fold bracket."""
 
-import hashlib
-import json
+import functools
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pins
 from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import GENERATORS, ExteriorAlgebra, gen_index
 from stab3.hopf_cobar import (
@@ -274,48 +274,19 @@ def test_p_fold_bracket_refuses_an_engine_at_another_prime():
         p_fold_massey_check(7, 0, CobarEngine(5, weight_bound=5))
 
 
-#: sha256 of p_fold_massey_check(7, k, CobarEngine(7, weight_bound=7)) as
-#: json.dumps(result, sort_keys=True, separators=(",", ":"), default=repr)
-P7_BRACKET_SHA256 = {
-    0: "f29bc704998f8012981d1cce85f8ad658ccf5de5fe1c06a92199f0451e4f93d5",
-    1: "3514976affb054911d7701806c16e93e3f53843f005566ff537c8acc388ad349",
-}
-
-
 @pytest.fixture(scope="module")
-def cobar_p7():
-    return CobarEngine(7, weight_bound=7)
+def bracket_engine():
+    """CobarEngine(p, weight_bound=p), built once per p in this module."""
+    return functools.cache(lambda p: CobarEngine(p, weight_bound=p))
 
 
-@pytest.mark.parametrize("k", [0, 1])
-def test_p_fold_bracket_at_p7_is_pinned(cobar_p7, k):
-    rep = p_fold_massey_check(7, k, cobar_p7)
+@pytest.mark.parametrize("p, k", pins.BRACKET_SHA256,
+                         ids=[f"p{p}-k{k}" for p, k in pins.BRACKET_SHA256])
+def test_p_fold_bracket_is_pinned(bracket_engine, p, k):
+    rep = p_fold_massey_check(p, k, bracket_engine(p))
     assert rep["status"] == "pass"
     assert any(rep["coords"])
-    text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=repr)
-    assert hashlib.sha256(text.encode()).hexdigest() == P7_BRACKET_SHA256[k]
-
-
-#: sha256 of p_fold_massey_check(11, k, CobarEngine(11, weight_bound=11)),
-#: serialized as for P7_BRACKET_SHA256
-P11_BRACKET_SHA256 = {
-    0: "e9000113ac47e1951dec0d79bfaebdd960da85eaaa349c3d0bc1bbbe0eb17d24",
-    1: "faed344dc1eb6b4535490efa87150ca821a62cb89c2d36716a8d443491010dc7",
-}
-
-
-@pytest.fixture(scope="module")
-def cobar_p11():
-    return CobarEngine(11, weight_bound=11)
-
-
-@pytest.mark.parametrize("k", [0, 1])
-def test_p_fold_bracket_at_p11_is_pinned(cobar_p11, k):
-    rep = p_fold_massey_check(11, k, cobar_p11)
-    assert rep["status"] == "pass"
-    assert any(rep["coords"])
-    text = json.dumps(rep, sort_keys=True, separators=(",", ":"), default=repr)
-    assert hashlib.sha256(text.encode()).hexdigest() == P11_BRACKET_SHA256[k]
+    assert pins.digest(rep) == pins.BRACKET_SHA256[p, k]
 
 
 def test_weight_bound_rejects_heavier_sectors():
@@ -404,7 +375,7 @@ def test_on_demand_bases_match_eager_enumeration(p, bound):
         assert _on_demand_bases(engine, t, w) == bases, (t, w)
 
 
-def test_bracket_sectors_at_p7_match_eager_enumeration(cobar_p7):
+def test_bracket_sectors_at_p7_match_eager_enumeration(bracket_engine):
     eager = eager_sector_bases(7, 7)
     for t in (84, 588):  # the (t, w) of the k = 0 and k = 1 bracket values
-        assert _on_demand_bases(cobar_p7, t, 7) == eager[(t, 7)], t
+        assert _on_demand_bases(bracket_engine(7), t, 7) == eager[(t, 7)], t

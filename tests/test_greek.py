@@ -1,11 +1,11 @@
 """Greek-letter bookkeeping: bidegrees, r-images, product classification."""
 
-import hashlib
 import json
 import random
 
 import pytest
 
+import pins
 from stab3 import greek
 from stab3.cohomology import ExteriorCohomology, NotCocycleError
 from stab3.named import NamedClasses
@@ -108,18 +108,8 @@ def test_gamma1_expansion_exact():
     assert rep["status"] == "exact"
 
 
-#: sha256 of json.dumps([dims_table(), euler_report(), duality_report(),
-#: classify_products(31, range(1, 32))], sort_keys=True, separators=(",", ":"),
-#: default=repr) for the exterior engine at p = 31.
-EXTERIOR_P31_SHA256 = "9af983b7d684004a7320f14954507e788c1b877a39f73bee32bc0129513abe27"
-
-
 def test_exterior_tables_pinned_at_p31():
-    e = ExteriorCohomology(31)
-    record = [e.dims_table(), e.euler_report(), e.duality_report(),
-              greek.classify_products(31, range(1, 32), nc=NamedClasses(e))]
-    text = json.dumps(record, sort_keys=True, separators=(",", ":"), default=repr)
-    assert hashlib.sha256(text.encode()).hexdigest() == EXTERIOR_P31_SHA256
+    assert pins.digest(pins.exterior_record(31)) == pins.EXTERIOR_P31_SHA256
 
 
 # -- oracle: the per-t classifier the linear one replaced ---------------------
