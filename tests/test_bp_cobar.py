@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pins
 from stab3 import bp_cobar, greek
 from stab3.bp_cobar import (
     BPElement,
@@ -906,6 +907,16 @@ def test_gamma_chain_symbolic():
     assert rep["status"] == "pass"
     assert rep["result"].startswith("-t(t^2-1)*l - t(t-1)*k1*zeta3")
     assert rep["projection_audit"]
+
+
+# -- certificates ------------------------------------------------------------
+
+def test_bp_certificates_are_pinned():
+    # run on their own, the BP suites give the records of the whole p = 7 report
+    report = run_suites(P, suites=BP_SUITES)
+    pinned = pins.suite_pins(P)
+    assert ({rec["name"]: pins.digest(rec) for rec in report["checks"]}
+            == {name: pinned[name] for name in BP_SUITES})
 
 
 _SABOTAGED_SUITE = """

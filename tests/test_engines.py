@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import pins
 from stab3.cohomology import ExteriorCohomology, SectorEngine, Trigrade
 from stab3.exterior import ExteriorAlgebra
 from stab3.hopf_cobar import CobarEngine, TruncatedHopf
@@ -11,6 +12,25 @@ from stab3.named import NamedClasses
 from stab3.reports import run_suites
 
 P = 7
+
+#: the suites of `verify` that the engine layer serves, in report order
+ENGINE_SUITES = ("generator-classes", "trivial-lemma", "massey-fourfold", "massey-p-fold",
+                 "cobar-collapse", "euler", "duality")
+
+
+def test_engine_certificates_are_pinned():
+    # run on their own, the engine suites give the records of the whole p = 7 report
+    report = run_suites(P, suites=ENGINE_SUITES)
+    pinned = pins.suite_pins(P)
+    assert ({rec["name"]: pins.digest(rec) for rec in report["checks"]}
+            == {name: pinned[name] for name in ENGINE_SUITES})
+
+
+def test_cobar_table_at_p7_is_pinned(written):
+    # the table of the benchmark's cobar-p7 workload
+    command = "table --model cobar --format json --prime 7 --may-bound 6 --max-s 2"
+    message = pins.mismatch(command, written(command))
+    assert message is None, message
 
 
 @pytest.mark.parametrize(
