@@ -10,6 +10,14 @@ sector from the three members every engine supplies, the basis sizes
 `_d_of(s, key)` of one basis key; `ExteriorCohomology` here and the cobar
 engine in `hopf_cobar` are its two subclasses.
 
+The index shift g_{i,j} -> g_{i,j+1} is an automorphism of both complexes
+that multiplies the internal degree by p mod 2(p^3 - 1) and keeps s and w,
+so sectors (t, w) and (p t, w) have isomorphic towers.  `dims_table` and
+`euler_report` build the tower of each orbit's smallest sector only and
+copy its cohomology to the orbit; the premise is tested key by key in
+`tests/test_exterior.py` and `tests/test_cobar.py`, and the tables against
+the one-tower-per-sector loop in `tests/test_engines.py`.
+
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
 """
@@ -85,10 +93,11 @@ class SectorTower:
     def dmat(self, s: int):
         """Sparse rows: d-image of each s-basis vector in s+1 coordinates."""
         if s not in self._dmat:
-            p = self.p
+            # degree s is built before s + 1, so a basis cap names the lower one
+            p, basis = self.p, self.bases[s]
             tgt_index = self.index[s + 1]
             rows = []
-            for key in self.bases[s]:
+            for key in basis:
                 row = {}
                 for k2, c in self._d_of(s, key).items():
                     c %= p
@@ -105,8 +114,9 @@ class SectorTower:
 
     def _dmat_columns(self, s: int):
         """Columns of `dmat(s)`: one sparse equation row per (s+1)-basis vector."""
+        rows = self.dmat(s)  # before dim(s + 1), as in `dmat`
         cols = [{} for _ in range(self.dim(s + 1))]
-        for i, row in enumerate(self.dmat(s)):
+        for i, row in enumerate(rows):
             for c, x in row.items():
                 cols[c][i] = x
         return cols
@@ -199,7 +209,10 @@ class SectorEngine:
     gives each tower a `Memo` (kept in `_sector_bases`) that asks
     `_sector_basis` for a degree on first use; on the towers it builds
     element <-> vector conversion, dimension reports, and the Massey
-    queries.
+    queries.  The reports rest on the index shift mapping sector (t, w)
+    isomorphically onto (p t mod tmod, w), as it does in both complexes:
+    they build one tower per orbit and read each sector's cochain sizes
+    from `_counts`.
     """
 
     def __init__(self, alg):
@@ -282,28 +295,49 @@ class SectorEngine:
 
     # -- global reports -----------------------------------------------------
 
+    def _orbits(self):
+        """(representative tower, member sectors) for each orbit of the index
+        shift t -> p t mod tmod on the sectors.  The sectors are walked in
+        sorted order, so each representative is its orbit's smallest (t, w);
+        the other members' towers are not built."""
+        tmod, seen = self.alg.tmod, set()
+        for t, w in self.sector_keys():
+            if (t, w) in seen:
+                continue
+            members = []
+            while (t, w) not in seen:
+                seen.add((t, w))
+                members.append((t, w))
+                t = t * self.p % tmod
+            yield self.tower(*members[0]), members
+
     def dims_table(self, max_s=None):
         """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
-        the degrees s <= max_s (all degrees when max_s is None); only the
-        bases of degrees <= max_s + 1 are built."""
-        rows = []
-        for (t, w) in self.sector_keys():
-            tower = self.tower(t, w)
+        the degrees s <= max_s (all degrees when max_s is None).  Each row's
+        cochain dimension is its sector's own count; its cohomology is the
+        orbit representative's, and only the representative's bases of
+        degrees <= max_s + 1 are built."""
+        counts, rows = self._counts, []
+        for tower, members in self._orbits():
             for s in tower.degrees:
                 if max_s is None or s <= max_s:
-                    rows.append((s, t, w, tower.dim(s), tower.dim_h(s)))
+                    dim_h = tower.dim_h(s)
+                    rows += [(s, t, w, counts[s][t, w], dim_h) for t, w in members]
         rows.sort()
         return rows
 
     def euler_report(self):
-        """Per-sector Euler characteristics of cochains vs cohomology."""
+        """Per-sector Euler characteristics of cochains, from the sector's own
+        counts, vs cohomology, from its orbit representative's tower."""
         out = []
-        for (t, w) in self.sector_keys():
-            tower = self.tower(t, w)
-            chi_c = sum((-1) ** s * tower.dim(s) for s in tower.degrees)
+        for tower, members in self._orbits():
             chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.degrees)
-            out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
-                        "equal": chi_c == chi_h})
+            for t, w in members:
+                chi_c = sum((-1) ** s * level.get((t, w), 0)
+                            for s, level in enumerate(self._counts))
+                out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
+                            "equal": chi_c == chi_h})
+        out.sort(key=lambda row: (row["t"], row["w"]))
         return out
 
 

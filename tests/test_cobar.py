@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import pins
 from stab3.cohomology import ExteriorCohomology
 from stab3.exterior import GENERATORS, ExteriorAlgebra, gen_index
@@ -214,6 +215,14 @@ def test_d_tensor_equals_the_slot_loop_on_every_small_basis_tensor(p):
                 assert CobarElement(hopf, {key: 1}).d().terms == expected, key
                 seen += 1
     assert seen == sum(sum(level.values()) for level in engine._counts[:4])
+
+
+@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6)])
+def test_index_shift_maps_every_small_sector_onto_its_image(p, bound):
+    # the premise of the cobar tables, which copy one sector's cohomology
+    # along its shift orbit: sigma permutes the sectors' bases and commutes with d
+    engine = CobarEngine(p, weight_bound=bound)
+    assert oracles.shift_premise_failures(engine, 3) == []
 
 
 def test_cobar_d_of_an_element_is_linear_in_its_terms():

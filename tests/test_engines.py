@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import oracles
 import pins
 from stab3.cohomology import ExteriorCohomology, SectorEngine, Trigrade
 from stab3.exterior import ExteriorAlgebra
@@ -58,6 +59,28 @@ def test_sector_engine_contract(engine):
                 assert engine.to_vec(e, sector) == unit
     report = engine.euler_report()
     assert report and all(row["equal"] for row in report)
+
+
+# each engine's shift orbits and sectors; its tables build one tower per orbit
+@pytest.mark.parametrize("make, orbits, sectors", [
+    *[pytest.param(lambda p=p, bound=bound: CobarEngine(p, weight_bound=bound), orbits, sectors,
+                   id=f"cobar-p{p}-W{bound}")
+      for p, bound, orbits, sectors in [(5, 5, 20, 56), (7, 6, 26, 72), (7, 7, 33, 91),
+                                        (11, 3, 8, 20), (13, 5, 20, 56)]],
+    *[pytest.param(lambda p=p: ExteriorCohomology(p), 37, 97, id=f"exterior-p{p}")
+      for p in (7, 11, 13, 17, 19, 23, 29, 31)],
+])
+def test_orbit_tables_equal_the_per_sector_loop(make, orbits, sectors):
+    engine = make()
+    low = engine.dims_table(2)
+    assert (len(engine._towers), len(engine.sector_keys())) == (orbits, sectors)
+    tables = engine.dims_table(), engine.euler_report()
+    assert len(engine._towers) == orbits
+    # the loop then builds the towers of the other sectors in the same engine;
+    # the representatives' towers it reuses are the ones it would build
+    assert low == oracles.dims_rows(engine, 2)
+    assert len(engine._towers) == sectors
+    assert tables == (oracles.dims_rows(engine), oracles.euler_rows(engine))
 
 
 def test_one_named_classes_per_report(monkeypatch):

@@ -21,7 +21,9 @@ pins every degree-1 entry to its generator at p = 5, 7, 11 and 13.
 
 import pytest
 
+import oracles
 from stab3 import bp_cobar, fplinalg, greek, hopf_cobar
+from stab3.exterior import gen_index
 from stab3.named import NamedClasses
 from stab3.reports import run_suites
 
@@ -69,6 +71,21 @@ def _double_one_coproduct_term(monkeypatch):
     monkeypatch.setattr(hopf_cobar.TruncatedHopf, "reduced_coproduct", doubled)
 
 
+def _drop_middle_coproduct_term(i, j):
+    """Delta(g_{i,j}) without its term g_{1,j} (x) g_{i-1,j+1}, for i >= 2;
+    the coproduct memo is emptied for the mutant and restored after it."""
+    def mutate(monkeypatch):
+        init = hopf_cobar.TruncatedHopf.__init__
+
+        def dropped(self, p):
+            init(self, p)
+            del self._gen_coproduct[gen_index(i, j)][1]
+
+        monkeypatch.setattr(hopf_cobar.TruncatedHopf, "__init__", dropped)
+        monkeypatch.setattr(hopf_cobar, "_COPRODUCT_MEMO", {})
+    return mutate
+
+
 def _scale_named(name, unit):
     def mutate(monkeypatch):
         init = NamedClasses.__init__
@@ -102,6 +119,8 @@ MUTANTS = [
     ("level-1-plus-1", _b_class_shift(1, lambda p: 1),
      ("bp-basics", "delta-chains", "beta-chain", "gamma-chain", "massey-p-fold")),
     ("coproduct-term-doubled", _double_one_coproduct_term, ("cobar-collapse",)),
+    ("coproduct-g21-middle-dropped", _drop_middle_coproduct_term(2, 1),
+     ("cobar-collapse", "euler")),
 ] + [
     (f"{name}-x{unit}", _scale_named(name, unit), suites)
     for name, suites in _NAMED_ROWS.items() for unit in (2, -1)
@@ -114,3 +133,11 @@ def test_mutant_fails_its_suite(monkeypatch, mutate, suites):
     mutate(monkeypatch)
     status = {c["name"]: c["status"] for c in run_suites(P)["checks"]}
     assert all(status[s] != "pass" for s in suites), status
+
+
+def test_dropped_coproduct_term_breaks_the_shift_premise(monkeypatch):
+    # the cobar tables copy cohomology along shift orbits; a coproduct that
+    # is not shift-equivariant must fail the premise check that licenses it
+    _drop_middle_coproduct_term(2, 1)(monkeypatch)
+    engine = hopf_cobar.CobarEngine(P, weight_bound=3)
+    assert oracles.shift_premise_failures(engine, 3)
