@@ -597,16 +597,16 @@ class BPStructure:
         return out
 
     def delta_bar(self, mon, ctx: Ideal):
-        """Delta(mon) - mon (x) 1 - 1 (x) mon mod ctx.  `delta_mon` keeps no
-        zero and no term in ctx, so only the two decremented keys are
-        checked; one that drops is popped in place, keeping the order."""
+        """Delta(mon) - mon (x) 1 - 1 (x) mon mod ctx.  Both keys hold
+        exactly 1 in `delta_mon`'s output, as C(a, 0) = C(a, a) = 1,
+        (b; b,0,0,0) = (b; 0,0,b,0) = 1 and no context has a unit generator;
+        so both are popped, and one that holds anything else raises."""
         out = self.delta_mon(mon, ctx)
         for key in ((V_ZERO, mon, MON_ONE), (V_ZERO, MON_ONE, mon)):
-            c = out.get(key, 0) - 1
-            if c and not ctx.contains(self.p, V_ZERO, c):
-                out[key] = c
-            else:
-                out.pop(key, None)
+            c = out.pop(key, 0)
+            if c != 1:
+                side = " (x) ".join(map(_mon_repr, key[1:]))
+                raise ArithmeticError(f"Delta({_mon_repr(mon)}) holds {c} at {side}, not 1")
         return out
 
 

@@ -12,11 +12,12 @@ engine in `hopf_cobar` are its two subclasses.
 
 The index shift g_{i,j} -> g_{i,j+1} is an automorphism of both complexes
 that multiplies the internal degree by p mod 2(p^3 - 1) and keeps s and w,
-so sectors (t, w) and (p t, w) have isomorphic towers.  `dims_table` and
-`euler_report` build the tower of each orbit's smallest sector only and
-copy its cohomology to the orbit; the premise is tested key by key in
-`tests/test_exterior.py` and `tests/test_cobar.py`, and the tables against
-the one-tower-per-sector loop in `tests/test_engines.py`.
+so sectors (t, w) and (p t, w) have isomorphic towers.  `dims_table`
+builds the tower of each orbit's smallest sector only and copies its
+cohomology to the orbit, and the other dimension reports are folds of its
+rows; the premise is tested key by key in `tests/test_exterior.py` and
+`tests/test_cobar.py`, and the tables against the one-tower-per-sector loop
+in `tests/test_engines.py`.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -209,10 +210,10 @@ class SectorEngine:
     gives each tower a `Memo` (kept in `_sector_bases`) that asks
     `_sector_basis` for a degree on first use; on the towers it builds
     element <-> vector conversion, dimension reports, and the Massey
-    queries.  The reports rest on the index shift mapping sector (t, w)
+    queries.  `dims_table` rests on the index shift mapping sector (t, w)
     isomorphically onto (p t mod tmod, w), as it does in both complexes:
-    they build one tower per orbit and read each sector's cochain sizes
-    from `_counts`.
+    it builds one tower per orbit and reads each sector's cochain sizes
+    from `_counts`; the other dimension reports are folds of its rows.
     """
 
     def __init__(self, alg):
@@ -295,50 +296,40 @@ class SectorEngine:
 
     # -- global reports -----------------------------------------------------
 
-    def _orbits(self):
-        """(representative tower, member sectors) for each orbit of the index
-        shift t -> p t mod tmod on the sectors.  The sectors are walked in
-        sorted order, so each representative is its orbit's smallest (t, w);
-        the other members' towers are not built."""
-        tmod, seen = self.alg.tmod, set()
+    def dims_table(self, max_s=None):
+        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
+        the degrees s <= max_s (all degrees when max_s is None).  The sorted
+        sectors are walked once: the first unseen sector of each orbit of the
+        index shift t -> p t mod tmod gets a tower, and the walk follows the
+        orbit at the same w until it closes, copying that tower's cohomology
+        to each member.  Each row's cochain dimension is its sector's own
+        count, and only the representatives' bases of degrees <= max_s + 1
+        are built."""
+        counts, tmod, seen, rows = self._counts, self.alg.tmod, set(), []
         for t, w in self.sector_keys():
             if (t, w) in seen:
                 continue
-            members = []
+            tower = self.tower(t, w)
+            dims_h = [(s, tower.dim_h(s)) for s in tower.degrees if max_s is None or s <= max_s]
             while (t, w) not in seen:
                 seen.add((t, w))
-                members.append((t, w))
+                rows += [(s, t, w, counts[s][t, w], dim_h) for s, dim_h in dims_h]
                 t = t * self.p % tmod
-            yield self.tower(*members[0]), members
-
-    def dims_table(self, max_s=None):
-        """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
-        the degrees s <= max_s (all degrees when max_s is None).  Each row's
-        cochain dimension is its sector's own count; its cohomology is the
-        orbit representative's, and only the representative's bases of
-        degrees <= max_s + 1 are built."""
-        counts, rows = self._counts, []
-        for tower, members in self._orbits():
-            for s in tower.degrees:
-                if max_s is None or s <= max_s:
-                    dim_h = tower.dim_h(s)
-                    rows += [(s, t, w, counts[s][t, w], dim_h) for t, w in members]
         rows.sort()
         return rows
 
     def euler_report(self):
-        """Per-sector Euler characteristics of cochains, from the sector's own
-        counts, vs cohomology, from its orbit representative's tower."""
-        out = []
-        for tower, members in self._orbits():
-            chi_h = sum((-1) ** s * tower.dim_h(s) for s in tower.degrees)
-            for t, w in members:
-                chi_c = sum((-1) ** s * level.get((t, w), 0)
-                            for s, level in enumerate(self._counts))
-                out.append({"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
-                            "equal": chi_c == chi_h})
-        out.sort(key=lambda row: (row["t"], row["w"]))
-        return out
+        """Per-sector Euler characteristics of cochains vs cohomology, sorted
+        by (t, w): a fold of `dims_table`, so the first is the sector's own
+        counts and the second its orbit representative's tower."""
+        chi = {}
+        for s, t, w, dim_c, dim_h in self.dims_table():
+            chi_c, chi_h = chi.get((t, w), (0, 0))
+            sign = (-1) ** s
+            chi[t, w] = chi_c + sign * dim_c, chi_h + sign * dim_h
+        return [{"t": t, "w": w, "chi_cochains": chi_c, "chi_cohomology": chi_h,
+                 "equal": chi_c == chi_h}
+                for (t, w), (chi_c, chi_h) in sorted(chi.items())]
 
 
 class ExteriorCohomology(SectorEngine):

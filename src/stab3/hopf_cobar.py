@@ -332,21 +332,14 @@ def collapse_check(ext: SectorEngine, cob: CobarEngine):
     engine's, s <= 2, weight <= cob.weight_bound.  Below weight p the
     polynomial b-classes (weight p) do not contribute, so the prediction is
     exactly the exterior dimensions."""
-    ext_dims = {(s, t, w): dim_h for (s, t, w, _, dim_h) in ext.dims_table(2)
-                if w <= cob.weight_bound and dim_h}
-    rows = []
-    mismatches = []
-    seen = set()
-    for (s, t, w, _, dim_c) in cob.dims_table(2):
-        dim_e = ext_dims.get((s, t, w), 0)
-        seen.add((s, t, w))
-        if dim_c or dim_e:
-            rows.append({"s": s, "t": t, "w": w, "cobar": dim_c, "predicted": dim_e})
-        if dim_c != dim_e:
-            mismatches.append((s, t, w, dim_c, dim_e))
-    for key, d in ext_dims.items():
-        if key not in seen:
-            mismatches.append((*key, 0, d))
+    cobar = {(s, t, w): dim_h for (s, t, w, _, dim_h) in cob.dims_table(2)}
+    predicted = {(s, t, w): dim_h for (s, t, w, _, dim_h) in ext.dims_table(2)
+                 if w <= cob.weight_bound}
+    rows = [{"s": s, "t": t, "w": w, "cobar": dim_h, "predicted": predicted.get((s, t, w), 0)}
+            for (s, t, w), dim_h in cobar.items() if dim_h or predicted.get((s, t, w))]
+    mismatches = [(*key, cobar.get(key, 0), predicted.get(key, 0))
+                  for key in sorted(cobar.keys() | predicted.keys())
+                  if cobar.get(key, 0) != predicted.get(key, 0)]
     return {"rows": rows, "mismatches": mismatches}
 
 

@@ -1,13 +1,13 @@
 """Plain forms of computations the package does another way, for the tests
 to check it against.
 
-`SectorEngine.dims_table` and `euler_report` build one tower per orbit of
-the index shift sigma: g_{i,j} -> g_{i,j+1} and copy its cohomology to the
-orbit's other sectors.  `dims_rows` and `euler_rows` are the loop they
-replace, one tower per sector.  `shift_premise_failures` checks, key by
-key, that sigma is an isomorphism of the cobar complex that maps sector
-(t, w) onto sector (p t mod 2(p^3 - 1), w), which is what the copying
-rests on.
+`SectorEngine.dims_table` builds one tower per orbit of the index shift
+sigma: g_{i,j} -> g_{i,j+1} and copies its cohomology to the orbit's other
+sectors, and `euler_report` is a fold of its rows.  `dims_rows` and
+`euler_rows` are the loop they replace, one tower per sector.
+`shift_premise_failures` checks, key by key, that sigma is an isomorphism
+of the cobar complex that maps sector (t, w) onto sector
+(p t mod 2(p^3 - 1), w), which is what the copying rests on.
 """
 
 

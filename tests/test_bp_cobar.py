@@ -477,6 +477,19 @@ def test_dd_fails_on_a_broken_coproduct(monkeypatch):
         verify_dd(5)
 
 
+def test_delta_bar_refuses_a_coproduct_without_mon_tensor_one(monkeypatch):
+    delta_mon = BPStructure.delta_mon
+
+    def dropped(self, mon, ctx):
+        out = delta_mon(self, mon, ctx)
+        del out[V_ZERO, mon, MON_ONE]
+        return out
+
+    monkeypatch.setattr(BPStructure, "delta_mon", dropped)
+    with pytest.raises(ArithmeticError, match=r"^Delta\(t1\^2\) holds 0 at t1\^2 \(x\) 1, not 1$"):
+        BPStructure(P).delta_bar(t1_mon(2), ZERO_IDEAL)
+
+
 def _check_d_v1_mod_p2(coeff):
     row = ("d(v1) mod p^2", "pass", BPElement.v_power(P, e1=1), ideal((2, 0, 0)),
            BPElement.cochain(P, t1_mon(1), coeff=coeff))
@@ -597,7 +610,7 @@ def test_no_element_holds_a_zero_coefficient_on_any_verify_call(monkeypatch, p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_delta_mon_output_is_reduced_on_every_verify_call(monkeypatch, p):
-    # delta_bar leans on this: it re-checks only the two keys it decrements
+    # delta_bar leans on this: it passes on every key but the two it pops
     calls = []
     delta_mon = BPStructure.delta_mon
 

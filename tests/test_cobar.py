@@ -217,7 +217,8 @@ def test_d_tensor_equals_the_slot_loop_on_every_small_basis_tensor(p):
     assert seen == sum(sum(level.values()) for level in engine._counts[:4])
 
 
-@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6)])
+@pytest.mark.parametrize("p, bound", [(5, 5), (7, 6), (11, 3), (13, 3), (17, 3), (19, 3),
+                                      (23, 3)])
 def test_index_shift_maps_every_small_sector_onto_its_image(p, bound):
     # the premise of the cobar tables, which copy one sector's cohomology
     # along its shift orbit: sigma permutes the sectors' bases and commutes with d
@@ -262,6 +263,26 @@ def test_collapse_matches_exterior_up_to_weight_p_minus_1():
     res = collapse_check(ExteriorCohomology(7), CobarEngine(7, weight_bound=6))
     assert res["mismatches"] == []
     assert res["rows"]
+
+
+def test_collapse_check_reports_both_kinds_of_mismatch(monkeypatch):
+    # a dim_h row dropped on the cobar side leaves the prediction alone; a
+    # dim_h changed on the exterior side is met by the cobar's own
+    ext, cob = ExteriorCohomology(7), CobarEngine(7, weight_bound=3)
+    ext_rows, cob_rows = ext.dims_table(2), cob.dims_table(2)
+    before = collapse_check(ext, cob)
+    dropped = next(row for row in cob_rows if row[0] == 1 and row[4])
+    changed = next(row for row in ext_rows if row[0] == 2 and row[2] <= 3 and row[4])
+    monkeypatch.setattr(cob, "dims_table", lambda max_s: [r for r in cob_rows if r != dropped])
+    monkeypatch.setattr(ext, "dims_table", lambda max_s: [
+        (*r[:4], r[4] + 1) if r == changed else r for r in ext_rows])
+    res = collapse_check(ext, cob)
+    assert res["mismatches"] == [(*dropped[:3], 0, dropped[4]),
+                                 (*changed[:3], changed[4], changed[4] + 1)]
+    keys = [(row["s"], row["t"], row["w"]) for row in before["rows"]]
+    assert dropped[:3] in keys and changed[:3] in keys
+    assert res["rows"] == [{**row, "predicted": changed[4] + 1} if key == changed[:3] else row
+                           for key, row in zip(keys, before["rows"]) if key != dropped[:3]]
 
 
 def test_euler_equality_cobar():
