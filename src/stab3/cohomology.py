@@ -12,12 +12,14 @@ engine in `hopf_cobar` are its two subclasses.
 
 The index shift g_{i,j} -> g_{i,j+1} is an automorphism of both complexes
 that multiplies the internal degree by p mod 2(p^3 - 1) and keeps s and w,
-so sectors (t, w) and (p t, w) have isomorphic towers.  `dims_table`
-builds the tower of each orbit's smallest sector only and copies its
-cohomology to the orbit, and the other dimension reports are folds of its
-rows; the premise is tested key by key in `tests/test_exterior.py` and
-`tests/test_cobar.py`, and the tables against the one-tower-per-sector loop
-in `tests/test_engines.py`.
+so sectors (t, w) and (p t, w) have isomorphic towers.  `SectorEngine.dim_h`
+reads dim H^s from the tower of the orbit's smallest sector: `dims_table`
+reads its rows so, the other dimension reports are folds of them, and where
+dim H^s <= 1 `class_coords` reads a class by its coboundary normal form, with
+dim H^s read from the orbit.  The premise is tested key by key in
+`tests/test_exterior.py` and `tests/test_cobar.py`, the tables against the
+one-tower-per-sector loop in `tests/test_engines.py`, and the short path of
+`reduce_vec` against the representatives' in `tests/test_fplinalg.py`.
 
 All bases are deterministic: basis keys are sorted, and reduced row echelon
 forms are unique.
@@ -167,11 +169,27 @@ class SectorTower:
     def dim_h(self, s) -> int:
         return len(self.h_reps(s))
 
-    def reduce_vec(self, s, vec):
-        """Class coordinates of a cocycle vector in the h_reps basis."""
+    def reduce_vec(self, s, vec, dim=None):
+        """Class coordinates of a cocycle vector in the h_reps basis.
+
+        Given dim = dim H^s <= 1 (read from the orbit) and no representatives
+        yet, it builds none: v is checked to be a cocycle through `_d_of`, and
+        its class read by its coboundary normal form v', a multiple of the one
+        representative, which is 1 at its first entry: v'[min v']."""
         p = self.p
-        self.h_reps(s)  # built once, on the first call
         v = {i: c % p for i, c in enumerate(vec) if c % p}
+        if dim is not None and dim <= 1 and s not in self._h_reps:
+            basis, dv = self.bases[s], {}
+            for i, c in v.items():
+                for key, x in self._d_of(s, basis[i]).items():
+                    dv[key] = (dv.get(key, 0) + c * x) % p
+            if any(dv.values()):
+                raise ValueError("vector not in cocycle span (not a cocycle?)")
+            self._reduce(s, v, {})
+            if v and not dim:
+                raise ValueError(f"nonzero class in degree {s}, where the orbit has dim H = 0")
+            return [v[min(v)]] if v else [0] * dim
+        self.h_reps(s)  # built once, on the first call
         coeffs = self._reduce(s, v, self._h_reps[s])
         if v:
             raise ValueError("vector not in cocycle span (not a cocycle?)")
@@ -210,10 +228,11 @@ class SectorEngine:
     gives each tower a `Memo` (kept in `_sector_bases`) that asks
     `_sector_basis` for a degree on first use; on the towers it builds
     element <-> vector conversion, dimension reports, and the Massey
-    queries.  `dims_table` rests on the index shift mapping sector (t, w)
-    isomorphically onto (p t mod tmod, w), as it does in both complexes:
-    it builds one tower per orbit and reads each sector's cochain sizes
-    from `_counts`; the other dimension reports are folds of its rows.
+    queries.  `dim_h` rests on the index shift mapping sector (t, w)
+    isomorphically onto (p t mod tmod, w), as it does in both complexes: it
+    reads dim H^s from one tower per orbit, for each row of `dims_table` (whose
+    cochain sizes are each sector's own `_counts`) and for `class_coords`,
+    which reads a class by its coboundary normal form where it is <= 1.
     """
 
     def __init__(self, alg):
@@ -291,30 +310,40 @@ class SectorEngine:
         if x.is_zero():
             return None
         sector = x.grade_of()
-        tower = self.tower(sector.t, sector.w)
-        return sector, tuple(tower.reduce_vec(sector.s, self.to_vec(x, sector)))
+        t, w, s = sector.t, sector.w, sector.s
+        vec = self.to_vec(x, sector)
+        return sector, tuple(self.tower(t, w).reduce_vec(s, vec, self.dim_h(t, w, s)))
 
     # -- global reports -----------------------------------------------------
+
+    def _orbit_tower(self, t, w) -> SectorTower:
+        """The tower of the smallest sector of (t, w)'s orbit {t, p t, p^2 t,
+        ...} mod tmod at the same w, which `dim_h` reads."""
+        tmod = self.alg.tmod
+        t = rep = t % tmod
+        u = t * self.p % tmod
+        while u != t:
+            rep, u = min(rep, u), u * self.p % tmod
+        return self.tower(rep, w)
+
+    def dim_h(self, t, w, s) -> int:
+        """dim H^s of sector (t, w), read from its orbit's tower."""
+        return self._orbit_tower(t, w).dim_h(s)
 
     def dims_table(self, max_s=None):
         """Rows (s, t, w, dim cochains, dim cohomology) over all sectors, for
         the degrees s <= max_s (all degrees when max_s is None).  The sorted
-        sectors are walked once: the first unseen sector of each orbit of the
-        index shift t -> p t mod tmod gets a tower, and the walk follows the
-        orbit at the same w until it closes, copying that tower's cohomology
-        to each member.  Each row's cochain dimension is its sector's own
-        count, and only the representatives' bases of degrees <= max_s + 1
-        are built."""
-        counts, tmod, seen, rows = self._counts, self.alg.tmod, set(), []
+        sectors are walked once, degrees ascending; each row's cochain
+        dimension is its sector's own count and its cohomology is read as in
+        `dim_h`, once per orbit, so an orbit's tower is built at its first
+        (smallest) sector, and only its bases of degrees <= max_s + 1."""
+        counts, rows, dims = self._counts, [], {}
         for t, w in self.sector_keys():
-            if (t, w) in seen:
-                continue
-            tower = self.tower(t, w)
-            dims_h = [(s, tower.dim_h(s)) for s in tower.degrees if max_s is None or s <= max_s]
-            while (t, w) not in seen:
-                seen.add((t, w))
-                rows += [(s, t, w, counts[s][t, w], dim_h) for s, dim_h in dims_h]
-                t = t * self.p % tmod
+            tower = self._orbit_tower(t, w)
+            if tower not in dims:
+                dims[tower] = [(s, tower.dim_h(s)) for s in tower.degrees
+                               if max_s is None or s <= max_s]
+            rows += [(s, t, w, counts[s][t, w], dim_h) for s, dim_h in dims[tower]]
         rows.sort()
         return rows
 

@@ -348,7 +348,8 @@ def p_fold_massey_check(p: int, k: int, engine: CobarEngine):
 
     The defining system a_{i,i+m} = ((-1)^(m+1)/m!) [t1^(m p^k)] satisfies
     every identity exactly, and the value equals b_class(1, k) on the nose;
-    the value's class is then certified nonzero in its sector tower.
+    the value's class is then certified nonzero by its coboundary normal
+    form, with dim H^2 read from the orbit (`SectorEngine.class_coords`).
     """
     if engine.p != p:
         raise ValueError(f"p-fold bracket at p = {p} asked of an engine at p = {engine.p}")

@@ -131,8 +131,7 @@ def massey_product(engine, reps):
     def value_coords(uvec):
         cc = engine.class_coords(massey_from_system(engine, entries_at(uvec), n))
         if cc is None:
-            tower = engine.tower(value_sector.t, value_sector.w)
-            return (0,) * tower.dim_h(value_sector.s)
+            return (0,) * engine.dim_h(value_sector.t, value_sector.w, value_sector.s)
         return cc[1]
 
     c0 = value_coords(part)

@@ -43,11 +43,12 @@ def shift_code(hopf, m):
     return sum(x * q for x, q in zip(rotated, hopf.place))
 
 
-def shift_premise_failures(engine, max_s):
-    """The failures of the shift premise on the cobar engine's sectors in
-    degrees s <= max_s: sigma must map the s-basis of sector (t, w) onto
-    that of (p t, w), and d(sigma key) = sigma d(key) mod p on every key.
-    Returns (what, s, t, w, key) per failure; key is None for a basis."""
+def shift_premise_failures(engine, max_s, sectors=None):
+    """The failures of the shift premise on the cobar engine's sectors (all
+    of them when `sectors` is None) in degrees s <= max_s: sigma must map
+    the s-basis of sector (t, w) onto that of (p t, w), and d(sigma key) =
+    sigma d(key) mod p on every key.  Returns (what, s, t, w, key) per
+    failure; key is None for a basis."""
     hopf, p = engine.alg, engine.p
 
     def sigma(key):
@@ -57,7 +58,7 @@ def shift_premise_failures(engine, max_s):
         return {k: c % p for k, c in hopf.d_tensor(key).items() if c % p}
 
     failures = []
-    for t, w in engine.sector_keys():
+    for t, w in engine.sector_keys() if sectors is None else sectors:
         image = engine._sector(t * p % hopf.tmod, w)
         for s in range(max_s + 1):
             basis = engine._sector(t, w)[s]

@@ -8,13 +8,17 @@ that moved (`mismatch`).
 
     PYTHONPATH=src python tests/pins.py                  # re-record
     python tests/pins.py FILE COMMAND...                 # check FILE
+    PYTHONPATH=src python tests/pins.py --brackets       # check the brackets
 
 Re-recording runs every pinned command and computation on the current code
 and prints the tables below in this file's layout, to paste over them; what
 moved goes to stderr, one line per command, and a change that moves a
 certificate on purpose lists those suites in CHANGES.md.  The second form
 checks FILE, written by `stab3 COMMAND --output FILE`, prints `FILE: OK` or
-what moved, and exits 1 if something did.
+what moved, and exits 1 if something did.  The third recomputes the p-fold
+brackets of `BRACKET_SHA256` in this process (`verify` runs the bracket at
+p = 5 only), prints `brackets: OK` or the (p, k) that moved, and exits 1 if
+one did.
 """
 
 import hashlib
@@ -91,11 +95,18 @@ def exterior_record(p):
             classify_products(p, range(1, p + 1), nc=NamedClasses(e))]
 
 
+def brackets():
+    """{(p, k): digest of the bracket} for the (p, k) of `BRACKET_SHA256`,
+    one `CobarEngine(p, weight_bound=p)` per p."""
+    from stab3.hopf_cobar import CobarEngine, p_fold_massey_check
+
+    engines = {p: CobarEngine(p, weight_bound=p) for p, _ in BRACKET_SHA256}
+    return {(p, k): digest(p_fold_massey_check(p, k, engines[p])) for p, k in BRACKET_SHA256}
+
+
 def record():
     """The four tables below, recomputed on the current code; prints to
     stderr what moved in each pinned file."""
-    from stab3.hopf_cobar import CobarEngine, p_fold_massey_check
-
     files, suites = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out"
@@ -106,9 +117,7 @@ def record():
             if p is not None:
                 suites[p] = suite_digests(path)
             print(f"{command}: {mismatch(command, path) or 'unchanged'}", file=sys.stderr)
-    engines = {p: CobarEngine(p, weight_bound=p) for p, _ in BRACKET_SHA256}
-    brackets = {(p, k): digest(p_fold_massey_check(p, k, engines[p])) for p, k in BRACKET_SHA256}
-    return files, suites, brackets, digest(exterior_record(31))
+    return files, suites, brackets(), digest(exterior_record(31))
 
 
 def render(files, suites, brackets, exterior_p31):
@@ -277,6 +286,11 @@ def main(argv):
     if not argv:
         print(render(*record()), end="")
         return 0
+    if argv == ["--brackets"]:
+        moved = [key for key, sha in brackets().items() if sha != BRACKET_SHA256[key]]
+        print(f"brackets: moved at (p, k) = {', '.join(map(str, moved))}" if moved
+              else "brackets: OK")
+        return 1 if moved else 0
     path, *command = argv
     message = mismatch(" ".join(command), path)
     print(message or f"{path}: OK")

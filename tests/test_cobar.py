@@ -319,6 +319,20 @@ def test_p_fold_bracket_is_pinned(bracket_engine, p, k):
     assert pins.digest(rep) == pins.BRACKET_SHA256[p, k]
 
 
+def test_p7_brackets_eliminate_once_in_their_orbit():
+    # (84, 7) and (588, 7), the k = 0 and k = 1 value sectors, are sigma and
+    # sigma^2 of (12, 7): their dim H^2 is read from (12, 7)'s tower, and
+    # their classes from their own coboundaries, with no degree-3 basis
+    orbit = [(12, 7), (84, 7), (588, 7)]
+    engine = CobarEngine(7, weight_bound=7)
+    assert oracles.shift_premise_failures(engine, 3, orbit) == []
+    engine = CobarEngine(7, weight_bound=7)
+    for k in (0, 1):
+        assert p_fold_massey_check(7, k, engine)["status"] == "pass"
+    assert [key for key, tower in engine._towers.items() if 2 in tower._h_reps] == [(12, 7)]
+    assert not any(3 in engine.tower(t, w).bases for t, w in orbit[1:])
+
+
 def test_weight_bound_rejects_heavier_sectors():
     engine = CobarEngine(5, weight_bound=3)
     g10_4 = engine.alg.t_power_slot(1, 4)  # weight 4

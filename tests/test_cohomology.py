@@ -285,7 +285,7 @@ def _difference_indeterminacy(engine, reps, part, null):
             off += d
         cc = engine.class_coords(massey_from_system(engine, entries, n))
         if cc is None:
-            return (0,) * engine.tower(value_sector.t, value_sector.w).dim_h(value_sector.s)
+            return (0,) * engine.dim_h(value_sector.t, value_sector.w, value_sector.s)
         return cc[1]
 
     def addv(a, b, scale=1):

@@ -303,6 +303,57 @@ def test_reduce_vec_equals_coordinates_in_the_cocycle_span(engine):
                     break
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ExteriorCohomology(7), lambda: ExteriorCohomology(11),
+    lambda: CobarEngine(5, weight_bound=5), lambda: CobarEngine(7, weight_bound=6),
+], ids=["exterior-7", "exterior-11", "cobar-5-w5", "cobar-7-w6"])
+def test_reduce_vec_reads_a_class_of_dim_at_most_one_from_its_coboundaries(make):
+    # the short path, given the orbit's dim H <= 1, against the representatives'
+    # path in a second engine: every kernel vector and representative, one
+    # coboundary and a seeded random cocycle combination
+    full, short = make(), make()
+    p = full.p
+    rng = random.Random(11)
+    checked = 0
+    for (t, w) in full.sector_keys():
+        ref, tower = full.tower(t, w), short.tower(t, w)
+        for s in ref.degrees:
+            dim = full.dim_h(t, w, s)
+            if dim > 1:
+                continue
+            n = ref.dim(s)
+            cocycles = [_dense(z, n) for z in ref.cocycle_vectors(s)]
+            vecs = cocycles + [_dense(r, n) for r in ref.h_reps(s)]
+            vecs += [_dense(r, n) for r in (ref.dmat(s - 1) if s else ()) if r][:1]
+            cs = [rng.randrange(p) for _ in cocycles]
+            vecs.append([sum(c * z[i] for c, z in zip(cs, cocycles)) % p for i in range(n)])
+            for vec in vecs:
+                assert tower.reduce_vec(s, vec, dim) == ref.reduce_vec(s, vec), (t, w, s)
+            for i, row in enumerate(ref.dmat(s)):
+                if row:  # the basis vector e_i is not a cocycle
+                    with pytest.raises(ValueError, match="not a cocycle"):
+                        tower.reduce_vec(s, [int(i == j) for j in range(n)], dim)
+                    break
+            assert s not in tower._h_reps
+            checked += 1
+    assert checked
+
+
+def test_reduce_vec_refuses_a_nonzero_class_where_the_orbit_has_none():
+    engine = CobarEngine(5, weight_bound=5)
+    for (t, w) in engine.sector_keys():
+        tower = engine.tower(t, w)
+        for s in tower.degrees:
+            if engine.dim_h(t, w, s) == 1:
+                rep = _dense(next(iter(tower.h_reps(s))), tower.dim(s))
+                fresh = CobarEngine(5, weight_bound=5).tower(t, w)
+                assert fresh.reduce_vec(s, rep, 1) == [1]
+                with pytest.raises(ValueError, match="dim H = 0"):
+                    fresh.reduce_vec(s, rep, 0)
+                return
+    raise AssertionError("no sector with dim H = 1")
+
+
 def test_is_prime_oracle():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(2, 50):
