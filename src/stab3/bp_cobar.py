@@ -16,7 +16,9 @@ only on its v-part and its p-valuation; `Ideal.floor` is the one membership
 rule, `Ideal.modulus` (p^floor) and `_divisible` the one membership and mod-p
 test, and `_drop_terms` the one routine that drops (and audits) terms.  A
 valuation is computed only where it is carried: `delta_mon` prunes a product
-term by the sum of its factors' valuations (`_pval`).
+term by the sum of its factors' valuations (`_pval`), and `d_cobar` without
+an audit expands a term's coproducts modulo its context lowered by the
+valuation of the term's coefficient (`_coeff_pval`, `Ideal.lowered`).
 
 The delta chains divide cobar differentials by the exact invariant factors
 (powers of p, v1, v2) and record an audit trail: every dropped term is
@@ -132,6 +134,16 @@ def _pval(n, p):
     return v
 
 
+def _coeff_pval(c, p):
+    """v_p of a nonzero coefficient; for a TPoly, the least over its
+    coefficients."""
+    if type(c) is int:
+        return _pval(c, p)
+    if type(c) is TPoly:
+        return min(_coeff_pval(x, p) for x in c.coeffs.values())
+    return _pval(c.numerator, p) - _pval(c.denominator, p)
+
+
 def _divisible(c, q, p):
     """Whether v_p(c) >= f for a nonzero coefficient c and q = p^f (an int
     for f >= 0, else a Fraction), that is whether c/q is p-integral: one %
@@ -209,6 +221,12 @@ class Ideal:
         """Whether the term coeff * v^vexp (coeff nonzero) lies in the ideal."""
         q = self.modulus(p, vexp)
         return bool(q) and _divisible(coeff, q, p)
+
+    def lowered(self, v: int) -> "Ideal":
+        """The ideal with every p-exponent lowered by v, to 0 at least: for
+        v_p(c) = v and a p-integral x, c x lies in self exactly when x lies
+        in the lowered ideal."""
+        return Ideal((max(a - v, 0), b, c) for a, b, c in self.gens)
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all((f := self.floor(b, c)) is not None and f <= a for a, b, c in other.gens)
@@ -452,6 +470,7 @@ class BPStructure:
             ),
         }
         self._delta_t2_cache = {}
+        self._eta_cache = {}
 
     # -- products of expansions ---------------------------------------------
 
@@ -503,12 +522,19 @@ class BPStructure:
         return _drop_terms(self.p, out, ctx)
 
     def eta_v(self, vexp, ctx: Ideal):
-        """eta_R applied to v1^e1 v2^e2 v3^e3, modulo ctx."""
-        out = {(V_ZERO, MON_ONE): 1}
+        """eta_R applied to v1^e1 v2^e2 v3^e3, modulo ctx.  Each power is
+        expanded once per (which, exp, ctx.gens) and kept; a lone power is
+        returned as kept, so callers only read the result."""
+        out = None
         for which in (1, 2, 3):
-            if vexp[which - 1] != (0, 0):
-                out = self._mul(out, self.eta_power(which, vexp[which - 1], ctx), ctx)
-        return out
+            exp = vexp[which - 1]
+            if exp != (0, 0):
+                key = (which, exp, ctx.gens)
+                power = self._eta_cache.get(key)
+                if power is None:
+                    power = self._eta_cache[key] = self.eta_power(which, exp, ctx)
+                out = power if out is None else self._mul(out, power, ctx)
+        return {(V_ZERO, MON_ONE): 1} if out is None else out
 
     # -- coproducts ----------------------------------------------------------
 
@@ -563,7 +589,9 @@ class BPStructure:
         for each i, so no two products merge: they are emitted in the order
         `_mul` would give (i outer, Delta(t2)^b's terms inner), and each is
         kept or pruned by v_p C(a, i) + v_p(its coefficient), the factors'
-        valuations, against ctx.floor(0, 0).  A v1-carrying term
+        valuations, against ctx.floor(0, 0).  `d_cobar` passes a context
+        lowered by its outer coefficient's valuation, so that floor counts
+        the outer coefficient too.  A v1-carrying term
         (v1^m b10^m, m >= 1) can meet another on one key, so then the
         product is left to `_mul`.  The dict returned is the caller's own.
         No suite applies d to a t3 slot, so no coproduct of t3 is on record."""
@@ -625,12 +653,17 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
     A call that keeps an audit sums exactly: the audit lists every term of
     the exact sum that lies in ctx.  Without an audit, a term that lies in
     ctx on its own is left out, so the result has the exact sum's keys, but
-    its values agree only mod ctx and its order may differ.
+    its values agree only mod ctx and its order may differ.  Such a call
+    also expands the coproducts of a term with v_p(coefficient) = v > 0
+    modulo ctx.lowered(v), so no product that the outer coefficient alone
+    puts in ctx is built; where that context holds 1 on the v-free part,
+    every product of the term's slots lies in ctx, and none is expanded.
     """
     exact = audit is not None
     p = x.p
     out = {}
     get = out.get
+    lowered = {}  # v -> ctx.lowered(v)
     for (vexp, slots), coeff in x.terms.items():
         # coefficient differential
         eta = structure.eta_v(vexp, ctx)
@@ -640,6 +673,16 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
             c = coeff * c
             if c and (exact or not ctx.contains(p, v2exp, c)):
                 _acc(out, (v2exp, (mon,) + slots), c)
+        # the context of the slots' coproducts, lowered by v_p(coeff)
+        sctx = ctx
+        if not exact and slots and ctx.gens:
+            val = _coeff_pval(coeff, p)
+            if val > 0:
+                sctx = lowered.get(val)
+                if sctx is None:
+                    sctx = lowered[val] = ctx.lowered(val)
+                if sctx.floor(0, 0) == 0:
+                    continue
         # slot insertions; runs of delta_bar's terms share their v-part
         # object, so the summed v-part (and, without an audit, its modulus)
         # is kept across a run
@@ -647,7 +690,7 @@ def d_cobar(x: BPElement, ctx: Ideal, structure: BPStructure, audit=None) -> BPE
             head, tail = slots[:i], slots[i + 1:]
             scale = -coeff if i % 2 == 0 else coeff
             last = None
-            for (dv, ml, mr), c in structure.delta_bar(mon, ctx).items():
+            for (dv, ml, mr), c in structure.delta_bar(mon, sctx).items():
                 if dv is not last:
                     last, v = dv, _vexp_add(vexp, dv)
                     q = 0 if exact else ctx.modulus(p, v)
@@ -679,24 +722,29 @@ def _corner_v1p_b11(p: int) -> BPElement:
 
 
 def b20(p: int, structure: BPStructure) -> BPElement:
-    """b_{2,0} = (1/p)(Delta-bar(t2^p) - t1^p (x) t1^(p^2) + v1^p b_{1,1}).
+    """b_{2,0} = (1/p)(Delta-bar(t2^p) - t1^p (x) t1^(p^2) + v1^p b_{1,1}),
+    that is d(t2^p) = -t1^p (x) t1^(p^2) + v1^p b_{1,1} - p b_{2,0}.
 
-    Computed from the exact expansion of Delta(t2)^p; the p-integrality of
-    every coefficient is asserted (this is the content of the construction).
+    Read from the exact d[t2^p] = -Delta-bar(t2^p), whose terms are turned
+    into b_{2,0}'s in place; the p-integrality of every coefficient is
+    asserted (this is the content of the construction).
     """
-    dbar = structure.delta_bar(t2_mon(p), ZERO_IDEAL)
-    terms = {(vexp, (ml, mr)): c for (vexp, ml, mr), c in dbar.items()}
+    terms = d_cobar(BPElement.cochain(p, t2_mon(p)), ZERO_IDEAL, structure).terms
     for key, c in _corner_v1p_b11(p).terms.items():
-        _acc(terms, key, c)
-    out = {}
+        _acc(terms, key, -c)
+    zeros = []
     for key, c in terms.items():
-        if c:  # the corner t1^p (x) t1^(p^2) cancels
-            out[key] = c = _over(c, p)
-            if c.denominator % p == 0:
-                raise InsufficientPrecisionError(
-                    f"b20 coefficient not p-integral at {_term_repr(key, c)}"
-                )
-    return BPElement(p, out)
+        if not c:  # the corner t1^p (x) t1^(p^2) cancels
+            zeros.append(key)
+            continue
+        terms[key] = c = _over(c, -p)
+        if c.denominator % p == 0:
+            raise InsufficientPrecisionError(
+                f"b20 coefficient not p-integral at {_term_repr(key, c)}"
+            )
+    for key in zeros:
+        del terms[key]
+    return BPElement(p, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +767,12 @@ def _check_d(st: BPStructure, rows):
     return report
 
 
-def verify_d_basics(p: int):
+def verify_d_basics(st: BPStructure):
     """d(v1) = p[t1]; d(t1^(p^k)) = -p b_{1,k-1}; d(t2^p) = -t1^p (x) t1^(p^2)
-    + v1^p b11 - p b20; d(v_k) = p[t_k] mod I((2,1,1),k)."""
-    st = BPStructure(p)
+    + v1^p b11 - p b20; d(v_k) = p[t_k] mod I((2,1,1),k).  The d(t2^p) row is
+    `b20`'s definition: d[t2^p] is read once, into b20, and the row holds
+    when every coefficient of b20 is p-integral."""
+    p = st.p
 
     def rows():
         yield ("d(v1) = p[t1]", "exact", BPElement.v_power(p, e1=1), ZERO_IDEAL,
@@ -731,11 +781,9 @@ def verify_d_basics(p: int):
             yield (f"d(t1^(p^{k})) = -p*b_(1,{k-1})", "exact",
                    BPElement.cochain(p, t1_mon(p**k)), ZERO_IDEAL,
                    (-b_cochain(p, 1, k - 1)).scale(p))
-        b = b20(p, st)
-        yield ("d(t2^p) = -t1^p(x)t1^(p^2) + v1^p*b11 - p*b20", "exact",
-               BPElement.cochain(p, t2_mon(p)), ZERO_IDEAL,
-               b.scale(-p) + _corner_v1p_b11(p))
-        if b.reduce_mod(ideal((0, 1, 0))) != b_cochain(p, 2, 0):
+        # b20 mod v1, its v1-free terms, is the multinomial form
+        v1_free = {key: c for key, c in b20(p, st).terms.items() if key[0][0] == (0, 0)}
+        if v1_free != b_cochain(p, 2, 0).terms:
             raise AssertionError("b20 mod v1 is not the multinomial form")
         gens = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
         for k, mon in enumerate((t1_mon(1), t2_mon(1), t3_mon(1)), 1):
@@ -744,15 +792,16 @@ def verify_d_basics(p: int):
                    BPElement.v_power(p, **{f"e{k}": 1}), ctx, BPElement.cochain(p, mon, coeff=p))
 
     report = _check_d(st, rows())
-    # b20's records follow d(t2^p), as its checks do in rows()
-    report[4:4] = [{"name": "b20 p-integrality", "status": "exact"},
+    # d(t2^p) and b20's records follow the d(t1^(p^k)) rows, as b20's checks do in rows()
+    report[3:3] = [{"name": "d(t2^p) = -t1^p(x)t1^(p^2) + v1^p*b11 - p*b20", "status": "exact"},
+                   {"name": "b20 p-integrality", "status": "exact"},
                    {"name": "b20 mod (p,v1) multinomial form", "status": "exact"}]
     return report
 
 
-def verify_dd(p: int):
+def verify_dd(st: BPStructure):
     """d(d(x)) = 0 modulo each context for the whitelisted input family."""
-    st = BPStructure(p)
+    p = st.p
     cases = [
         ("v1", BPElement.v_power(p, e1=1), ZERO_IDEAL),
         ("v2", BPElement.v_power(p, e2=1), ideal((2, 0, 0), (1, 1, 0))),
@@ -977,13 +1026,12 @@ def _beta_1k_chain(nc: NamedClasses, st: BPStructure, k: int):
     return chain.lands_on(R.reduce_mod(MOD_P_V1), image, label)
 
 
-def delta_chain_displays(nc: NamedClasses):
+def delta_chain_displays(nc: NamedClasses, st: BPStructure):
     """Four worked connecting-map chains with every step displayed:
     alpha_1, beta_1, beta_2 and beta_{p/p}.  Each chain divides the cobar
     differential by the exact invariant factors and ends with the exterior
     image of the leading term, checked against `greek.r_image`."""
     p = nc.p
-    st = BPStructure(p)
 
     # alpha_1: v1 --d--> p[t1] --/p--> [t1] ~ h0
     alpha_1 = _Chain("alpha_1", st, nc)
@@ -1005,7 +1053,7 @@ def delta_chain_displays(nc: NamedClasses):
     return chains
 
 
-def verify_beta_chain(p: int):
+def verify_beta_chain(st: BPStructure):
     """Symbolic zigzag for the v2^t family (t a formal parameter).
 
     d(v2^t)/(p, v1^3) = t v1 v2^(t-1)[t1^p] + C(t,2) v1^2 v2^(t-2)[t1^(2p)];
@@ -1016,7 +1064,7 @@ def verify_beta_chain(p: int):
 
     whose two summands are cocycle representatives for k0 and b0.
     """
-    st = BPStructure(p)
+    p = st.p
     chain = _Chain("beta_t-chain", st, audit=[])
     R = _v2_power_zigzag(chain, (0, 1), "v2^t")
 
@@ -1039,7 +1087,7 @@ def verify_beta_chain(p: int):
     return chain.record(result="t(t-1)*v2^(t-2)*k0_rep - t*v2^(t-1)*b10  mod (p, v1)")
 
 
-def verify_gamma_chain(nc: NamedClasses):
+def verify_gamma_chain(nc: NamedClasses, st: BPStructure):
     """Symbolic zigzag for the v3^t family, ending in the exterior model.
 
     Stage A (mod (p, v1, v2^4)): d(v3^t) is divisible by v2; the quotient is
@@ -1054,7 +1102,6 @@ def verify_gamma_chain(nc: NamedClasses):
       (c_l, c_k) = `greek.GAMMA_COEFFS` = (-t(t^2-1), -t(t-1)).
     """
     p = nc.p
-    st = BPStructure(p)
     chain = _Chain("gamma_t-chain", st, audit=[])
 
     dx = chain.d("d(v3^t) mod (p, v1, v2^4)", BPElement.v_power(p, e3=(0, 1)),

@@ -240,6 +240,7 @@ class SectorEngine:
         self.p = alg.p
         self._towers = {}
         self._sector_bases = {}
+        self._orbit_reps = {}  # t -> the least t' in its orbit, for every t walked
 
     def sector_keys(self):
         """The (t, w) sectors with a nonempty basis in some degree, sorted."""
@@ -318,12 +319,18 @@ class SectorEngine:
 
     def _orbit_tower(self, t, w) -> SectorTower:
         """The tower of the smallest sector of (t, w)'s orbit {t, p t, p^2 t,
-        ...} mod tmod at the same w, which `dim_h` reads."""
+        ...} mod tmod at the same w, which `dim_h` reads.  Each orbit is
+        walked once per engine, and the least t kept for all its members."""
         tmod = self.alg.tmod
-        t = rep = t % tmod
-        u = t * self.p % tmod
-        while u != t:
-            rep, u = min(rep, u), u * self.p % tmod
+        t %= tmod
+        rep = self._orbit_reps.get(t)
+        if rep is None:
+            orbit, u = [t], t * self.p % tmod
+            while u != t:
+                orbit.append(u)
+                u = u * self.p % tmod
+            rep = min(orbit)
+            self._orbit_reps.update(dict.fromkeys(orbit, rep))
         return self.tower(rep, w)
 
     def dim_h(self, t, w, s) -> int:

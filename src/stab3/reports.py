@@ -35,7 +35,8 @@ def jsonable(x):
 
 class _Context:
     """Shared lazily-built engines for one report run: one exterior engine,
-    one `NamedClasses` and one cobar engine per (p, weight bound), kept to the end."""
+    one `NamedClasses`, one cobar engine per (p, weight bound) and one
+    `BPStructure`, whose expansions the BP suites share, kept to the end."""
 
     def __init__(self, p: int, t_range=None):
         self.p = p
@@ -49,6 +50,10 @@ class _Context:
     @cached_property
     def named(self) -> NamedClasses:
         return NamedClasses(self.engine)
+
+    @cached_property
+    def bp(self) -> bp_cobar.BPStructure:
+        return bp_cobar.BPStructure(self.p)
 
     def cobar(self, p: int, weight_bound: int) -> CobarEngine:
         if (p, weight_bound) not in self._cobar:
@@ -163,19 +168,19 @@ def suite_duality(ctx: _Context):
 
 
 def suite_bp_basics(ctx: _Context):
-    return bp_cobar.verify_d_basics(ctx.p) + bp_cobar.verify_dd(ctx.p)
+    return bp_cobar.verify_d_basics(ctx.bp) + bp_cobar.verify_dd(ctx.bp)
 
 
 def suite_delta_chains(ctx: _Context):
-    return bp_cobar.delta_chain_displays(ctx.named)
+    return bp_cobar.delta_chain_displays(ctx.named, ctx.bp)
 
 
 def suite_beta_chain(ctx: _Context):
-    return bp_cobar.verify_beta_chain(ctx.p)
+    return bp_cobar.verify_beta_chain(ctx.bp)
 
 
 def suite_gamma_chain(ctx: _Context):
-    return bp_cobar.verify_gamma_chain(ctx.named)
+    return bp_cobar.verify_gamma_chain(ctx.named, ctx.bp)
 
 
 SUITES = (

@@ -107,13 +107,14 @@ def test_criterion_08_cobar_collapse():
 
 
 def test_criterion_09_bp_suite():
-    basics = bp_cobar.verify_d_basics(7)
-    dd = bp_cobar.verify_dd(7)
+    st = bp_cobar.BPStructure(7)
+    basics = bp_cobar.verify_d_basics(st)
+    dd = bp_cobar.verify_dd(st)
     assert all(r["status"] in ("exact", "pass") for r in basics + dd)
-    chains = bp_cobar.delta_chain_displays(NC)
+    chains = bp_cobar.delta_chain_displays(NC, st)
     assert [c["image"] for c in chains] == ["h0", "-b0", "2*k0 - 2*v2*b0", "-b1"]
-    beta = bp_cobar.verify_beta_chain(7)
-    gamma = bp_cobar.verify_gamma_chain(NC)
+    beta = bp_cobar.verify_beta_chain(st)
+    gamma = bp_cobar.verify_gamma_chain(NC, st)
     assert beta["status"] == "pass" and gamma["status"] == "pass"
     _pass(9, "BP-level identities, four connecting chains, and the symbolic "
              f"beta_t / gamma_t chains; gamma_t image: {gamma['result']}")

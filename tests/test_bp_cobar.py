@@ -2,6 +2,7 @@
 
 import functools
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -450,13 +451,13 @@ def test_b20_refuses_a_coefficient_with_p_in_its_denominator(monkeypatch):
 
 
 def test_d_basics_report():
-    report = verify_d_basics(P)
+    report = verify_d_basics(BPStructure(P))
     assert len(report) == 9
     assert all(r["status"] in ("exact", "pass") for r in report)
 
 
 def test_dd_report():
-    report = verify_dd(P)
+    report = verify_dd(BPStructure(P))
     assert len(report) == 7
     assert all(r["status"] == "pass" for r in report)
 
@@ -474,7 +475,7 @@ def test_dd_fails_on_a_broken_coproduct(monkeypatch):
 
     monkeypatch.setattr(BPStructure, "delta_bar", doubled)
     with pytest.raises(AssertionError, match=r"^d\^2\("):
-        verify_dd(5)
+        verify_dd(BPStructure(5))
 
 
 def test_delta_bar_refuses_a_coproduct_without_mon_tensor_one(monkeypatch):
@@ -564,13 +565,16 @@ def _as_element(p, expansion):
 
 
 def _suite_t2_keys(p):
-    """The (b, ctx.gens) on which the BP suites expand Delta(t2)^b."""
-    mod_p2_v1_v2 = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    """The (b, ctx.gens) on which the BP suites expand Delta(t2)^b.  The
+    outer d of d^2([t2^p]) and of d^2(v2) expands the slots of a term whose
+    coefficient p divides modulo its context lowered by one p-power:
+    (p^2, v1, v2) becomes (p, v1, v2), and (p^2, p v1) becomes (p, v1)."""
     quadratic = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
     return {
-        (p, ()), (1, ((2, 0, 0), (1, 1, 0))), (1, ((1, 0, 0), (0, 1, 0))),
+        (p, ()), (1, ((1, 0, 0), (0, 1, 0))),
         (p, ((1, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2))), (p, quadratic), (2 * p, quadratic),
-        *((b, mod_p2_v1_v2) for b in range(1, p + 1)),
+        (p, ((2, 0, 0), (0, 1, 0), (0, 0, 1))),
+        *((b, ((1, 0, 0), (0, 1, 0), (0, 0, 1))) for b in range(1, p)),
     }
 
 
@@ -677,7 +681,16 @@ _MOD_P2_V1_V2 = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     (7, {((7, 1, 0),): 1, ((1, 7, 0),): 7, ((3, 2, 0), (14, 0, 0)): 14}, _MOD_P2_V1_V2, False),
     (5, {((5, 1, 0), (1, 0, 0)): 5, ((0, 2, 0),): 1}, ((2, 0, 0), (1, 1, 0)), False),
     (5, {((5, 2, 0),): 3}, (), False),
-], ids=["p5-two-slots", "p7-mixed", "p5-p2-pv1", "zero-ideal"])
+    # outer coefficients p^2 (the lowered context reaches p^0, so the slots
+    # of those terms are not expanded) and p, next to a unit
+    (5, {((5, 1, 0), (1, 0, 0)): 25, ((0, 2, 0), (1, 5, 0)): 5, ((0, 1, 0),): 1},
+     _MOD_P2_V1_V2, False),
+    (7, {((7, 1, 0),): 49, ((1, 7, 0), (0, 2, 0)): 7, ((2, 1, 0),): 3}, _MOD_P2_V1_V2, False),
+    # a p^3 generator, lowered to p^2 and to p
+    (5, {((5, 1, 0),): 5, ((0, 5, 0), (2, 0, 0)): 25}, ((3, 0, 0), (1, 1, 0)), False),
+    (7, {((0, 7, 0),): 98, ((7, 1, 0),): 14}, ((3, 0, 0), (0, 1, 0), (0, 0, 1)), False),
+], ids=["p5-two-slots", "p7-mixed", "p5-p2-pv1", "zero-ideal", "p5-p^2-coefficient",
+        "p7-p^2-coefficient", "p5-p3-pv1", "p7-p3-v1-v2"])
 def test_inexact_d_cobar_agrees_mod_ctx(p, terms, gens, moved):
     # leaving out the terms that lie in ctx on their own keeps every key and
     # the class of every value mod ctx; only representatives and order move
@@ -687,6 +700,57 @@ def test_inexact_d_cobar_agrees_mod_ctx(p, terms, gens, moved):
     assert exact.terms and set(loose.terms) == set(exact.terms)
     assert (loose - exact).reduce_mod(ctx).is_zero()
     assert (list(loose.terms.items()) != list(exact.terms.items())) == moved
+
+
+def test_d_cobar_expands_a_slot_modulo_the_context_lowered_by_its_coefficient(monkeypatch):
+    # without an audit, the coproduct in c[t2^p] is expanded mod
+    # ctx.lowered(v_p(c)); at c = p^2 that context holds 1, and no coproduct
+    # is expanded.  A call with an audit always expands mod ctx.
+    seen = []
+    delta_bar = BPStructure.delta_bar
+
+    def recorded(self, mon, ctx):
+        seen.append(ctx.gens)
+        return delta_bar(self, mon, ctx)
+
+    monkeypatch.setattr(BPStructure, "delta_bar", recorded)
+    st, ctx = BPStructure(P), Ideal(_MOD_P2_V1_V2)
+    for coeff in (1, 3 * P, P**2):
+        d_cobar(BPElement.cochain(P, t2_mon(P), coeff=coeff), ctx, st)
+    d_cobar(BPElement.cochain(P, t2_mon(P), coeff=P), ctx, st, [])
+    assert seen == [_MOD_P2_V1_V2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), _MOD_P2_V1_V2]
+    assert ctx.lowered(2).gens == ((0, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert ctx.lowered(2).floor(0, 0) == 0
+
+
+def test_coefficient_valuations():
+    p = 5
+    assert [bp_cobar._coeff_pval(c, p) for c in (
+        -75, 3, Fraction(50, 3), Fraction(3, 25), TPoly({0: 25, 1: Fraction(5, 2)}),
+    )] == [2, 0, 2, -2, 1]
+
+
+def test_one_bp_structure_per_report_expands_each_eta_power_once(monkeypatch):
+    # the BP suites share the report's structure, which keeps every power
+    # of eta_R it expands: 35 distinct ones, where one structure per suite
+    # function expanded 52
+    built, expanded = [], Counter()
+    init, eta_power = BPStructure.__init__, BPStructure.eta_power
+
+    def counted_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    def counted_eta_power(self, which, exp, ctx):
+        expanded[which, exp, ctx.gens] += 1
+        return eta_power(self, which, exp, ctx)
+
+    monkeypatch.setattr(BPStructure, "__init__", counted_init)
+    monkeypatch.setattr(BPStructure, "eta_power", counted_eta_power)
+    report = run_suites(P)
+    assert all(rec["status"] == "pass" for rec in report["checks"])
+    assert built == [P]
+    assert len(expanded) == 35 and set(expanded.values()) == {1}
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -889,7 +953,7 @@ def test_projection_audits_junk():
 
 
 def test_delta_chain_displays():
-    chains = delta_chain_displays(NC)
+    chains = delta_chain_displays(NC, BPStructure(P))
     assert [c["name"] for c in chains] == ["alpha_1", "beta_1", "beta_2", "beta_p/p"]
     assert [c["image"] for c in chains] == ["h0", "-b0", "2*k0 - 2*v2*b0", "-b1"]
     for c in chains:
@@ -906,17 +970,17 @@ def test_chains_land_on_the_r_image_table(monkeypatch, spec):
 
     monkeypatch.setattr(bp_cobar, "r_image", flipped)
     with pytest.raises(AssertionError, match="exterior image is not"):
-        delta_chain_displays(NC)
+        delta_chain_displays(NC, BPStructure(P))
 
 
 def test_beta_chain_symbolic():
-    rep = verify_beta_chain(P)
+    rep = verify_beta_chain(BPStructure(P))
     assert rep["status"] == "pass"
     assert "t(t-1)" in rep["result"]
 
 
 def test_gamma_chain_symbolic():
-    rep = verify_gamma_chain(NC)
+    rep = verify_gamma_chain(NC, BPStructure(P))
     assert rep["status"] == "pass"
     assert rep["result"].startswith("-t(t^2-1)*l - t(t-1)*k1*zeta3")
     assert rep["projection_audit"]

@@ -86,6 +86,12 @@ def _drop_middle_coproduct_term(i, j):
     return mutate
 
 
+def _coefficient_pval_plus_one(monkeypatch):
+    """d_cobar lowers its context by one p-power more than a coefficient has."""
+    pval = bp_cobar._coeff_pval
+    monkeypatch.setattr(bp_cobar, "_coeff_pval", lambda c, p: pval(c, p) + 1)
+
+
 def _scale_named(name, unit):
     def mutate(monkeypatch):
         init = NamedClasses.__init__
@@ -121,6 +127,7 @@ MUTANTS = [
     ("coproduct-term-doubled", _double_one_coproduct_term, ("cobar-collapse",)),
     ("coproduct-g21-middle-dropped", _drop_middle_coproduct_term(2, 1),
      ("cobar-collapse", "euler")),
+    ("coefficient-valuation-plus-1", _coefficient_pval_plus_one, ("bp-basics",)),
 ] + [
     (f"{name}-x{unit}", _scale_named(name, unit), suites)
     for name, suites in _NAMED_ROWS.items() for unit in (2, -1)
